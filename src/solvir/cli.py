@@ -81,8 +81,15 @@ def parse_boxes(text: str) -> list:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+CONFIG_KEYS = ("n", "box", "boxes", "seed", "spec", "out", "jobs")
+
+
 def load_config_file(path: str) -> dict:
-    """Flat key = value lines mirroring the flags; '#' starts a comment."""
+    """Flat key = value lines mirroring the flags; '#' starts a comment.
+
+    A key that is not one of CONFIG_KEYS is an error, so a misspelt key
+    cannot be silently ignored.
+    """
     values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -91,6 +98,9 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"bad config line {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r} in {path} "
+                             f"(known: {', '.join(CONFIG_KEYS)})")
         values[key] = value
     return values
 

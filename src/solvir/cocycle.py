@@ -468,7 +468,7 @@ def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
                 col = Polynomial()
                 for i in range(3):
                     col = col + u[i] * xs[i][k]
-                for mon, coef in col.t.items():
+                for mon, coef in col.terms():
                     row = per_mon.get(mon)
                     if row is None:
                         row = [Fraction(0)] * ncoef

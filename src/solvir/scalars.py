@@ -11,8 +11,19 @@ function field or multivariate gcd is required.
 
 Internal representation:
 
-* Monomial: tuple of (indeterminate id, exponent) pairs, sorted by id.
-* Polynomial: dict Monomial -> Fraction/int, no zero coefficients stored.
+* Monomial: one packed int.  Each indeterminate owns a 16-bit exponent slot
+  (a, b, lambda, c in slots 0..3, mu_i in slot 3 + i for i <= 60), so
+  multiplying two monomials is one int add.  The top bit of every slot is a
+  guard: a product that sets it raises OverflowError instead of carrying
+  into the next slot, which caps every exponent at 2^15 - 1.  Integer order
+  on packed monomials is a lex monomial order (highest mu first), used for
+  leading terms.
+* Polynomial: dict packed monomial -> nonzero int (``t``) over one positive
+  int denominator (``d``), kept canonical by gcd(content, d) = 1, so equality
+  and hashing are exact on (t, d).  Fractions appear only at the edges
+  (``const``, ``scale``, ``as_rational``, ``evaluate``, ``substitute``,
+  ``terms`` and the parser); the ring operations and ``exact_div`` stay in
+  ints.
 * Scalar: numerator Polynomial plus a multiset of denominator forms.  Each
   stored form is primitive (coordinate gcd 1) and lex-positive; the rational
   factor extracted while normalizing a form is folded into the numerator.
@@ -20,16 +31,19 @@ Internal representation:
   two rules make the representation canonical: equal values built along
   different operation orders compare equal term-by-term.
 
-Serialization pulls the common integer denominator of the numerator
-coefficients out, so the canonical string is an integer-coefficient
-polynomial over "int * mu(alpha) tokens"; parse/print round-trips exactly.
+Serialization unpacks monomials to sorted (id, exponent) tuples, orders them
+graded-lex and writes the numerator's integer coefficients over d, so the
+canonical string is an integer-coefficient polynomial over "int * mu(alpha)
+tokens"; parse/print round-trips exactly.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cmp_to_key, lru_cache, reduce
 from math import gcd
+from operator import or_
 
 from .errors import (
     DenominatorVanishesError,
@@ -71,61 +85,59 @@ def indet_name(ident: int) -> str:
 
 
 # --------------------------------------------------------------------------
-# polynomial layer (dict based, private helpers operate on raw term dicts)
+# packed monomials
 # --------------------------------------------------------------------------
 
+_SLOT_BITS = 16
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_GUARD_BIT = 1 << (_SLOT_BITS - 1)
+MAX_EXPONENT = _GUARD_BIT - 1
+# a, b, lambda, c and mu_1..mu_60
+_SLOTS = 64
+_GUARD = sum(_GUARD_BIT << (_SLOT_BITS * s) for s in range(_SLOTS))
 
-def _mon_mul(m1, m2):
-    """Merge two sorted (id, exp) tuples."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
+
+def _slot(ident: int) -> int:
+    return ident - A_ID if ident > _PARAM_BASE else ident + 3
+
+
+def _slot_ident(slot: int) -> int:
+    return slot + A_ID if slot < 4 else slot - 3
+
+
+def _pack(pairs) -> int:
+    """(id, exp) pairs -> packed monomial."""
+    m = 0
+    for ident, e in pairs:
+        if not 0 <= e <= MAX_EXPONENT:
+            raise OverflowError(
+                f"exponent {e} of {indet_name(ident)} outside 0..{MAX_EXPONENT}")
+        slot = _slot(ident)
+        if slot >= _SLOTS:
+            raise OverflowError(f"{indet_name(ident)} has no exponent slot "
+                                f"(at most mu{_SLOTS - 4})")
+        m += e << (_SLOT_BITS * slot)
+    return m
+
+
+@lru_cache(maxsize=1 << 14)
+def _unpack(m: int):
+    """Packed monomial -> (id, exp) tuple sorted by id."""
     out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        id1, e1 = m1[i]
-        id2, e2 = m2[j]
-        if id1 == id2:
-            out.append((id1, e1 + e2))
-            i += 1
-            j += 1
-        elif id1 < id2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
+    slot = 0
+    while m:
+        e = m & _SLOT_MASK
+        if e:
+            out.append((_slot_ident(slot), e))
+        m >>= _SLOT_BITS
+        slot += 1
+    out.sort()
     return tuple(out)
 
 
-def _mon_div(m1, m2):
-    """Divide monomials; None when m2 does not divide m1."""
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while j < n2:
-        if i >= n1:
-            return None
-        id1, e1 = m1[i]
-        id2, e2 = m2[j]
-        if id1 < id2:
-            out.append(m1[i])
-            i += 1
-        elif id1 == id2:
-            if e1 < e2:
-                return None
-            if e1 > e2:
-                out.append((id1, e1 - e2))
-            i += 1
-            j += 1
-        else:
-            return None
-    out.extend(m1[i:])
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _var_mon(ident: int) -> int:
+    return _pack(((ident, 1),))
 
 
 def _mon_degree(m):
@@ -133,7 +145,8 @@ def _mon_degree(m):
 
 
 def _mon_cmp(m1, m2):
-    """Graded lex: higher degree first, then higher power at the smaller id."""
+    """Graded lex on (id, exp) tuples: higher degree first, then higher power
+    at the smaller id."""
     d1, d2 = _mon_degree(m1), _mon_degree(m2)
     if d1 != d2:
         return 1 if d1 > d2 else -1
@@ -152,68 +165,71 @@ def _mon_cmp(m1, m2):
     return 0
 
 
-def _padd_into(acc, terms, factor=1):
-    for m, c in terms.items():
-        v = acc.get(m, 0) + c * factor
+# --------------------------------------------------------------------------
+# polynomial layer: int coefficients over one denominator
+# --------------------------------------------------------------------------
+
+
+def _poly(t, d):
+    """The polynomial t/d with its common factor cancelled (d > 0)."""
+    if d != 1:
+        if not t:
+            return Polynomial()
+        g = gcd(d, *t.values())
+        if g != 1:
+            t = {m: c // g for m, c in t.items()}
+            d //= g
+    return Polynomial(t, d)
+
+
+def _from_fractions(terms):
+    """Polynomial from a dict packed monomial -> Fraction/int."""
+    d = 1
+    for c in terms.values():
+        den = c.denominator
+        d = d * den // gcd(d, den)
+    return _poly({m: int(c * d) for m, c in terms.items() if c}, d)
+
+
+def _add(p, q, sign):
+    """p + sign*q."""
+    d1, d2 = p.d, q.d
+    if d1 == d2:
+        out = p.t.copy()
+        f2, d = sign, d1
+    else:
+        g = gcd(d1, d2)
+        f1 = d2 // g
+        f2 = sign * (d1 // g)
+        d = d1 * f1
+        out = {m: c * f1 for m, c in p.t.items()}
+    get = out.get
+    for m, c in q.t.items():
+        v = get(m, 0) + c * f2
         if v:
-            acc[m] = v
+            out[m] = v
         else:
-            acc.pop(m, None)
-
-
-def _pmul(t1, t2):
-    # hoist denominators so the inner loop multiplies plain integers
-    d1 = 1
-    for c in t1.values():
-        if type(c) is Fraction:
-            d = c.denominator
-            d1 = d1 * d // gcd(d1, d)
-    d2 = 1
-    for c in t2.values():
-        if type(c) is Fraction:
-            d = c.denominator
-            d2 = d2 * d // gcd(d2, d)
-    items1 = t1.items() if d1 == 1 else [(m, int(c * d1)) for m, c in t1.items()]
-    items2 = t2.items() if d2 == 1 else [(m, int(c * d2)) for m, c in t2.items()]
-    out = {}
-    for m1, c1 in items1:
-        for m2, c2 in items2:
-            m = _mon_mul(m1, m2)
-            v = out.get(m, 0) + c1 * c2
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    den = d1 * d2
-    if den == 1:
-        return out
-    return {m: Fraction(v, den) for m, v in out.items()}
-
-
-def _leading(terms):
-    lead = None
-    for m in terms:
-        if lead is None or _mon_cmp(m, lead) > 0:
-            lead = m
-    return lead
+            del out[m]
+    return _poly(out, d) if d != 1 else Polynomial(out)
 
 
 class Polynomial:
-    """Sparse polynomial with exact rational coefficients."""
+    """Sparse polynomial with exact rational coefficients: ``t`` / ``d``."""
 
-    __slots__ = ("t",)
+    __slots__ = ("t", "d")
 
-    def __init__(self, terms=None):
-        self.t = dict(terms) if terms else {}
+    def __init__(self, t=None, d=1):
+        self.t = {} if t is None else t
+        self.d = d
 
     @classmethod
     def const(cls, c):
-        c = Fraction(c) if not isinstance(c, (int, Fraction)) else c
-        return cls({(): c} if c else {})
+        c = Fraction(c)
+        return cls({0: c.numerator}, c.denominator) if c else cls()
 
     @classmethod
     def var(cls, ident: int):
-        return cls({((ident, 1),): 1})
+        return cls({_var_mon(ident): 1})
 
     def is_zero(self):
         return not self.t
@@ -222,43 +238,62 @@ class Polynomial:
         return bool(self.t)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Polynomial.const(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.t == other.t
+        return self.d == other.d and self.t == other.t
 
     def __hash__(self):
-        return hash(frozenset(self.t.items()))
+        return hash((frozenset(self.t.items()), self.d))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Polynomial.const(other)
-        out = dict(self.t)
-        _padd_into(out, other.t)
-        return Polynomial(out)
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.t.items()})
+        return Polynomial({m: -c for m, c in self.t.items()}, self.d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Polynomial.const(other)
-        out = dict(self.t)
-        _padd_into(out, other.t, -1)
-        return Polynomial(out)
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             return self.scale(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return Polynomial(_pmul(self.t, other.t))
+        t1, t2 = self.t, other.t
+        if len(t1) < len(t2):
+            t1, t2 = t2, t1
+        if len(t2) == 1:
+            # one term: distinct monomials stay distinct, nothing cancels
+            [(m2, c2)] = t2.items()
+            out = {m1 + m2: c1 * c2 for m1, c1 in t1.items()}
+        else:
+            out = {}
+            get = out.get
+            for m2, c2 in t2.items():
+                for m1, c1 in t1.items():
+                    m = m1 + m2
+                    out[m] = get(m, 0) + c1 * c2
+            if 0 in out.values():
+                out = {m: c for m, c in out.items() if c}
+        if reduce(or_, out, 0) & _GUARD:
+            raise OverflowError(f"monomial exponent above {MAX_EXPONENT}")
+        d = self.d * other.d
+        return _poly(out, d) if d != 1 else Polynomial(out)
 
     __rmul__ = __mul__
 
@@ -270,91 +305,114 @@ class Polynomial:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def scale(self, c):
-        if not c:
-            return Polynomial()
-        return Polynomial({m: coef * c for m, coef in self.t.items()})
+        c = Fraction(c)
+        return self._scaled(c.numerator, c.denominator)
 
-    def degree(self):
-        return max((_mon_degree(m) for m in self.t), default=0)
+    def _scaled(self, num: int, den: int):
+        """self * num/den for ints num and den > 0."""
+        if not num:
+            return Polynomial()
+        return _poly({m: c * num for m, c in self.t.items()}, self.d * den)
+
+    def terms(self):
+        """(monomial, coefficient) pairs: (id, exp) tuples sorted by id, and
+        int or Fraction coefficients."""
+        d = self.d
+        return [(_unpack(m), c if d == 1 else Fraction(c, d))
+                for m, c in self.t.items()]
 
     def as_rational(self):
         """Return the Fraction value when constant, else None."""
         if not self.t:
             return Fraction(0)
-        if len(self.t) == 1 and () in self.t:
-            return Fraction(self.t[()])
+        if len(self.t) == 1 and 0 in self.t:
+            return Fraction(self.t[0], self.d)
         return None
 
     def exact_div(self, other: "Polynomial"):
-        """Exact polynomial quotient self/other, or None if not divisible."""
-        if not other.t:
+        """Exact polynomial quotient self/other, or None if not divisible.
+
+        Fraction-free long division in the packed lex order: whenever the
+        divisor's leading coefficient does not divide the remainder's, the
+        remainder and the partial quotient are scaled by the missing factor,
+        and the accumulated scale goes into the quotient's denominator.
+        """
+        divisor = other.t
+        if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.t:
             return Polynomial()
-        lead_d = _leading(other.t)
-        cd = other.t[lead_d]
-        rem = dict(self.t)
+        lead = max(divisor)
+        # guard bits up to the leading monomial's top slot: m | guard minus
+        # lead borrows across no slot, and leaves a slot's guard bit set
+        # exactly when m's exponent there is at least lead's
+        guard = _GUARD & ((1 << (lead.bit_length() + _SLOT_BITS)) - 1)
+        lc = divisor[lead]
+        rem = self.t.copy()
         quo = {}
+        scale = 1
         while rem:
-            lead_r = _leading(rem)
-            q = _mon_div(lead_r, lead_d)
-            if q is None:
+            m = max(rem)
+            if ((m | guard) - lead) & guard != guard:
                 return None
-            coef = Fraction(rem[lead_r], 1) / cd
-            quo[q] = coef
-            for m, c in other.t.items():
-                mm = _mon_mul(m, q)
-                v = rem.get(mm, 0) - c * coef
+            q = m - lead
+            r = rem[m]
+            if r % lc:
+                f = abs(lc) // gcd(r, lc)
+                scale *= f
+                rem = {k: v * f for k, v in rem.items()}
+                quo = {k: v * f for k, v in quo.items()}
+                r *= f
+            cq = r // lc
+            quo[q] = cq
+            get = rem.get
+            for md, cd in divisor.items():
+                k = md + q
+                v = get(k, 0) - cq * cd
                 if v:
-                    rem[mm] = v
+                    rem[k] = v
                 else:
-                    rem.pop(mm, None)
-        return Polynomial(quo)
+                    del rem[k]
+        d2 = other.d
+        d = scale * self.d
+        if d2 != 1:
+            quo = {k: v * d2 for k, v in quo.items()}
+        return _poly(quo, d) if d != 1 else Polynomial(quo)
 
     def evaluate(self, assignment):
         """Evaluate at an id -> Fraction map; every id present must be covered."""
         total = Fraction(0)
         for m, c in self.t.items():
             val = Fraction(c)
-            for ident, e in m:
+            for ident, e in _unpack(m):
                 if ident not in assignment:
                     raise MissingAssignmentError(
                         f"no value for indeterminate {indet_name(ident)}")
                 val *= assignment[ident] ** e
             total += val
-        return total
-
-    def indeterminates(self):
-        out = set()
-        for m in self.t:
-            for ident, _ in m:
-                out.add(ident)
-        return out
+        return total / self.d
 
     def substitute(self, assignment):
         """Partially evaluate: ids in the map are replaced by rationals."""
         out = {}
         for m, c in self.t.items():
-            val = Fraction(c)
+            val = Fraction(c, self.d)
             kept = []
-            for ident, e in m:
+            for ident, e in _unpack(m):
                 if ident in assignment:
                     val *= assignment[ident] ** e
                 else:
                     kept.append((ident, e))
             if val:
-                key = tuple(kept)
-                v = out.get(key, 0) + val
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return Polynomial(out)
+                key = _pack(kept)
+                out[key] = out.get(key, 0) + val
+        return _from_fractions(out)
 
     def __repr__(self):
         return f"Polynomial({poly_str(self) if self.t else '0'})"
@@ -365,7 +423,7 @@ def mu_poly(alpha) -> Polynomial:
     terms = {}
     for i, coord in enumerate(alpha, start=1):
         if coord:
-            terms[((i, 1),)] = coord
+            terms[_var_mon(i)] = coord
     return Polynomial(terms)
 
 
@@ -399,13 +457,12 @@ class Scalar:
     __slots__ = ("num", "forms", "_hash")
 
     def __init__(self, num: Polynomial, forms=()):
-        if not num.t:
+        if not forms or not num.t:
             self.num = num
             self.forms = ()
             self._hash = None
             return
-        if forms:
-            num, forms = _cancel(num, tuple(forms))
+        num, forms = _cancel(num, tuple(forms))
         self.num = num
         self.forms = tuple(sorted(forms))
         self._hash = None
@@ -435,9 +492,10 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
         if not self.num.t:
             return other
         if not other.num.t:
@@ -459,18 +517,20 @@ class Scalar:
         return s
 
     def __sub__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
         if not self.num.t or not other.num.t:
             return ZERO
         return Scalar(self.num * other.num, self.forms + other.forms)
@@ -492,7 +552,10 @@ class Scalar:
     def div_form(self, alpha) -> "Scalar":
         """Divide by the linear form mu.alpha (alpha nonzero)."""
         prim, k = normalize_form(alpha)
-        num = self.num.scale(Fraction(1, k)) if k != 1 else self.num
+        if k != 1:
+            num = self.num._scaled(1, k) if k > 0 else self.num._scaled(-1, -k)
+        else:
+            num = self.num
         if not num.t:
             return ZERO
         return Scalar(num, self.forms + (prim,))
@@ -506,14 +569,15 @@ class Scalar:
         return bool(self.num.t)
 
     def __eq__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
         return self.forms == other.forms and self.num == other.num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((frozenset(self.num.t.items()), self.forms))
+            self._hash = hash((frozenset(self.num.t.items()), self.num.d, self.forms))
         return self._hash
 
     def as_rational(self):
@@ -645,10 +709,8 @@ ONE = Scalar(Polynomial.const(1))
 
 
 def _sorted_terms(terms):
-    import functools
-
     return sorted(terms.items(),
-                  key=functools.cmp_to_key(lambda a, b: _mon_cmp(a[0], b[0])),
+                  key=cmp_to_key(lambda a, b: _mon_cmp(a[0], b[0])),
                   reverse=True)
 
 
@@ -661,8 +723,12 @@ def _mon_str(m):
 
 
 def poly_str(poly: Polynomial, int_coeffs=None) -> str:
-    """Render a polynomial; terms in graded-lex descending order."""
-    terms = int_coeffs if int_coeffs is not None else poly.t
+    """Render a polynomial; terms in graded-lex descending order.
+
+    ``int_coeffs`` is an (id, exp)-tuple keyed dict from ``_int_normalized``;
+    without it the polynomial's own rational coefficients are written.
+    """
+    terms = int_coeffs if int_coeffs is not None else dict(poly.terms())
     if not terms:
         return "0"
     pieces = []
@@ -684,21 +750,12 @@ def poly_str(poly: Polynomial, int_coeffs=None) -> str:
 
 
 def _int_normalized(poly: Polynomial):
-    """Scale to integer coefficients; returns (int term dict, denominator int)."""
-    lcm = 1
-    for c in poly.t.values():
-        d = c.denominator if isinstance(c, Fraction) else 1
-        lcm = lcm * d // gcd(lcm, d)
-    ints = {m: int(c * lcm) for m, c in poly.t.items()}
-    g = lcm
-    for c in ints.values():
-        g = gcd(g, abs(c))
-        if g == 1:
-            break
-    if g > 1:
-        ints = {m: c // g for m, c in ints.items()}
-        lcm //= g
-    return ints, lcm
+    """Integer coefficients keyed by (id, exp) tuples, and the denominator.
+
+    Canonical form keeps gcd(content, d) = 1, so d is already the lcm of the
+    reduced coefficient denominators.
+    """
+    return {_unpack(m): c for m, c in poly.t.items()}, poly.d
 
 
 def form_token(alpha, mult=1) -> str:
@@ -734,8 +791,7 @@ def is_simple_product(s: Scalar) -> bool:
         return True
     if s.forms or len(s.num.t) != 1:
         return False
-    c = next(iter(s.num.t.values()))
-    return Fraction(c).denominator == 1
+    return s.num.d == 1
 
 
 # --------------------------------------------------------------------------

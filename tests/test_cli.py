@@ -109,6 +109,16 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert json.loads(out_b.read_text())["config"]["seed"] == 9
 
 
+def test_config_file_unknown_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\nboxs = 1..6\n")
+    out_file = tmp_path / "r.json"
+    code = main(["verify", "density", "--config", str(cfg), "--out", str(out_file)])
+    assert code == 2
+    assert "'boxs'" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_dims_verma_table(tmp_path, capsys):
     out_file = tmp_path / "dims.json"
     code, _ = run_cli(["dims", "verma", "--n", "2", "--shift", "-1,0",
