@@ -19,7 +19,7 @@ fixed per element at construction; mixing ranks raises RankMismatchError.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import (
     AxisOutOfRangeError,
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .scalars import (
     ONE,
+    Polynomial,
     Scalar,
     _TokenStream,
     _parse_int_list,
@@ -303,6 +304,24 @@ def jacobi_residual(x, y, z) -> AlgebraElement:
     return (vir_bracket(x, vir_bracket(y, z))
             + vir_bracket(y, vir_bracket(z, x))
             + vir_bracket(z, vir_bracket(x, y)))
+
+
+@cache
+def witt_jacobi_symbolic_identity() -> bool:
+    """(z-y)(y+z-x) + (x-z)(z+x-y) + (y-x)(x+y-z) = 0, expanded exactly.
+
+    Together with bilinearity and the lattice grading this covers the
+    residual of every basis triple with nonzero lattice sum: the coefficient
+    of e_{alpha+beta+kappa} is this polynomial at x = mu.alpha, y = mu.beta,
+    z = mu.kappa, and no central term can arise away from sum zero.  The
+    cocycle residual of a coboundary df at (alpha, beta, kappa) is
+    f(alpha+beta+kappa) times the same polynomial, so every df is a cocycle.
+    Proved once per process.
+    """
+    x, y, z = (Polynomial.var(i) for i in (1, 2, 3))
+    total = ((z - y) * (y + z - x) + (x - z) * (z + x - y)
+             + (y - x) * (x + y - z))
+    return total.is_zero()
 
 
 def triangular_split(x: AlgebraElement):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -179,14 +180,17 @@ def cmd_verify(args) -> int:
 
 
 def _infer_rank(texts, explicit):
+    """The rank shared by every e[...] point in the texts, unless --n is given."""
     if explicit is not None:
         return explicit
-    for text in texts:
-        idx = text.find("e[")
-        if idx >= 0:
-            inner = text[idx + 2:text.index("]", idx)]
-            return inner.count(",") + 1
-    raise ValueError("rank cannot be inferred; pass --n")
+    ranks = sorted({inner.count(",") + 1
+                    for text in texts for inner in re.findall(r"e\[([^\]]*)\]", text)})
+    if not ranks:
+        raise ValueError("rank cannot be inferred; pass --n")
+    if len(ranks) > 1:
+        raise ValueError("elements mix points of ranks "
+                         + " and ".join(map(str, ranks)))
+    return ranks[0]
 
 
 def cmd_bracket(args) -> int:

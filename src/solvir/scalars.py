@@ -545,8 +545,9 @@ class Scalar:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def div_form(self, alpha) -> "Scalar":

@@ -28,6 +28,7 @@ from .algebra import (
     jacobi_residual,
     vir_bracket,
     vir_i_cocycle_coefficients,
+    witt_jacobi_symbolic_identity,
 )
 from .cocycle import (
     box_points,
@@ -39,6 +40,7 @@ from .cocycle import (
     normalize_cocycle,
     recognize_eta,
     solve_functional_equation,
+    triples_with_sum,
     OneCochain,
     TwoCochain,
 )
@@ -56,7 +58,7 @@ from .density import (
     REDUCIBLE_TRIVIAL_SUB,
 )
 from .gvm import grade_of, gvm_act, quotient_dim_level1, GvmMonomial, GvmVector
-from .scalars import ONE, ZERO, Polynomial, Scalar, mu_poly
+from .scalars import ONE, ZERO, Scalar, mu_poly
 from .verma import (
     TruncationBox,
     VermaVector,
@@ -104,20 +106,6 @@ def _random_element(rng, n, box, allow_central=True):
 # --------------------------------------------------------------------------
 
 
-def witt_jacobi_symbolic_identity() -> bool:
-    """(z-y)(y+z-x) + (x-z)(z+x-y) + (y-x)(x+y-z) = 0, expanded exactly.
-
-    Together with bilinearity and the lattice grading this covers the
-    residual of every basis triple with nonzero lattice sum: the coefficient
-    of e_{alpha+beta+kappa} is this polynomial at x = mu.alpha, y = mu.beta,
-    z = mu.kappa, and no central term can arise away from sum zero.
-    """
-    x, y, z = (Polynomial.var(i) for i in (1, 2, 3))
-    total = ((z - y) * (y + z - x) + (x - z) * (z + x - y)
-             + (y - x) * (x + y - z))
-    return total.is_zero()
-
-
 def jacobi_full_scan(n: int, box: int):
     pts = box_points(n, box)
     els = {p: basis_element(n, p) for p in pts}
@@ -133,13 +121,9 @@ def jacobi_full_scan(n: int, box: int):
 def jacobi_zero_sum_scan(n: int, box: int):
     pts = box_points(n, box)
     els = {p: basis_element(n, p) for p in pts}
-    idx = set(pts)
     failures = []
     count = 0
-    for a, b in itertools.product(pts, repeat=2):
-        k = tuple(-x - y for x, y in zip(a, b))
-        if k not in idx:
-            continue
+    for a, b, k in triples_with_sum(pts, (0,) * n):
         count += 1
         if jacobi_residual(els[a], els[b], els[k]):
             failures.append([list(a), list(b), list(k)])
@@ -222,13 +206,9 @@ def cocycle_full_scan(n: int, box: int):
 def cocycle_zero_sum_scan(n: int, box: int):
     theta = canonical_cochain(n)
     pts = box_points(n, box)
-    idx = set(pts)
     failures = []
     count = 0
-    for a, b in itertools.product(pts, repeat=2):
-        k = tuple(-x - y for x, y in zip(a, b))
-        if k not in idx:
-            continue
+    for a, b, k in triples_with_sum(pts, (0,) * n):
         count += 1
         if cocycle_residual(theta, a, b, k):
             failures.append([list(a), list(b), list(k)])
@@ -251,18 +231,13 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
 
     if theta_input is not None:
         pts = box_points(n, box)
-        idx = set(pts)
         failing = None
         count = 0
         for total in sorted(theta_input.pair_sum_support() | {(0,) * n}):
-            for a in pts:
-                for b in pts:
-                    k = tuple(t - x - y for t, x, y in zip(total, a, b))
-                    if k not in idx:
-                        continue
-                    count += 1
-                    if cocycle_residual(theta_input, a, b, k) and failing is None:
-                        failing = [list(a), list(b), list(k)]
+            for a, b, k in triples_with_sum(pts, total):
+                count += 1
+                if cocycle_residual(theta_input, a, b, k) and failing is None:
+                    failing = [list(a), list(b), list(k)]
         checks.append(check("cocycle/input_file_residual", failing is None,
                             triples_checked=count, failing_triple=failing))
         return checks

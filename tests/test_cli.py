@@ -33,6 +33,15 @@ def test_bracket_parse_error(capsys):
     assert code == 2  # rank not inferable
 
 
+def test_bracket_mixed_ranks_is_usage_error(capsys):
+    code = main(["bracket", "e[1,2]", "e[1]"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ranks 1 and 2" in err
+    # the second point of one side is read too
+    assert main(["bracket", "e[1,0] + e[2]", "e[0,1]"]) == 2
+
+
 def test_parse_helpers():
     assert parse_boxes("1..4") == [1, 2, 3, 4]
     assert parse_boxes("2,5,9") == [2, 5, 9]

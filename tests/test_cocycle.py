@@ -245,8 +245,9 @@ def test_h2_rank_small_box():
 
 
 def test_check_cocycle_skip_is_sound():
-    # honest residuals on a seeded sample of triples skipped by the support
-    # pruning in check_cocycle_on_box must all vanish
+    # check_cocycle_on_box evaluates only the triples where a residual term
+    # reads an extra pair, and theta here has none; honest residuals on
+    # seeded triples off the pair-sum support, and the box check, must pass
     rng = random.Random(31337)
     f = _random_cochain(rng)
     theta = canonical_cochain(2) + coboundary(f)
@@ -260,6 +261,102 @@ def test_check_cocycle_skip_is_sound():
         assert cocycle_residual(theta, *triple).is_zero()
         checked += 1
     check_cocycle_on_box(theta, 2)
+
+
+def _reference_check(theta, box):
+    """The exhaustive scan check_cocycle_on_box replaced.
+
+    Every box triple whose total lies in the pair-sum support goes through
+    cocycle_residual, by total, then alpha, then beta; returns the first
+    failing triple with its residual string, or None.
+    """
+    pts = box_points(theta.n, box)
+    idx = set(pts)
+    for total in sorted(theta.pair_sum_support()):
+        for alpha, beta in itertools.product(pts, repeat=2):
+            kappa = tuple(t - a - b for t, a, b in zip(total, alpha, beta))
+            if kappa not in idx:
+                continue
+            res = cocycle_residual(theta, alpha, beta, kappa)
+            if res:
+                return (alpha, beta, kappa), str(res)
+    return None
+
+
+def _cochain_with_extra(rng, n, box):
+    """cm*C0 + df + extra with extra drawn from four kinds.
+
+    0: a patch of dg (g a point mass at s) on every pair with sum s inside
+       twice the box, which covers every pair a box residual reads: a cocycle;
+    1: that patch with one entry changed: not a cocycle;
+    2: one to three random pairs near the box;
+    3: one to three pairs with both points outside the box, never read as
+       theta(x, .) with x in the box.
+    """
+    def point(radius):
+        return tuple(rng.randint(-radius, radius) for _ in range(n))
+
+    cm = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    cob = OneCochain(n, {point(box): Fraction(rng.randint(-4, 4) or 1,
+                                              rng.randint(1, 3))
+                         for _ in range(rng.randint(0, 3))})
+    kind = rng.randrange(4)
+    extra = {}
+    if kind < 2:
+        s = point(box)
+        g = Scalar.from_rational(rng.randint(1, 3))
+        wide = set(box_points(n, 2 * box))
+        for p in sorted(wide):
+            q = tuple(a - b for a, b in zip(s, p))
+            if p < q and q in wide:
+                extra[(p, q)] = mu(tuple(b - a for a, b in zip(p, q))) * g
+        if kind == 1:
+            key = rng.choice(sorted(extra))
+            extra[key] = extra[key] + rng.choice([ONE, mu((1,) * n)])
+    else:
+        for _ in range(rng.randint(1, 3)):
+            if kind == 2:
+                p, q = point(box + 1), point(box + 1)
+            else:
+                p = (box + rng.randint(1, 2),) + point(box)[1:]
+                q = (-box - rng.randint(1, 2),) + point(box)[1:]
+            if p != q:
+                extra[(p, q)] = Scalar.from_rational(rng.randint(1, 5))
+    return kind, TwoCochain(n, cm, cob, extra)
+
+
+def test_check_cocycle_on_box_matches_exhaustive_scan():
+    # same pass/raise, triple and residual as the scan it replaced, on
+    # seeded cochains with extra entries of every kind
+    rng = random.Random(1)
+    cases = [(2, box) for box in (1, 2, 1, 2, 3) * 8] + [(3, 1)] * 9 + [(3, 2)]
+    seen = set()
+    for n, box in cases:
+        kind, theta = _cochain_with_extra(rng, n, box)
+        expected = _reference_check(theta, box)
+        try:
+            check_cocycle_on_box(theta, box)
+            got = None
+        except NotACocycleError as exc:
+            got = (exc.triple, exc.residual)
+        assert got == expected, (n, box, kind)
+        seen.add((kind, expected is None))
+    assert {(0, True), (1, False), (2, False), (3, True)} <= seen
+
+
+def test_check_cocycle_sample_catches_wrong_canonical(monkeypatch):
+    # C0's identity fails for the even eta(t) = t^2; with it in
+    # TwoCochain.value, the seeded honest sample must raise
+    import solvir.cocycle as cocycle
+
+    def even(alpha, beta):
+        if any(a + b for a, b in zip(alpha, beta)):
+            return ZERO
+        return mu(alpha) ** 2
+
+    monkeypatch.setattr(cocycle, "canonical_cocycle", even)
+    with pytest.raises(NotACocycleError):
+        check_cocycle_on_box(canonical_cochain(2), 2)
 
 
 def test_two_cochain_records_roundtrip():

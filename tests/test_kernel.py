@@ -232,6 +232,16 @@ def test_exponent_past_slot_width_raises():
         mu_poly((0,) * 60 + (1,))
 
 
+def test_scalar_power_stops_squaring_after_last_bit():
+    s = Scalar.mu_form((2, -1)).div_form((1, 1)) + ONE
+    assert s ** 3 == s * s * s
+    assert s ** 0 == ONE and s ** 1 == s
+    # 2^14 < k < 2^15: one more squaring would pass the slot width
+    k = MAX_EXPONENT - 5
+    assert k > 2 ** 14
+    assert dict((Scalar(Polynomial.var(2)) ** k).num.terms()) == {((2, k),): 1}
+
+
 def test_parse_roundtrip_integer_and_form_denominators():
     rng = random.Random(8080)
     for _ in range(120):
