@@ -14,6 +14,7 @@ triangular decomposition whose zero part is spanned by E(0) and C.
 
 Elements are finite Scalar-linear combinations of basis symbols.  Rank n is
 fixed per element at construction; mixing ranks raises RankMismatchError.
+Combination, the base type of elements, is shared by every module's vectors.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .scalars import (
     ONE,
+    ZERO,
     Polynomial,
     Scalar,
     _TokenStream,
@@ -61,6 +63,13 @@ def vsub(a, b):
 
 def vneg(a):
     return tuple(-x for x in a)
+
+
+def vsum(points, start):
+    """start plus the sum of the points."""
+    for p in points:
+        start = vadd(start, p)
+    return start
 
 
 def lex_compare(alpha, beta) -> int:
@@ -95,84 +104,100 @@ def _mu_scalar(alpha) -> Scalar:
 
 
 # --------------------------------------------------------------------------
-# elements
+# finite combinations
 # --------------------------------------------------------------------------
 
 
-def _coerce_coef(c) -> Scalar:
-    if isinstance(c, Scalar):
-        return c
-    return Scalar.from_rational(c)
+def as_scalar(c) -> Scalar:
+    return c if isinstance(c, Scalar) else Scalar.from_rational(c)
 
 
-class AlgebraElement:
-    """Finite Scalar-linear combination of E(alpha) symbols and C."""
+def _acc(store, key, value):
+    """store[key] += value, dropping the key when the sum is zero."""
+    v = store.get(key)
+    v = value if v is None else v + value
+    if v:
+        store[key] = v
+    else:
+        store.pop(key, None)
+
+
+def point_str(symbol: str, point) -> str:
+    """e[1,-2]-style text of a basis symbol at a lattice point."""
+    return symbol + "[" + ",".join(str(c) for c in point) + "]"
+
+
+class Combination:
+    """Finite Scalar-linear combination of basis keys, stored without zeros.
+
+    Algebra elements, 1-cochains and the vectors of the density, Verma and
+    generalized Verma modules are all of this shape, so the arithmetic lives
+    here.  A subclass says what a key is (_key checks it, rank included; by
+    default a rank-n lattice point), how it is written (_basis_str) and in
+    which order terms are rendered (_sorted_keys).  Only combinations of the
+    same type combine, and mixing ranks raises RankMismatchError.
+    """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        clean = {}
+        self.terms = {}
         if terms:
             for key, coef in terms.items():
-                coef = _coerce_coef(coef)
-                if key is not CENTRAL and key != CENTRAL:
-                    key = tuple(key)
-                    if len(key) != n:
-                        raise RankMismatchError(
-                            f"point {key} in rank-{n} element")
-                else:
-                    key = CENTRAL
+                key, coef = self._key(key), as_scalar(coef)
                 if coef:
-                    clean[key] = coef
-        self.terms = clean
+                    self.terms[key] = coef
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise RankMismatchError(f"rank {self.n} vs {other.n}")
+    def _key(self, point):
+        point = tuple(point)
+        if len(point) != self.n:
+            raise RankMismatchError(
+                f"point {point} in rank-{self.n} {type(self).__name__}")
+        return point
+
+    def _basis_str(self, key) -> str:
+        return str(key)
+
+    def _sorted_keys(self):
+        return sorted(self.terms)
+
+    def _like(self, terms):
+        """Same type and rank over an already clean terms dict."""
+        res = object.__new__(self.__class__)
+        res.n = self.n
+        res.terms = terms
+        return res
 
     def __add__(self, other):
-        self._check(other)
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.n != other.n:
+            raise RankMismatchError(f"rank {self.n} vs {other.n}")
         out = dict(self.terms)
         for key, coef in other.terms.items():
-            v = out.get(key)
-            v = coef if v is None else v + coef
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.n = self.n
-        res.terms = out
-        return res
+            _acc(out, key, coef)
+        return self._like(out)
 
     def __neg__(self):
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.n = self.n
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> "AlgebraElement":
-        c = _coerce_coef(c)
+    def scale(self, c):
+        c = as_scalar(c)
         if not c:
-            return AlgebraElement(self.n)
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.n = self.n
-        res.terms = {k: coef * c for k, coef in self.terms.items()}
-        return res
+            return self._like({})
+        return self._like({k: coef * c for k, coef in self.terms.items()})
 
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = scale
 
     def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if not isinstance(other, Combination):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return other.__class__ is self.__class__ and self.n == other.n \
+            and self.terms == other.terms
 
     def is_zero(self):
         return not self.terms
@@ -181,11 +206,34 @@ class AlgebraElement:
         return bool(self.terms)
 
     def coefficient(self, key) -> Scalar:
-        from .scalars import ZERO
+        return self.terms.get(self._key(key), ZERO)
 
-        if key != CENTRAL:
-            key = tuple(key)
-        return self.terms.get(key, ZERO)
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        pieces = []
+        for key in self._sorted_keys():
+            coef, basis = _coef_str(self.terms[key]), self._basis_str(key)
+            pieces.append(basis if coef == "1" else f"{coef}*{basis}")
+        return " + ".join(pieces)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.n}, {self})"
+
+
+class AlgebraElement(Combination):
+    """Finite Scalar-linear combination of E(alpha) symbols and C."""
+
+    __slots__ = ()
+
+    def _key(self, key):
+        return CENTRAL if key == CENTRAL else super()._key(key)
+
+    def _basis_str(self, key):
+        return "c" if key == CENTRAL else point_str("e", key)
+
+    def _sorted_keys(self):
+        return self.support() + ([CENTRAL] if CENTRAL in self.terms else [])
 
     def support(self):
         """Lattice points carrying nonzero E-coefficients, sorted."""
@@ -193,12 +241,6 @@ class AlgebraElement:
 
     def has_central(self):
         return CENTRAL in self.terms
-
-    def __str__(self):
-        return element_str(self)
-
-    def __repr__(self):
-        return f"AlgebraElement({self.n}, {element_str(self)})"
 
 
 def basis_element(n: int, alpha) -> AlgebraElement:
@@ -277,17 +319,8 @@ def vir_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             else:
                 coef = ca * cb
             for key, base in _basis_bracket_terms(ka, kb).items():
-                term = base if coef is ONE else coef * base
-                v = out.get(key)
-                v = term if v is None else v + term
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-    res = AlgebraElement.__new__(AlgebraElement)
-    res.n = x.n
-    res.terms = out
-    return res
+                _acc(out, key, base if coef is ONE else coef * base)
+    return x._like(out)
 
 
 def witt_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -378,18 +411,7 @@ def vir_i_cocycle_coefficients(n: int, axis: int):
 
 
 def element_str(x: AlgebraElement) -> str:
-    if not x.terms:
-        return "0"
-    pieces = []
-    for key in x.support():
-        pieces.append((_coef_str(x.terms[key]),
-                       "e[" + ",".join(str(c) for c in key) + "]"))
-    if CENTRAL in x.terms:
-        pieces.append((_coef_str(x.terms[CENTRAL]), "c"))
-    rendered = []
-    for coef, basis in pieces:
-        rendered.append(basis if coef == "1" else f"{coef}*{basis}")
-    return " + ".join(rendered)
+    return str(x)
 
 
 def _coef_str(c: Scalar) -> str:
@@ -408,23 +430,27 @@ def read_sign(ts: _TokenStream, sign=1) -> int:
 
 def parse_element(text: str, n: int) -> AlgebraElement:
     """Inverse of element_str; also accepts '-' separated sums."""
+    return parse_combination(text, AlgebraElement(n), "e", central=True)
+
+
+def parse_combination(text: str, zero: Combination, symbol: str, central=False):
+    """Sum of terms 'coef*symbol[...]' (and 'coef*c' when central) in zero's type."""
     ts = _TokenStream(tokenize(text))
-    total = AlgebraElement(n)
+    terms = {}
     sign = read_sign(ts)
     while True:
-        coef, key = _parse_element_term(ts, n)
-        if sign < 0:
-            coef = -coef
-        total = total + AlgebraElement(n, {key: coef}) if key is not None else total
+        coef, key = _parse_term(ts, zero, symbol, central)
+        if key is not None:
+            _acc(terms, key, -coef if sign < 0 else coef)
         if ts.done():
-            return total
+            return zero._like(terms)
         kind, op = ts.next()
         if kind != "sym" or op not in "+-":
-            raise ParseError(f"unexpected token {op!r} in element")
+            raise ParseError(f"unexpected token {op!r} in {type(zero).__name__}")
         sign = read_sign(ts, -1 if op == "-" else 1)
 
 
-def _parse_element_term(ts: _TokenStream, n: int):
+def _parse_term(ts: _TokenStream, zero: Combination, symbol: str, central):
     """One product; returns (Scalar, key) with key None for a literal 0."""
     kind, value = ts.peek()
     if kind == "int" and value == 0:
@@ -433,23 +459,21 @@ def _parse_element_term(ts: _TokenStream, n: int):
     coef = ONE
     while True:
         kind, value = ts.peek()
-        if kind == "name" and value == "e":
+        if kind == "name" and value == symbol:
             ts.next()
             ts.expect("sym", "[")
-            alpha = _parse_int_list(ts)
+            point = _parse_int_list(ts)
             ts.expect("sym", "]")
-            if len(alpha) != n:
-                raise RankMismatchError(f"point {alpha} in rank-{n} element")
-            return coef, alpha
-        if kind == "name" and value == "c" and _ends_product(ts):
+            return coef, zero._key(point)
+        if central and kind == "name" and value == "c" and _ends_product(ts):
             ts.next()
             return coef, CENTRAL
-        factor = _parse_scalar_factor(ts)
-        coef = coef * factor
+        coef = coef * _parse_scalar_factor(ts)
         if ts.at_sym("*"):
             ts.next()
             continue
-        raise ParseError("element term lacks a basis symbol e[...] or c")
+        raise ParseError(f"term lacks a basis symbol {symbol}[...]"
+                         + (" or c" if central else ""))
 
 
 def _ends_product(ts: _TokenStream):

@@ -180,17 +180,19 @@ def cmd_verify(args) -> int:
 
 
 def _infer_rank(texts, explicit):
-    """The rank shared by every e[...] point in the texts, unless --n is given."""
-    if explicit is not None:
-        return explicit
+    """The rank shared by every e[...] point in the texts; --n must agree."""
     ranks = sorted({inner.count(",") + 1
                     for text in texts for inner in re.findall(r"e\[([^\]]*)\]", text)})
-    if not ranks:
-        raise ValueError("rank cannot be inferred; pass --n")
     if len(ranks) > 1:
         raise ValueError("elements mix points of ranks "
                          + " and ".join(map(str, ranks)))
-    return ranks[0]
+    if explicit is None:
+        if not ranks:
+            raise ValueError("rank cannot be inferred; pass --n")
+        return ranks[0]
+    if ranks and ranks[0] != explicit:
+        raise ValueError(f"points of rank {ranks[0]} do not match --n {explicit}")
+    return explicit
 
 
 def cmd_bracket(args) -> int:

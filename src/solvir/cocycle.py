@@ -29,9 +29,13 @@ from functools import cache
 from itertools import product
 
 from .algebra import (
+    Combination,
+    _acc,
     _mu_scalar,
+    as_scalar,
     eta0,
     lex_compare,
+    point_str,
     vadd,
     vneg,
     vsub,
@@ -43,9 +47,11 @@ from .errors import (
     NotCubicOddError,
     NotNormalizableError,
     OutsideBoxError,
+    ParseError,
+    RankMismatchError,
 )
 from .linalg import RationalEchelon
-from .scalars import ONE, ZERO, Polynomial, Scalar, mu_poly
+from .scalars import ONE, ZERO, Polynomial, Scalar, mu_poly, parse_scalar
 
 
 def canonical_cocycle(alpha, beta) -> Scalar:
@@ -74,63 +80,33 @@ def triples_with_sum(pts, total):
                 yield alpha, beta, kappa
 
 
-class OneCochain:
+def _record_point(n: int, point):
+    """A lattice point read from a cochain record; ParseError unless rank n."""
+    point = tuple(point)
+    if len(point) != n:
+        raise ParseError(f"point {list(point)} in a rank-{n} cochain record")
+    return point
+
+
+class OneCochain(Combination):
     """Finitely supported map from lattice points to Scalars."""
 
-    __slots__ = ("n", "support")
+    __slots__ = ()
 
-    def __init__(self, n: int, support=None):
-        self.n = n
-        self.support = {}
-        if support:
-            for alpha, value in support.items():
-                value = value if isinstance(value, Scalar) else Scalar.from_rational(value)
-                if value:
-                    self.support[tuple(alpha)] = value
+    def _basis_str(self, alpha):
+        # the indicator function of the point
+        return point_str("delta", alpha)
 
-    def value(self, alpha) -> Scalar:
-        return self.support.get(tuple(alpha), ZERO)
-
-    def __add__(self, other):
-        out = dict(self.support)
-        for alpha, value in other.support.items():
-            v = out.get(alpha)
-            v = value if v is None else v + value
-            if v:
-                out[alpha] = v
-            else:
-                out.pop(alpha, None)
-        res = OneCochain(self.n)
-        res.support = out
-        return res
-
-    def __neg__(self):
-        res = OneCochain(self.n)
-        res.support = {a: -v for a, v in self.support.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return isinstance(other, OneCochain) and self.n == other.n \
-            and self.support == other.support
-
-    def is_zero(self):
-        return not self.support
+    value = Combination.coefficient
 
     def to_records(self):
         return [[list(alpha), str(value)]
-                for alpha, value in sorted(self.support.items())]
+                for alpha, value in sorted(self.terms.items())]
 
     @classmethod
     def from_records(cls, n, records):
-        from .scalars import parse_scalar
-
-        return cls(n, {tuple(alpha): parse_scalar(text) for alpha, text in records})
-
-    def __repr__(self):
-        return f"OneCochain({self.n}, {self.support!r})"
+        return cls(n, {_record_point(n, alpha): parse_scalar(text)
+                       for alpha, text in records})
 
 
 class TwoCochain:
@@ -140,16 +116,19 @@ class TwoCochain:
 
     def __init__(self, n: int, canonical_multiple=ZERO, cob=None, extra=None):
         self.n = n
-        cm = canonical_multiple
-        self.canonical_multiple = cm if isinstance(cm, Scalar) else Scalar.from_rational(cm)
+        self.canonical_multiple = as_scalar(canonical_multiple)
         self.cob = cob if cob is not None else OneCochain(n)
+        if self.cob.n != n:
+            raise RankMismatchError(f"rank-{self.cob.n} coboundary in rank-{n} cochain")
         self.extra = {}
         if extra:
             for (alpha, beta), value in extra.items():
                 self._put(tuple(alpha), tuple(beta), value)
 
     def _put(self, alpha, beta, value):
-        value = value if isinstance(value, Scalar) else Scalar.from_rational(value)
+        value = as_scalar(value)
+        if len(alpha) != self.n:
+            raise RankMismatchError(f"pair {alpha}, {beta} in rank-{self.n} cochain")
         cmp = lex_compare(alpha, beta)
         if cmp == 0:
             if value:
@@ -157,13 +136,7 @@ class TwoCochain:
             return
         if cmp > 0:
             alpha, beta, value = beta, alpha, -value
-        key = (alpha, beta)
-        v = self.extra.get(key)
-        v = value if v is None else v + value
-        if v:
-            self.extra[key] = v
-        else:
-            self.extra.pop(key, None)
+        _acc(self.extra, (alpha, beta), value)
 
     def value(self, alpha, beta) -> Scalar:
         alpha, beta = tuple(alpha), tuple(beta)
@@ -172,7 +145,7 @@ class TwoCochain:
             c0 = canonical_cocycle(alpha, beta)
             if c0:
                 out = out + self.canonical_multiple * c0
-        if self.cob.support:
+        if self.cob.terms:
             f = self.cob.value(vadd(alpha, beta))
             if f:
                 out = out + _mu_scalar(vsub(beta, alpha)) * f
@@ -190,7 +163,7 @@ class TwoCochain:
 
     def __add__(self, other):
         if self.n != other.n:
-            raise ValueError("rank mismatch")
+            raise RankMismatchError(f"rank {self.n} vs {other.n}")
         res = TwoCochain(self.n, self.canonical_multiple + other.canonical_multiple,
                          self.cob + other.cob, dict(self.extra))
         for (alpha, beta), value in other.extra.items():
@@ -202,7 +175,7 @@ class TwoCochain:
         sums = set()
         if self.canonical_multiple:
             sums.add((0,) * self.n)
-        sums.update(self.cob.support)
+        sums.update(self.cob.terms)
         for alpha, beta in self.extra:
             sums.add(vadd(alpha, beta))
         return sums
@@ -218,12 +191,10 @@ class TwoCochain:
 
     @classmethod
     def from_records(cls, data):
-        from .scalars import parse_scalar
-
         n = int(data["n"])
         cm = parse_scalar(data.get("canonical_multiple", "0"))
         cob = OneCochain.from_records(n, data.get("coboundary", []))
-        extra = {(tuple(a), tuple(b)): parse_scalar(text)
+        extra = {(_record_point(n, a), _record_point(n, b)): parse_scalar(text)
                  for a, b, text in data.get("extra", [])}
         return cls(n, cm, cob, extra)
 
@@ -347,12 +318,7 @@ class EtaTable:
     def __init__(self, n: int, box: int, values=None):
         self.n = n
         self.box = box
-        self.values = {}
-        if values:
-            for alpha, value in values.items():
-                value = value if isinstance(value, Scalar) else Scalar.from_rational(value)
-                if value:
-                    self.values[tuple(alpha)] = value
+        self.values = OneCochain(n, values).terms
         for alpha, value in self.values.items():
             neg = vneg(alpha)
             if neg in self.values and self.values[neg] != -value:
@@ -381,7 +347,7 @@ def normalize_cocycle(theta: TwoCochain, box: int):
     zero = (0,) * n
 
     shift_support = {}
-    candidates = set(theta.cob.support)
+    candidates = set(theta.cob.terms)
     for a, b in theta.extra:
         if a == zero:
             candidates.add(b)

@@ -22,21 +22,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import CENTRAL, AlgebraElement, vadd, vsub, vir_bracket
+from .algebra import (
+    CENTRAL,
+    AlgebraElement,
+    Combination,
+    _acc,
+    as_scalar,
+    basis_element,
+    parse_combination,
+    point_str,
+    vadd,
+    vneg,
+    vsub,
+    vir_bracket,
+)
 from .cocycle import box_points
-from .errors import ParseError, RankMismatchError, WrongCaseError
+from .errors import RankMismatchError, WrongCaseError
 from .scalars import (
     A,
     B,
     ONE,
     ZERO,
     Scalar,
-    _TokenStream,
-    _parse_int_list,
-    is_simple_product,
     mu_poly,
-    scalar_str,
-    tokenize,
 )
 
 
@@ -65,83 +73,17 @@ def formal_params(n: int) -> DensityParams:
 
 def lattice_params(n: int, gamma, b) -> DensityParams:
     gamma = tuple(gamma)
-    b = b if isinstance(b, Scalar) else Scalar.from_rational(b)
+    b = as_scalar(b)
     return DensityParams(n, Scalar(mu_poly(gamma)), b, gamma)
 
 
-class DensityVector:
+class DensityVector(Combination):
     """Finite Scalar combination of basis vectors v_beta."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for beta, coef in terms.items():
-                coef = coef if isinstance(coef, Scalar) else Scalar.from_rational(coef)
-                if coef:
-                    self.terms[tuple(beta)] = coef
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise RankMismatchError(f"rank {self.n} vs {other.n}")
-        out = dict(self.terms)
-        for beta, coef in other.terms.items():
-            v = out.get(beta)
-            v = coef if v is None else v + coef
-            if v:
-                out[beta] = v
-            else:
-                out.pop(beta, None)
-        res = DensityVector(self.n)
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = DensityVector(self.n)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
-        if not c:
-            return DensityVector(self.n)
-        res = DensityVector(self.n)
-        res.terms = {k: coef * c for k, coef in self.terms.items()}
-        return res
-
-    def __eq__(self, other):
-        return isinstance(other, DensityVector) and self.n == other.n \
-            and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def coefficient(self, beta) -> Scalar:
-        return self.terms.get(tuple(beta), ZERO)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for beta in sorted(self.terms):
-            coef = self.terms[beta]
-            cs = scalar_str(coef)
-            if not is_simple_product(coef):
-                cs = f"({cs})"
-            basis = "v[" + ",".join(str(c) for c in beta) + "]"
-            pieces.append(basis if cs == "1" else f"{cs}*{basis}")
-        return " + ".join(pieces)
-
-    def __repr__(self):
-        return f"DensityVector({self.n}, {self})"
+    def _basis_str(self, beta):
+        return point_str("v", beta)
 
 
 def basis_vector(n: int, beta) -> DensityVector:
@@ -149,41 +91,7 @@ def basis_vector(n: int, beta) -> DensityVector:
 
 
 def parse_density_vector(text: str, n: int) -> DensityVector:
-    from .algebra import _parse_scalar_factor, read_sign
-
-    ts = _TokenStream(tokenize(text))
-    total = DensityVector(n)
-    sign = read_sign(ts)
-    while True:
-        kind, value = ts.peek()
-        if kind == "int" and value == 0:
-            ts.next()
-        else:
-            coef = ONE
-            while True:
-                kind, value = ts.peek()
-                if kind == "name" and value == "v":
-                    ts.next()
-                    ts.expect("sym", "[")
-                    beta = _parse_int_list(ts)
-                    ts.expect("sym", "]")
-                    if len(beta) != n:
-                        raise RankMismatchError(f"point {beta} in rank-{n} vector")
-                    break
-                coef = coef * _parse_scalar_factor(ts)
-                if ts.at_sym("*"):
-                    ts.next()
-                    continue
-                raise ParseError("vector term lacks a basis symbol v[...]")
-            if sign < 0:
-                coef = -coef
-            total = total + DensityVector(n, {beta: coef})
-        if ts.done():
-            return total
-        kind, op = ts.next()
-        if kind != "sym" or op not in "+-":
-            raise ParseError(f"unexpected token {op!r} in vector")
-        sign = read_sign(ts, -1 if op == "-" else 1)
+    return parse_combination(text, DensityVector(n), "v")
 
 
 def act_coefficient(alpha, beta, p: DensityParams) -> Scalar:
@@ -195,23 +103,13 @@ def density_act(x: AlgebraElement, v: DensityVector, p: DensityParams) -> Densit
     """Bilinear extension of the basis action; the central symbol acts by zero."""
     if x.n != v.n:
         raise RankMismatchError(f"rank {x.n} vs {v.n}")
-    out = DensityVector(x.n)
     acc = {}
     for key, ce in x.terms.items():
         if key == CENTRAL:
             continue
         for beta, cv in v.terms.items():
-            coef = ce * cv * act_coefficient(key, beta, p)
-            if coef:
-                target = vadd(key, beta)
-                prev = acc.get(target)
-                coef = coef if prev is None else prev + coef
-                if coef:
-                    acc[target] = coef
-                else:
-                    acc.pop(target, None)
-    out.terms = acc
-    return out
+            _acc(acc, vadd(key, beta), ce * cv * act_coefficient(key, beta, p))
+    return v._like(acc)
 
 
 def density_axiom_residual(x, y, v, p: DensityParams) -> DensityVector:
@@ -292,7 +190,7 @@ def submodule_invariance_check(p: DensityParams, box: int) -> SubmoduleReport:
     if cls.case == REDUCIBLE_TRIVIAL_SUB:
         ok_line = True
         for alpha in pts:
-            if density_act(_e(n, alpha), basis_vector(n, (0,) * n), shifted):
+            if density_act(basis_element(n, alpha), basis_vector(n, (0,) * n), shifted):
                 ok_line = False
         checks.append(("invariant_line_v0", ok_line))
         ok_reach = True
@@ -309,7 +207,7 @@ def submodule_invariance_check(p: DensityParams, box: int) -> SubmoduleReport:
         for alpha in pts:
             if not any(alpha):
                 continue
-            image = density_act(_e(n, alpha), basis_vector(n, vneg_t(alpha)), shifted)
+            image = density_act(basis_element(n, alpha), basis_vector(n, vneg(alpha)), shifted)
             if image.coefficient((0,) * n):
                 ok_cancel = False
         checks.append(("v0_coefficient_cancels", ok_cancel))
@@ -329,16 +227,6 @@ def submodule_invariance_check(p: DensityParams, box: int) -> SubmoduleReport:
     return SubmoduleReport(cls.case, box, checks, ok)
 
 
-def _e(n, alpha):
-    from .algebra import basis_element
-
-    return basis_element(n, alpha)
-
-
-def vneg_t(alpha):
-    return tuple(-c for c in alpha)
-
-
 def duality_check(p: DensityParams, alpha, gamma) -> Scalar:
     """Residual of the dual-module identification with T_mu(-a, 1-b).
 
@@ -348,5 +236,5 @@ def duality_check(p: DensityParams, alpha, gamma) -> Scalar:
     """
     alpha, gamma = tuple(alpha), tuple(gamma)
     lhs = -(Scalar(mu_poly(vsub(gamma, alpha))) + p.a + Scalar(mu_poly(alpha)) * p.b)
-    rhs = Scalar(mu_poly(vneg_t(gamma))) - p.a + Scalar(mu_poly(alpha)) * (ONE - p.b)
+    rhs = Scalar(mu_poly(vneg(gamma))) - p.a + Scalar(mu_poly(alpha)) * (ONE - p.b)
     return lhs - rhs

@@ -12,7 +12,9 @@ writing mu'.gamma for the form sum_{j>=2} mu_j gamma_{j-1}.  Positive degrees
 act by zero on the coefficient module and the negative part acts freely, so a
 monomial is a normal-ordered word of pairs (i >= 1, gamma'), standing for the
 generator E((-i, gamma')), applied to a base vector v_kappa.  The level of a
-monomial is the sum of its i entries.
+monomial is the sum of its i entries.  gvm_act rewrites into this basis with
+the Verma modules' engine, verma.straighten, on the letters (-i, gamma'); only
+the action on the coefficient module is its own.
 
 Quotient criterion (level 1).  Write W for the level-one weight slice at
 total shift kappa, spanned by E((-1, gamma)) . v_{kappa-gamma}.  A vector w
@@ -34,11 +36,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import CENTRAL, AlgebraElement, basis_element, lex_compare, vadd, vsub
+from .algebra import (
+    CENTRAL,
+    AlgebraElement,
+    Combination,
+    _acc,
+    basis_element,
+    point_str,
+    vadd,
+    vsub,
+    vsum,
+)
 from .density import DensityParams
 from .errors import NotFormalParamsError, RankMismatchError
 from .linalg import rank_scalar_matrix
 from .scalars import A, B, ONE, ZERO, Scalar, mu_poly
+from .verma import straighten
 
 
 def grade_of(x: AlgebraElement):
@@ -54,6 +67,12 @@ def grade_of(x: AlgebraElement):
 def embedded_form(n: int, gamma) -> Scalar:
     """mu'.gamma as a rank-n scalar, i.e. mu.(0, gamma)."""
     return Scalar(mu_poly((0,) + tuple(gamma)))
+
+
+def _pair_key(pair):
+    """The letter of a word entry: (i, gamma') stands for E((-i, gamma'))."""
+    i, gamma = pair
+    return (-i,) + gamma
 
 
 class GvmMonomial:
@@ -75,7 +94,7 @@ class GvmMonomial:
             if len(gamma) != n - 1:
                 raise RankMismatchError(f"word entry {gamma} in rank {n}")
             cleaned.append((i, gamma))
-        cleaned.sort(key=lambda p: (-p[0],) + p[1])
+        cleaned.sort(key=_pair_key)
         self.n = n
         self.word = tuple(cleaned)
         self.base = base
@@ -86,14 +105,7 @@ class GvmMonomial:
 
     def mu_shift(self):
         """Total mu'-index: base plus the word's gamma entries."""
-        shift = self.base
-        for _, gamma in self.word:
-            shift = vadd(shift, gamma)
-        return shift
-
-    def full_vector(self, pair):
-        i, gamma = pair
-        return (-i,) + gamma
+        return vsum((gamma for _, gamma in self.word), self.base)
 
     def __eq__(self, other):
         return isinstance(other, GvmMonomial) and self.n == other.n \
@@ -106,140 +118,30 @@ class GvmMonomial:
         return (self.word, self.base) < (other.word, other.base)
 
     def __str__(self):
-        ops = ["e[" + ",".join(str(c) for c in (-i,) + gamma) + "]"
-               for i, gamma in self.word]
-        tail = "v[" + ",".join(str(c) for c in self.base) + "]"
-        return "*".join(ops + [tail]) if ops else tail
+        return "*".join([point_str("e", _pair_key(p)) for p in self.word]
+                        + [point_str("v", self.base)])
 
     def __repr__(self):
         return f"GvmMonomial({self.n}, {self})"
 
 
-class GvmVector:
+class GvmVector(Combination):
     """Finite Scalar combination of GvmMonomials."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for mono, coef in terms.items():
-                coef = coef if isinstance(coef, Scalar) else Scalar.from_rational(coef)
-                if coef:
-                    self.terms[mono] = coef
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise RankMismatchError(f"rank {self.n} vs {other.n}")
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            v = out.get(mono)
-            v = coef if v is None else v + coef
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-        res = GvmVector(self.n)
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = GvmVector(self.n)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
-        if not c:
-            return GvmVector(self.n)
-        res = GvmVector(self.n)
-        res.terms = {k: coef * c for k, coef in self.terms.items()}
-        return res
-
-    def __eq__(self, other):
-        return isinstance(other, GvmVector) and self.n == other.n \
-            and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def coefficient(self, mono) -> Scalar:
-        return self.terms.get(mono, ZERO)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        from .scalars import is_simple_product, scalar_str
-
-        pieces = []
-        for mono in sorted(self.terms):
-            cs = scalar_str(self.terms[mono])
-            if not is_simple_product(self.terms[mono]):
-                cs = f"({cs})"
-            pieces.append(str(mono) if cs == "1" else f"{cs}*{mono}")
-        return " + ".join(pieces)
-
-    def __repr__(self):
-        return f"GvmVector({self.n}, {self})"
+    def _key(self, mono):
+        if mono.n != self.n:
+            raise RankMismatchError(f"monomial {mono} in rank-{self.n} vector")
+        return mono
 
 
 def base_vector(n: int, kappa) -> GvmVector:
     return GvmVector(n, {GvmMonomial(n, (), kappa): ONE})
 
 
-def _pair_key(pair):
-    i, gamma = pair
-    return (-i,) + gamma
-
-
-def _apply(n, alpha, word, base, p: DensityParams):
-    """E(alpha) applied to (word, base); returns {(word, base): Scalar}.
-
-    Words are tuples of (i, gamma) pairs sorted ascending by the lex order of
-    the embedded vectors (-i, gamma); the last pair is applied last.
-    """
-    degree = alpha[0]
-    gamma_a = alpha[1:]
-    if not word:
-        if degree > 0:
-            return {}
-        if degree == 0:
-            coef = p.a + embedded_form(n, base) + p.b * embedded_form(n, gamma_a)
-            target = vadd(base, gamma_a)
-            return {((), target): coef} if coef else {}
-        return {(((-degree, gamma_a),), base): ONE}
-    top = word[-1]
-    top_vec = (-top[0],) + top[1]
-    if degree < 0 and lex_compare(alpha, top_vec) >= 0:
-        return {(word + ((-degree, gamma_a),), base): ONE}
-    rest = word[:-1]
-    out = {}
-    for (w2, b2), c2 in _apply(n, alpha, rest, base, p).items():
-        for (w3, b3), c3 in _apply(n, top_vec, w2, b2, p).items():
-            _acc(out, (w3, b3), c2 * c3)
-    bracket = Scalar(mu_poly(vsub(top_vec, alpha)))
-    if bracket:
-        merged = vadd(alpha, top_vec)
-        for (w4, b4), c4 in _apply(n, merged, rest, base, p).items():
-            _acc(out, (w4, b4), bracket * c4)
-    # the central term of [E(alpha), E(top_vec)] acts by zero on the module
-    return out
-
-
-def _acc(store, key, value):
-    v = store.get(key)
-    v = value if v is None else v + value
-    if v:
-        store[key] = v
-    else:
-        store.pop(key, None)
+# letters E((-i, gamma')), i >= 1, are the points below (0,) in tuple order
+DEGREE_ZERO = (0,)
 
 
 def gvm_act(x: AlgebraElement, v: GvmVector, p: DensityParams) -> GvmVector:
@@ -247,20 +149,30 @@ def gvm_act(x: AlgebraElement, v: GvmVector, p: DensityParams) -> GvmVector:
     if x.n != v.n:
         raise RankMismatchError(f"rank {x.n} vs {v.n}")
     n = x.n
+
+    def act(alpha, word, base):
+        # on the coefficient module: T(a, b) in degree zero, zero above it
+        if word:
+            return None
+        if alpha[0]:
+            return {}
+        gamma = alpha[1:]
+        coef = p.a + embedded_form(n, base) + p.b * embedded_form(n, gamma)
+        return {((), vadd(base, gamma)): coef} if coef else {}
+
     acc = {}
     for key, ce in x.terms.items():
         if key == CENTRAL:
             continue
         for mono, cv in v.terms.items():
             coef = ce * cv
-            for (word, base), cw in _apply(n, key, mono.word, mono.base, p).items():
-                val = coef * cw
-                if val:
-                    _acc(acc, (word, base), val)
-    out = GvmVector(n)
-    for (word, base), coef in acc.items():
-        out.terms[GvmMonomial(n, word, base)] = coef
-    return out
+            letters = tuple(map(_pair_key, mono.word))
+            # C acts by zero on the module
+            for wb, cw in straighten(key, letters, mono.base, DEGREE_ZERO, act,
+                                     ZERO).items():
+                _acc(acc, wb, coef * cw)
+    return v._like({GvmMonomial(n, [(-a[0], a[1:]) for a in word], base): coef
+                    for (word, base), coef in acc.items()})
 
 
 def level_weight_basis(n: int, level: int, kappa, box: int):
@@ -271,11 +183,9 @@ def level_weight_basis(n: int, level: int, kappa, box: int):
     gammas = [tuple(g) for g in product(range(-box, box + 1), repeat=n - 1)]
     out = []
 
-    def words(level_left, start_pairs, word):
+    def words(level_left, word):
         if level_left == 0:
-            shift = (0,) * (n - 1)
-            for _, gamma in word:
-                shift = vadd(shift, gamma)
+            shift = vsum((gamma for _, gamma in word), (0,) * (n - 1))
             out.append(GvmMonomial(n, word, vsub(kappa, shift)))
             return
         for i in range(1, level_left + 1):
@@ -283,9 +193,9 @@ def level_weight_basis(n: int, level: int, kappa, box: int):
                 pair = (i, gamma)
                 if word and _pair_key(pair) < _pair_key(word[-1]):
                     continue
-                words(level_left - i, None, word + (pair,))
+                words(level_left - i, word + (pair,))
 
-    words(level, None, ())
+    words(level, ())
     return sorted(out)
 
 

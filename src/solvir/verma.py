@@ -11,10 +11,10 @@ lattice points, so a stored word (g_1 <= g_2 <= ... <= g_k) denotes the
 operator product E(g_k) ... E(g_1) applied to the vacuum.
 
 Straightening rewrites an arbitrary product into this basis with the bracket
-relations.  Each swap of an out-of-order adjacent pair either reduces the
-number of inversions at fixed length or shortens the word by one (the
-bracket term merges two generators), so the rewriting terminates; weight
-homogeneity is preserved because brackets respect the lattice grading.
+relations.  straighten below is the one rewriting engine: the generalized
+Verma modules of gvm use it as well and differ only in the action of the
+zero part and on the base vector.  Weight homogeneity is preserved because
+brackets respect the lattice grading.
 
 Weight bookkeeping: a word with shift s = sum of its points spans a vector of
 d_mu eigenvalue lambda + mu.s; shifts are lex-nonpositive, and the level of a
@@ -25,9 +25,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import CENTRAL, AlgebraElement, lex_sign, vadd, vsub
+from .algebra import (
+    CENTRAL,
+    AlgebraElement,
+    Combination,
+    _acc,
+    _mu_scalar,
+    eta0,
+    lex_sign,
+    point_str,
+    vadd,
+    vsub,
+    vsum,
+)
 from .errors import BoxOverflowError, NonHomogeneousError, RankMismatchError
-from .scalars import LAMBDA, CCHARGE, ONE, ZERO, Scalar, is_simple_product, mu_poly, scalar_str
+from .scalars import LAMBDA, CCHARGE, ONE, Scalar
 
 
 @dataclass(frozen=True)
@@ -64,10 +76,7 @@ class PBWMonomial:
         self._hash = hash((n, word))
 
     def weight_shift(self):
-        shift = (0,) * self.n
-        for point in self.word:
-            shift = vadd(shift, point)
-        return shift
+        return vsum(self.word, (0,) * self.n)
 
     def __len__(self):
         return len(self.word)
@@ -83,73 +92,21 @@ class PBWMonomial:
         return self.word < other.word
 
     def __str__(self):
-        if not self.word:
-            return "vac"
-        ops = ["e[" + ",".join(str(c) for c in p) + "]"
-               for p in reversed(self.word)]
-        return "*".join(ops) + "*vac"
+        return "*".join([point_str("e", p) for p in reversed(self.word)] + ["vac"])
 
     def __repr__(self):
         return f"PBWMonomial({self.n}, {self})"
 
 
-class VermaVector:
+class VermaVector(Combination):
     """Finite Scalar combination of PBW monomials."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for mono, coef in terms.items():
-                coef = coef if isinstance(coef, Scalar) else Scalar.from_rational(coef)
-                if coef:
-                    self.terms[mono] = coef
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise RankMismatchError(f"rank {self.n} vs {other.n}")
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            v = out.get(mono)
-            v = coef if v is None else v + coef
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-        res = VermaVector(self.n)
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = VermaVector(self.n)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
-        if not c:
-            return VermaVector(self.n)
-        res = VermaVector(self.n)
-        res.terms = {k: coef * c for k, coef in self.terms.items()}
-        return res
-
-    def __eq__(self, other):
-        return isinstance(other, VermaVector) and self.n == other.n \
-            and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def coefficient(self, mono) -> Scalar:
-        return self.terms.get(mono, ZERO)
+    def _key(self, mono):
+        if mono.n != self.n:
+            raise RankMismatchError(f"monomial {mono} in rank-{self.n} vector")
+        return mono
 
     def weight_shift(self):
         """Common shift of a homogeneous vector; NonHomogeneousError otherwise."""
@@ -158,89 +115,48 @@ class VermaVector:
             raise NonHomogeneousError(f"mixed weight shifts {sorted(shifts)}")
         return shifts.pop() if shifts else None
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono in sorted(self.terms):
-            coef = self.terms[mono]
-            cs = scalar_str(coef)
-            if not is_simple_product(coef):
-                cs = f"({cs})"
-            pieces.append(str(mono) if cs == "1" else f"{cs}*{mono}")
-        return " + ".join(pieces)
-
-    def __repr__(self):
-        return f"VermaVector({self.n}, {self})"
-
 
 def vacuum(n: int) -> VermaVector:
     return VermaVector(n, {PBWMonomial(n): ONE})
 
 
-def _apply_generator(n, alpha, word, lam, c):
-    """E(alpha) applied to a normal word; returns {word tuple: Scalar}.
+def straighten(alpha, word, base, ceiling, act, c):
+    """E(alpha) applied to the PBW vector (word, base): {(word, base): Scalar}.
 
-    Words are application-ordered ascending tuples; applying a new generator
-    appends at the end when in order and otherwise commutes past the last
-    operator with a bracket correction.
+    The one rewriting behind verma_act and gvm_act.  A word is an ascending
+    tuple of letters, the lattice points below ceiling in lex (tuple) order;
+    its last letter is applied last, over the base vector.  A letter not below
+    the top letter is appended.  Any other generator goes to act(alpha, word,
+    base), the module's action of its zero part and on its base, which returns
+    the result or None; None commutes E(alpha) past the top letter:
+
+        E(alpha) E(top) rest = E(top) E(alpha) rest + [E(alpha), E(top)] rest,
+
+    with the bracket mu.(top - alpha) E(alpha + top) + eta0(alpha) C at
+    alpha + top = 0, and C acting by the scalar c.  Each swap either lowers
+    the inversions at fixed length or merges two generators into one, so the
+    rewriting terminates.
     """
-    sign = lex_sign(alpha)
-    if sign == 0:
-        eig = lam + Scalar(mu_poly(_word_shift(n, word)))
-        return {word: eig} if eig else {}
-    if sign < 0:
+    if alpha < ceiling:
         if not word or alpha >= word[-1]:
-            return {word + (alpha,): ONE}
-        top = word[-1]
-        rest = word[:-1]
-        out = {}
-        for w2, c2 in _apply_generator(n, alpha, rest, lam, c).items():
-            for w3, c3 in _apply_generator(n, top, w2, lam, c).items():
-                _acc(out, w3, c2 * c3)
-        bracket = Scalar(mu_poly(vsub(top, alpha)))
-        if bracket:
-            for w4, c4 in _apply_generator(n, vadd(alpha, top), rest, lam, c).items():
-                _acc(out, w4, bracket * c4)
-        return out
-    # lex-positive generator: annihilates the vacuum, pushes through the word
-    if not word:
-        return {}
-    top = word[-1]
-    rest = word[:-1]
-    out = {}
-    for w2, c2 in _apply_generator(n, alpha, rest, lam, c).items():
-        for w3, c3 in _apply_generator(n, top, w2, lam, c).items():
-            _acc(out, w3, c2 * c3)
-    merged = vadd(alpha, top)
-    bracket = Scalar(mu_poly(vsub(top, alpha)))
-    if bracket:
-        for w4, c4 in _apply_generator(n, merged, rest, lam, c).items():
-            _acc(out, w4, bracket * c4)
-    if not any(merged):
-        # central part of [E(alpha), E(-alpha)]
-        from .algebra import eta0
-
-        central = eta0(alpha) * c
-        if central:
-            _acc(out, rest, central)
-    return out
-
-
-def _acc(store, key, value):
-    v = store.get(key)
-    v = value if v is None else v + value
-    if v:
-        store[key] = v
+            return {(word + (alpha,), base): ONE}
     else:
-        store.pop(key, None)
-
-
-def _word_shift(n, word):
-    shift = (0,) * n
-    for point in word:
-        shift = vadd(shift, point)
-    return shift
+        out = act(alpha, word, base)
+        if out is not None:
+            return out
+    top, rest = word[-1], word[:-1]
+    out = {}
+    for (w2, b2), c2 in straighten(alpha, rest, base, ceiling, act, c).items():
+        for key, c3 in straighten(top, w2, b2, ceiling, act, c).items():
+            _acc(out, key, c2 * c3)
+    merged = vadd(alpha, top)
+    bracket = _mu_scalar(vsub(top, alpha))
+    if bracket:
+        for key, c4 in straighten(merged, rest, base, ceiling, act, c).items():
+            _acc(out, key, bracket * c4)
+    if not any(merged):
+        _acc(out, (rest, base), eta0(alpha) * c)
+    return out
 
 
 def verma_act(x: AlgebraElement, v: VermaVector, lam: Scalar = LAMBDA,
@@ -253,25 +169,30 @@ def verma_act(x: AlgebraElement, v: VermaVector, lam: Scalar = LAMBDA,
     if x.n != v.n:
         raise RankMismatchError(f"rank {x.n} vs {v.n}")
     n = x.n
+    zero = (0,) * n
+
+    def act(alpha, word, base):
+        # E(0) acts diagonally by lambda + mu.shift; positives kill the vacuum
+        if alpha == zero:
+            eig = lam + _mu_scalar(vsum(word, zero))
+            return {(word, base): eig} if eig else {}
+        return None if word else {}
+
     acc = {}
     for key, ce in x.terms.items():
         for mono, cv in v.terms.items():
             coef = ce * cv
             if key == CENTRAL:
-                val = coef * c
-                if val:
-                    _acc(acc, mono.word, val)
+                _acc(acc, mono.word, coef * c)
                 continue
-            for word, cw in _apply_generator(n, key, mono.word, lam, c).items():
-                val = coef * cw
-                if val:
-                    _acc(acc, word, val)
-    out = VermaVector(n)
+            for (word, _), cw in straighten(key, mono.word, None, zero, act, c).items():
+                _acc(acc, word, coef * cw)
+    out = {}
     for word, coef in acc.items():
         if box is not None and not box.contains_word(word):
             raise BoxOverflowError(PBWMonomial(n, word))
-        out.terms[PBWMonomial(n, word)] = coef
-    return out
+        out[PBWMonomial(n, word)] = coef
+    return v._like(out)
 
 
 def _negative_generators(n: int, radius: int):

@@ -22,12 +22,16 @@ from solvir.algebra import (
     vir_i_element,
     witt_bracket,
 )
+from solvir.cocycle import OneCochain
+from solvir.density import DensityVector
 from solvir.errors import (
     AxisOutOfRangeError,
     CentralTermPresentError,
     RankMismatchError,
 )
-from solvir.scalars import ONE, Scalar, mu_poly
+from solvir.gvm import GvmMonomial, GvmVector
+from solvir.scalars import ONE, ZERO, Scalar, mu_poly
+from solvir.verma import PBWMonomial, VermaVector
 
 
 A2 = SolenoidalAlgebra(2)
@@ -241,3 +245,59 @@ def test_element_text_various():
 def test_parse_element_with_minus_separator():
     x = parse_element("e[1,0] - 2*e[0,1]", 2)
     assert x == A2.e(1, 0) + A2.e(0, 1).scale(-2)
+
+
+COMBINATIONS = (AlgebraElement, OneCochain, DensityVector, VermaVector, GvmVector)
+
+
+def _three_keys(kind, n):
+    """Three distinct rank-n basis keys of a combination type."""
+    first, last = (1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,)
+    if kind is AlgebraElement:
+        return [first, last, CENTRAL]
+    if kind is VermaVector:
+        return [PBWMonomial(n, [(-1,) + (0,) * (n - 1)]), PBWMonomial(n, [last]),
+                PBWMonomial(n)]
+    if kind is GvmVector:
+        return [GvmMonomial(n, [(1, (0,) * (n - 1))]), GvmMonomial(n, [], (1,) * (n - 1)),
+                GvmMonomial(n, [(2, (-1,) * (n - 1))])]
+    return [first, last, (2,) * n]
+
+
+@pytest.mark.parametrize("kind", COMBINATIONS, ids=lambda kind: kind.__name__)
+def test_combination_arithmetic_of_every_type(kind):
+    k1, k2, k3 = _three_keys(kind, 2)
+    m = mu((1, 1))
+    x = kind(2, {k1: 2, k2: m, k3: 0})
+    y = kind(2, {k1: -2, k3: Fraction(1, 3)})
+    assert set(x.terms) == {k1, k2}
+    cases = [
+        (x + y, {k2: m, k3: Fraction(1, 3)}),
+        (x - y, {k1: 4, k2: m, k3: Fraction(-1, 3)}),
+        (x - x, {}),
+        (-x, {k1: -2, k2: -m}),
+        (x.scale(3), {k1: 6, k2: m * 3}),
+        (3 * x, {k1: 6, k2: m * 3}),
+        (x.scale(0), {}),
+        (x.scale(ZERO), {}),
+    ]
+    for out, expected in cases:
+        assert type(out) is kind
+        assert out.n == 2
+        assert out == kind(2, expected)
+        assert all(out.terms.values()), "a zero coefficient was stored"
+    assert (x - x).is_zero() and not x.scale(0) and x
+    assert x.coefficient(k3) == ZERO and x.coefficient(k2) == m
+
+    wide = kind(3, {_three_keys(kind, 3)[0]: 1})
+    for combine in (lambda u, v: u + v, lambda u, v: u - v):
+        with pytest.raises(RankMismatchError):
+            combine(x, wide)
+        with pytest.raises(RankMismatchError):
+            combine(wide, x)
+
+    for other in COMBINATIONS:
+        if other is not kind:
+            twin = other(2)
+            twin.terms = dict(x.terms)
+            assert x != twin and twin != x

@@ -42,6 +42,15 @@ def test_bracket_mixed_ranks_is_usage_error(capsys):
     assert main(["bracket", "e[1,0] + e[2]", "e[0,1]"]) == 2
 
 
+def test_bracket_rank_disagrees_with_flag(capsys):
+    # an explicit --n is checked against the points, not trusted
+    assert main(["bracket", "e[1,2]", "e[1]", "--n", "2"]) == 2
+    assert "ranks 1 and 2" in capsys.readouterr().err
+    assert main(["bracket", "e[1]", "e[2]", "--n", "2"]) == 2
+    assert "rank 1 do not match --n 2" in capsys.readouterr().err
+    assert main(["bracket", "c", "e[1,2]", "--n", "2"]) == 0
+
+
 def test_parse_helpers():
     assert parse_boxes("1..4") == [1, 2, 3, 4]
     assert parse_boxes("2,5,9") == [2, 5, 9]
@@ -85,6 +94,26 @@ def test_verify_cocycle_good_input(tmp_path, capsys):
     code, _ = run_cli(["verify", "cocycle", "--input", str(path), "--box", "2"],
                       capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("command", [["normalize"], ["verify", "cocycle"]])
+@pytest.mark.parametrize("field, entry", [
+    ("coboundary", [[1, 0, 5], "2"]),
+    ("extra", [[1, 0, 5], [0, 1, 0], "2"]),
+])
+def test_cochain_point_of_wrong_rank_rejected(tmp_path, capsys, command, field,
+                                              entry):
+    """A rank-3 point in a rank-2 cochain file is bad input, never skipped."""
+    data = {"n": 2, "canonical_multiple": "1", "coboundary": [[[1, 0], "3"]],
+            "extra": []}
+    data[field].append(entry)
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(data))
+    code = main(command + ["--input", str(path), "--box", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "point [1, 0, 5] in a rank-2 cochain record" in captured.err
 
 
 def test_normalize_command(tmp_path, capsys):

@@ -27,6 +27,7 @@ from solvir.errors import (
     NotCubicOddError,
     NotNormalizableError,
     OutsideBoxError,
+    RankMismatchError,
 )
 from solvir.scalars import ONE, ZERO, Scalar, mu_poly
 
@@ -109,6 +110,15 @@ def test_skew_storage():
         TwoCochain(2, extra={((1, 0), (1, 0)): ONE})
 
 
+def test_two_cochain_ranks_checked():
+    with pytest.raises(RankMismatchError):
+        canonical_cochain(2) + canonical_cochain(3)
+    with pytest.raises(RankMismatchError):
+        TwoCochain(2, extra={((0, 1, 0), (1, 0, 0)): ONE})
+    with pytest.raises(RankMismatchError):
+        coboundary(OneCochain(3, {(1, 0, 0): 1})) + coboundary(OneCochain(2))
+
+
 def test_normalize_canonical():
     eta, shift = normalize_cocycle(canonical_cochain(2), 3)
     assert shift.is_zero()
@@ -128,7 +138,7 @@ def test_normalize_canonical_plus_coboundary():
         a, _ = recognize_eta(eta)
         assert a == Scalar.from_rational(Fraction(1, 12))
         # the shift rebuilds f away from the origin
-        for gamma, value in f.support.items():
+        for gamma, value in f.terms.items():
             if any(gamma):
                 assert shift.value(gamma) == value
 
@@ -136,7 +146,7 @@ def test_normalize_canonical_plus_coboundary():
 def test_normalize_pure_coboundary():
     rng = random.Random(7)
     f = _random_cochain(rng)
-    f.support[(0, 0)] = Scalar.from_rational(Fraction(2, 3))
+    f.terms[(0, 0)] = Scalar.from_rational(Fraction(2, 3))
     eta, _ = normalize_cocycle(coboundary(f), 3)
     a, b = recognize_eta(eta)
     assert a.is_zero()
