@@ -82,7 +82,9 @@ def parse_boxes(text: str) -> list:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-CONFIG_KEYS = ("n", "box", "boxes", "seed", "spec", "out", "jobs")
+# config key -> parser of its text; a flag of the same name overrides the file
+CONFIG_KEYS = {"n": int, "box": int, "boxes": parse_boxes, "seed": int,
+               "spec": parse_spec, "out": str, "jobs": int}
 
 
 def load_config_file(path: str) -> dict:
@@ -109,34 +111,12 @@ def load_config_file(path: str) -> dict:
 def build_config(args) -> RunConfig:
     cfg = RunConfig()
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    if "n" in file_values:
-        cfg.n = int(file_values["n"])
-    if "box" in file_values:
-        cfg.box = int(file_values["box"])
-    if "boxes" in file_values:
-        cfg.boxes = parse_boxes(file_values["boxes"])
-    if "seed" in file_values:
-        cfg.seed = int(file_values["seed"])
-    if "spec" in file_values:
-        cfg.spec = parse_spec(file_values["spec"])
-    if "out" in file_values:
-        cfg.out = file_values["out"]
-    if "jobs" in file_values:
-        cfg.jobs = int(file_values["jobs"])
-    if getattr(args, "n", None) is not None:
-        cfg.n = args.n
-    if getattr(args, "box", None) is not None:
-        cfg.box = args.box
-    if getattr(args, "boxes", None):
-        cfg.boxes = parse_boxes(args.boxes)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "spec", None):
-        cfg.spec = parse_spec(args.spec)
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
+    for key, parse in CONFIG_KEYS.items():
+        if key in file_values:
+            setattr(cfg, key, parse(file_values[key]))
+    for key, parse in CONFIG_KEYS.items():
+        if getattr(args, key, None) not in (None, ""):
+            setattr(cfg, key, parse(getattr(args, key)))
     cfg.validate()
     return cfg
 
@@ -160,8 +140,7 @@ def cmd_verify(args) -> int:
             return 2
         data = json.loads(Path(args.input).read_text())
         theta_input = TwoCochain.from_records(data)
-        if theta_input.n != cfg.n:
-            cfg.n = theta_input.n
+        cfg.n = theta_input.n
     checks = run_suite(args.suite, cfg.n, cfg.box, cfg.seed,
                        boxes=cfg.boxes or None, spec=cfg.spec,
                        theta_input=theta_input)
@@ -208,11 +187,7 @@ def cmd_dims(args) -> int:
     if args.target == "verma":
         if args.level is not None:
             shift = (-args.level,) + (0,) * (cfg.n - 1)
-            boxes = [max(args.level, 1)]
-            table = [{"N": N, "L": N,
-                      "dim": weight_space_dim_truncated(
-                          cfg.n, shift, TruncationBox(N, N))}
-                     for N in boxes]
+            sizes = [(max(args.level, 1), max(args.level, 1))]
         else:
             if not args.shift:
                 print("dims verma needs --shift or --level", file=sys.stderr)
@@ -222,11 +197,9 @@ def cmd_dims(args) -> int:
                 print(f"shift {shift} does not match rank {cfg.n}",
                       file=sys.stderr)
                 return 2
-            boxes = cfg.boxes or [1, 2, 3, 4]
-            table = [{"N": N, "L": 2 * N + 1,
-                      "dim": weight_space_dim_truncated(
-                          cfg.n, shift, TruncationBox(N, 2 * N + 1))}
-                     for N in boxes]
+            sizes = [(N, 2 * N + 1) for N in cfg.boxes or [1, 2, 3, 4]]
+        table = [{"N": N, "L": L, "dim": weight_space_dim_truncated(
+                      cfg.n, shift, TruncationBox(N, L))} for N, L in sizes]
         canonical_family = (cfg.n >= 2 and shift[0] == -1
                             and not any(shift[1:]))
         report = {
@@ -266,36 +239,24 @@ def cmd_normalize(args) -> int:
     cfg = build_config(args)
     data = json.loads(Path(args.input).read_text())
     theta = TwoCochain.from_records(data)
+    report = {"command": "normalize", "version": __version__, "config": cfg.echo()}
     try:
         eta, shift = normalize_cocycle(theta, cfg.box)
         a, b = recognize_eta(eta)
     except NotACocycleError as exc:
-        report = {"command": "normalize", "version": __version__,
-                  "config": cfg.echo(), "status": "fail",
-                  "error": "not_a_cocycle",
-                  "failing_triple": [list(p) for p in exc.triple],
-                  "residual": str(exc.residual)}
-        emit(report, cfg.out)
-        return 1
+        report.update(status="fail", error="not_a_cocycle",
+                      failing_triple=[list(p) for p in exc.triple],
+                      residual=str(exc.residual))
     except NotNormalizableError as exc:
-        report = {"command": "normalize", "version": __version__,
-                  "config": cfg.echo(), "status": "fail",
-                  "error": "not_normalizable",
-                  "pair": [list(p) for p in exc.pair], "value": str(exc.value)}
-        emit(report, cfg.out)
-        return 1
-    report = {
-        "command": "normalize",
-        "version": __version__,
-        "config": cfg.echo(),
-        "status": "pass",
-        "eta": [[list(alpha), str(value)]
-                for alpha, value in sorted(eta.values.items())],
-        "shift": shift.to_records(),
-        "recognized": {"a": str(a), "b": str(b)},
-    }
+        report.update(status="fail", error="not_normalizable",
+                      pair=[list(p) for p in exc.pair], value=str(exc.value))
+    else:
+        report.update(status="pass", shift=shift.to_records(),
+                      eta=[[list(alpha), str(value)]
+                           for alpha, value in sorted(eta.values.items())],
+                      recognized={"a": str(a), "b": str(b)})
     emit(report, cfg.out)
-    return 0
+    return 0 if report["status"] == "pass" else 1
 
 
 def schema_path() -> Path:

@@ -105,8 +105,13 @@ class OneCochain(Combination):
 
     @classmethod
     def from_records(cls, n, records):
-        return cls(n, {_record_point(n, alpha): parse_scalar(text)
-                       for alpha, text in records})
+        values = {}
+        for alpha, text in records:
+            alpha = _record_point(n, alpha)
+            if alpha in values:
+                raise ParseError(f"point {list(alpha)} listed twice in a cochain record")
+            values[alpha] = parse_scalar(text)
+        return cls(n, values)
 
 
 class TwoCochain:
@@ -194,8 +199,12 @@ class TwoCochain:
         n = int(data["n"])
         cm = parse_scalar(data.get("canonical_multiple", "0"))
         cob = OneCochain.from_records(n, data.get("coboundary", []))
-        extra = {(_record_point(n, a), _record_point(n, b)): parse_scalar(text)
-                 for a, b, text in data.get("extra", [])}
+        extra = {}
+        for a, b, text in data.get("extra", []):
+            a, b = _record_point(n, a), _record_point(n, b)
+            if (a, b) in extra or (b, a) in extra:
+                raise ParseError(f"pair {list(a)}, {list(b)} listed twice in extra")
+            extra[(a, b)] = parse_scalar(text)
         return cls(n, cm, cob, extra)
 
 
@@ -334,6 +343,25 @@ class EtaTable:
         return self.values.get(alpha, ZERO)
 
 
+def check_diagonal_on_box(theta: TwoCochain, box: int):
+    """Raise NotNormalizableError at the first box pair off the diagonal where
+    theta is nonzero, in box_points x box_points order.  Off the diagonal C0
+    vanishes, df is nonzero only where the pair sum lies in the support of f,
+    and extra only at its stored pairs (p, q), p < q, and their reverses,
+    which come later in the scan with the negated value: only the stored
+    pairs and the pairs of those sums are evaluated.
+    """
+    pts = box_points(theta.n, box)
+    idx = set(pts)
+    pairs = set(theta.extra)
+    pairs.update((alpha, vsub(s, alpha)) for s in theta.cob.terms for alpha in pts)
+    for alpha, beta in sorted(pairs):
+        if alpha in idx and beta in idx and any(vadd(alpha, beta)):
+            val = theta.value(alpha, beta)
+            if val:
+                raise NotNormalizableError((alpha, beta), str(val))
+
+
 def normalize_cocycle(theta: TwoCochain, box: int):
     """Shift a cocycle into diagonal form; returns (EtaTable, shift OneCochain).
 
@@ -348,14 +376,8 @@ def normalize_cocycle(theta: TwoCochain, box: int):
 
     shift_support = {}
     candidates = set(theta.cob.terms)
-    for a, b in theta.extra:
-        if a == zero:
-            candidates.add(b)
-        if b == zero:
-            candidates.add(a)
-    for gamma in candidates:
-        if gamma == zero:
-            continue
+    candidates.update(q if p == zero else p for p, q in theta.extra if zero in (p, q))
+    for gamma in candidates - {zero}:
         val = theta.value(zero, gamma)
         if val:
             shift_support[gamma] = val.div_form(gamma)
@@ -364,17 +386,9 @@ def normalize_cocycle(theta: TwoCochain, box: int):
     shifted = TwoCochain(n, theta.canonical_multiple, theta.cob - shift,
                          dict(theta.extra))
 
-    pts = box_points(n, box)
-    for alpha in pts:
-        for beta in pts:
-            if all(a + b == 0 for a, b in zip(alpha, beta)):
-                continue
-            val = shifted.value(alpha, beta)
-            if val:
-                raise NotNormalizableError((alpha, beta), str(val))
-
+    check_diagonal_on_box(shifted, box)
     values = {}
-    for alpha in pts:
+    for alpha in box_points(n, box):
         val = shifted.value(alpha, vneg(alpha))
         if val:
             values[alpha] = val

@@ -6,13 +6,14 @@ no unordered iteration.  Randomized trials draw from Python's Mersenne
 Twister (random.Random) seeded from the configuration, which is stable
 across platforms and runs.
 
-Exhaustive bracket scans use an exact case split when the raw triple count
-is out of reach: for basis triples whose lattice sum s is nonzero the
-residual is a universal polynomial identity in x = mu.alpha, y = mu.beta,
-z = mu.kappa (no central term can appear), verified once by symbolic
-expansion; the remaining zero-sum triples are scanned one by one through the
-actual residual operation.  A seeded random sample of skipped triples is
-re-checked through the honest path as a cross-check.
+Every exhaustive triple scan runs through scan_triples, which evaluates the
+residual once per rotation orbit (both residuals are cyclic sums) and
+re-checks a seeded sample of the other triples.  When the raw triple count
+is out of reach the suites use an exact case split: for basis triples whose
+lattice sum is nonzero the residual is a universal polynomial identity in
+x = mu.alpha, y = mu.beta, z = mu.kappa, verified once by symbolic
+expansion; only the zero-sum triples are scanned, and seeded random triples
+re-check the rest through the residual.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .cocycle import (
     box_points,
     canonical_cochain,
     canonical_cocycle,
+    canonical_cocycle_identity,
     coboundary,
     cocycle_residual,
     h2_rank_experiment,
@@ -77,6 +79,12 @@ def check(check_id: str, ok: bool, **details) -> dict:
             "details": details}
 
 
+def _trials_check(check_id, trials, failing):
+    """The record of trials calls of failing(); a true result is a failure."""
+    bad = sum(1 for _ in range(trials) if failing())
+    return check(check_id, bad == 0, trials=trials, failures=bad)
+
+
 def _partition_count(k, max_part=None):
     if max_part is None:
         max_part = k
@@ -106,28 +114,102 @@ def _random_element(rng, n, box, allow_central=True):
 # --------------------------------------------------------------------------
 
 
-def jacobi_full_scan(n: int, box: int):
-    pts = box_points(n, box)
-    els = {p: basis_element(n, p) for p in pts}
+# non-representative triples re-checked through the residual per scan
+ORBIT_SAMPLE = 16
+
+
+class ScanResult(tuple):
+    """(count, failures) of a triple scan; .evaluated counts residual calls."""
+
+    def __new__(cls, count, failures, evaluated):
+        self = super().__new__(cls, (count, failures))
+        self.evaluated = evaluated
+        return self
+
+
+def scan_triples(triples, residual, tag) -> ScanResult:
+    """Every triple with a nonzero residual, one evaluation per rotation orbit.
+
+    residual must be a cyclic sum, equal at (a, b, k), (b, k, a), (k, a, b),
+    and triples a rotation-closed set in increasing order (ValueError
+    otherwise), so each orbit's least rotation comes first and is the only
+    one evaluated.  Failing triples are listed in scan order.  A reservoir
+    sample of ORBIT_SAMPLE others, drawn by random.Random(tag), is re-checked
+    through residual; a disagreement with the orbit raises RuntimeError.
+    """
+    rng = random.Random(tag)
+    failed = set()
     failures = []
-    count = 0
-    for a, b, k in itertools.product(pts, repeat=3):
+    sample = []
+    count = evaluated = 0
+    prev = ()
+    for t in triples:
+        if t <= prev:
+            raise ValueError(f"triple {t} arrives after {prev}")
+        prev = t
         count += 1
-        if jacobi_residual(els[a], els[b], els[k]):
+        a, b, k = t
+        if t <= (b, k, a) and t <= (k, a, b):
+            evaluated += 1
+            if residual(a, b, k):
+                failed.add(t)
+                failures.append([list(a), list(b), list(k)])
+            continue
+        if failed and min((b, k, a), (k, a, b)) in failed:
             failures.append([list(a), list(b), list(k)])
-    return count, failures
+        # reservoir sampling over the count - evaluated skipped triples
+        j = int(rng.random() * (count - evaluated))
+        if len(sample) < ORBIT_SAMPLE:
+            sample.append(t)
+        elif j < ORBIT_SAMPLE:
+            sample[j] = t
+    for a, b, k in sample:
+        rep = min((b, k, a), (k, a, b))
+        if bool(residual(a, b, k)) != (rep in failed):
+            raise RuntimeError(f"residual at {(a, b, k)} differs from that "
+                               f"at its rotation {rep}")
+    return ScanResult(count, failures, evaluated)
+
+
+def _jacobi_residual(n, pts):
+    els = {p: basis_element(n, p) for p in pts}
+    return lambda a, b, k: jacobi_residual(els[a], els[b], els[k])
+
+
+def _cocycle_residual(n, pts):
+    theta = canonical_cochain(n)
+    return lambda a, b, k: cocycle_residual(theta, a, b, k)
+
+
+def _box_scan(residual_of, n, box, zero_sum):
+    """Scan the box triples, or those of sum 0, for residual_of(n, pts)."""
+    pts = box_points(n, box)
+    triples = (triples_with_sum(pts, (0,) * n) if zero_sum
+               else itertools.product(pts, repeat=3))
+    return scan_triples(triples, residual_of(n, pts), f"{n}:{box}:{zero_sum}")
+
+
+def jacobi_full_scan(n: int, box: int):
+    return _box_scan(_jacobi_residual, n, box, False)
 
 
 def jacobi_zero_sum_scan(n: int, box: int):
-    pts = box_points(n, box)
-    els = {p: basis_element(n, p) for p in pts}
-    failures = []
-    count = 0
-    for a, b, k in triples_with_sum(pts, (0,) * n):
-        count += 1
-        if jacobi_residual(els[a], els[b], els[k]):
-            failures.append([list(a), list(b), list(k)])
-    return count, failures
+    return _box_scan(_jacobi_residual, n, box, True)
+
+
+def cocycle_full_scan(n: int, box: int):
+    return _box_scan(_cocycle_residual, n, box, False)
+
+
+def cocycle_zero_sum_scan(n: int, box: int):
+    return _box_scan(_cocycle_residual, n, box, True)
+
+
+def _scan_check(check_id, result):
+    count, failures = result
+    return check(check_id, not failures, triples_checked=count,
+                 evaluated=result.evaluated, method="cyclic_orbit_enumeration",
+                 failures=failures[:5])
 
 
 def suite_jacobi(n: int, box: int, seed: int, trials: int = 60):
@@ -136,19 +218,15 @@ def suite_jacobi(n: int, box: int, seed: int, trials: int = 60):
     total = len(box_points(n, box)) ** 3
 
     if total <= FULL_SCAN_LIMIT:
-        count, failures = jacobi_full_scan(n, box)
-        checks.append(check(f"jacobi/n={n}/exhaustive", not failures,
-                            triples_checked=count, method="full_enumeration",
-                            failures=failures[:5]))
+        checks.append(_scan_check(f"jacobi/n={n}/exhaustive",
+                                  jacobi_full_scan(n, box)))
     else:
-        ok_sym = witt_jacobi_symbolic_identity()
-        checks.append(check(f"jacobi/n={n}/nonzero_sum_identity", ok_sym,
+        checks.append(check(f"jacobi/n={n}/nonzero_sum_identity",
+                            witt_jacobi_symbolic_identity(),
                             method="symbolic_expansion",
                             covers=f"all {total} triples with nonzero lattice sum"))
-        count, failures = jacobi_zero_sum_scan(n, box)
-        checks.append(check(f"jacobi/n={n}/zero_sum_exhaustive", not failures,
-                            triples_checked=count, method="zero_sum_enumeration",
-                            failures=failures[:5]))
+        checks.append(_scan_check(f"jacobi/n={n}/zero_sum_exhaustive",
+                                  jacobi_zero_sum_scan(n, box)))
         sample_fail = []
         for _ in range(trials):
             triple = [_random_point(rng, n, box) for _ in range(3)]
@@ -157,31 +235,23 @@ def suite_jacobi(n: int, box: int, seed: int, trials: int = 60):
         checks.append(check(f"jacobi/n={n}/sampled_cross_check", not sample_fail,
                             trials=trials, failures=sample_fail[:5]))
 
-    bad = 0
-    for _ in range(trials):
-        x, y, z = (_random_element(rng, n, box) for _ in range(3))
-        if jacobi_residual(x, y, z):
-            bad += 1
-    checks.append(check(f"jacobi/n={n}/random_general_elements", bad == 0,
-                        trials=trials, failures=bad))
+    checks.append(_trials_check(
+        f"jacobi/n={n}/random_general_elements", trials,
+        lambda: jacobi_residual(*(_random_element(rng, n, box) for _ in range(3)))))
 
-    bad = 0
-    for _ in range(trials):
+    def antisymmetry():
         x, y = _random_element(rng, n, box), _random_element(rng, n, box)
-        if vir_bracket(x, y) + vir_bracket(y, x):
-            bad += 1
-    checks.append(check(f"jacobi/n={n}/antisymmetry_random", bad == 0,
-                        trials=trials, failures=bad))
+        return vir_bracket(x, y) + vir_bracket(y, x)
+    checks.append(_trials_check(f"jacobi/n={n}/antisymmetry_random", trials,
+                                antisymmetry))
 
     ok = True
+    twelfth = Scalar.from_rational(Fraction(1, 12))
     for axis in range(1, n + 1):
-        a, _b = vir_i_cocycle_coefficients(n, axis)
+        a, b = vir_i_cocycle_coefficients(n, axis)
         eps = tuple(1 if j == axis - 1 else 0 for j in range(n))
-        twelfth = Scalar.from_rational(Fraction(1, 12))
-        if a != Scalar.mu_form(eps) * twelfth or a.is_zero():
-            ok = False
-        if _b != -(ONE.div_form(eps) * twelfth):
-            ok = False
+        ok = ok and (not a.is_zero() and a == Scalar.mu_form(eps) * twelfth
+                     and b == -(ONE.div_form(eps) * twelfth))
     checks.append(check(f"jacobi/n={n}/axis_subalgebra_cocycle", ok, axes=n))
     return checks
 
@@ -189,30 +259,6 @@ def suite_jacobi(n: int, box: int, seed: int, trials: int = 60):
 # --------------------------------------------------------------------------
 # cocycle suite
 # --------------------------------------------------------------------------
-
-
-def cocycle_full_scan(n: int, box: int):
-    theta = canonical_cochain(n)
-    pts = box_points(n, box)
-    failures = []
-    count = 0
-    for a, b, k in itertools.product(pts, repeat=3):
-        count += 1
-        if cocycle_residual(theta, a, b, k):
-            failures.append([list(a), list(b), list(k)])
-    return count, failures
-
-
-def cocycle_zero_sum_scan(n: int, box: int):
-    theta = canonical_cochain(n)
-    pts = box_points(n, box)
-    failures = []
-    count = 0
-    for a, b, k in triples_with_sum(pts, (0,) * n):
-        count += 1
-        if cocycle_residual(theta, a, b, k):
-            failures.append([list(a), list(b), list(k)])
-    return count, failures
 
 
 def _random_cochain(rng, n, box, size=4):
@@ -230,24 +276,24 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
     checks = []
 
     if theta_input is not None:
+        # rotations keep the lattice sum: one engine scan per sum
         pts = box_points(n, box)
-        failing = None
-        count = 0
-        for total in sorted(theta_input.pair_sum_support() | {(0,) * n}):
-            for a, b, k in triples_with_sum(pts, total):
-                count += 1
-                if cocycle_residual(theta_input, a, b, k) and failing is None:
-                    failing = [list(a), list(b), list(k)]
+        results = [scan_triples(triples_with_sum(pts, total),
+                                lambda a, b, k: cocycle_residual(theta_input, a, b, k),
+                                f"input:{n}:{box}:{total}")
+                   for total in sorted(theta_input.pair_sum_support() | {(0,) * n})]
+        failing = next((failures[0] for _, failures in results if failures), None)
         checks.append(check("cocycle/input_file_residual", failing is None,
-                            triples_checked=count, failing_triple=failing))
+                            triples_checked=sum(r[0] for r in results),
+                            evaluated=sum(r.evaluated for r in results),
+                            method="cyclic_orbit_enumeration",
+                            failing_triple=failing))
         return checks
 
     total = len(box_points(n, box)) ** 3
     if total <= FULL_SCAN_LIMIT:
-        count, failures = cocycle_full_scan(n, box)
-        checks.append(check(f"cocycle/n={n}/exhaustive", not failures,
-                            triples_checked=count, method="full_enumeration",
-                            failures=failures[:5]))
+        checks.append(_scan_check(f"cocycle/n={n}/exhaustive",
+                                  cocycle_full_scan(n, box)))
     else:
         pts = box_points(n, box)
         support_ok = all(
@@ -257,9 +303,8 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
         checks.append(check(f"cocycle/n={n}/pair_support_lemma", support_ok,
                             pairs_checked=len(pts) ** 2,
                             covers=f"all {total} triples with nonzero lattice sum"))
-        count, failures = cocycle_zero_sum_scan(n, box)
-        checks.append(check(f"cocycle/n={n}/zero_sum_exhaustive", not failures,
-                            triples_checked=count, failures=failures[:5]))
+        checks.append(_scan_check(f"cocycle/n={n}/zero_sum_exhaustive",
+                                  cocycle_zero_sum_scan(n, box)))
 
     theta = canonical_cochain(n)
     bad = 0
@@ -273,20 +318,25 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
     checks.append(check(f"cocycle/n={n}/coboundary_random_residuals", bad == 0,
                         trials=trials, failures=bad))
 
+    # the identities check_cocycle_on_box rests on inside normalize_cocycle
+    checks.append(check("cocycle/canonical_cocycle_identity",
+                        canonical_cocycle_identity(), method="symbolic_expansion",
+                        covers="cocycle residual of C0 at every triple"))
+    checks.append(check("cocycle/witt_jacobi_symbolic_identity",
+                        witt_jacobi_symbolic_identity(),
+                        method="symbolic_expansion",
+                        covers="cocycle residual of every df at every triple"))
     results = []
-    ok_norm = True
     for _ in range(normalize_trials):
         f = _random_cochain(rng, n, box)
         eta, _shift = normalize_cocycle(canonical_cochain(n) + coboundary(f), box)
-        a, _ = recognize_eta(eta)
-        ok_here = a == Scalar.from_rational(Fraction(1, 12))
-        eta0_tab, _ = normalize_cocycle(coboundary(f), box)
-        a0, _ = recognize_eta(eta0_tab)
-        ok_here = ok_here and a0.is_zero()
-        ok_norm = ok_norm and ok_here
+        eta0_tab, _shift = normalize_cocycle(coboundary(f), box)
+        ok_here = (recognize_eta(eta)[0] == Scalar.from_rational(Fraction(1, 12))
+                   and recognize_eta(eta0_tab)[0].is_zero())
         results.append("1/12,0" if ok_here else "mismatch")
-    checks.append(check(f"cocycle/n={n}/normalize_recognize", ok_norm,
-                        trials=normalize_trials, outcomes=results))
+    checks.append(check(f"cocycle/n={n}/normalize_recognize",
+                        "mismatch" not in results, trials=normalize_trials,
+                        outcomes=results))
 
     sol = solve_functional_equation(10)
     checks.append(check("cocycle/functional_equation_deg10",
@@ -315,33 +365,22 @@ def suite_density(n: int, box: int, seed: int, trials: int = 100,
 
     pts = box_points(n, min(box, 2))
     targets = [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,)]
-    bad = 0
-    count = 0
-    for a, b in itertools.product(pts, repeat=2):
-        for kappa in targets:
-            count += 1
-            if density_axiom_residual(basis_element(n, a), basis_element(n, b),
-                                      basis_vector(n, kappa), p):
-                bad += 1
+    bad = sum(1 for a, b, kappa in itertools.product(pts, pts, targets)
+              if density_axiom_residual(basis_element(n, a), basis_element(n, b),
+                                        basis_vector(n, kappa), p))
     checks.append(check(f"density/n={n}/axiom_exhaustive_basis_pairs", bad == 0,
-                        pairs_checked=count, failures=bad))
+                        pairs_checked=len(pts) ** 2 * len(targets), failures=bad))
 
-    bad = 0
-    for _ in range(trials):
+    def axiom():
         x = _random_element(rng, n, box)
         y = _random_element(rng, n, box)
         v = basis_vector(n, _random_point(rng, n, box)).scale(rng.randint(1, 3))
         v = v + basis_vector(n, _random_point(rng, n, box))
-        if density_axiom_residual(x, y, v, p):
-            bad += 1
-    checks.append(check(f"density/n={n}/axiom_random_pairs", bad == 0,
-                        trials=trials, failures=bad))
+        return density_axiom_residual(x, y, v, p)
+    checks.append(_trials_check(f"density/n={n}/axiom_random_pairs", trials, axiom))
 
-    ok = True
-    for beta in box_points(n, min(box, 2)):
-        out = vir_bracket(euler_element(n), basis_element(n, beta))
-        expected = basis_element(n, beta).scale(Scalar(mu_poly(beta)))
-        ok = ok and out == expected
+    ok = all(vir_bracket(euler_element(n), basis_element(n, beta))
+             == basis_element(n, beta).scale(Scalar(mu_poly(beta))) for beta in pts)
     checks.append(check(f"density/n={n}/weight_property", ok))
 
     cls_ok = (classify_density(p).case == IRREDUCIBLE
@@ -361,14 +400,10 @@ def suite_density(n: int, box: int, seed: int, trials: int = 100,
                         trivial_sub=[list(c) for c in r00.checks],
                         codim_one=[list(c) for c in r01.checks]))
 
-    bad = 0
-    count = 0
-    for alpha in box_points(n, box):
-        for gamma in box_points(n, box):
-            count += 1
-            if duality_check(p, alpha, gamma):
-                bad += 1
-    details = {"pairs_checked": count, "failures": bad}
+    grid = box_points(n, box)
+    bad = sum(1 for alpha, gamma in itertools.product(grid, repeat=2)
+              if duality_check(p, alpha, gamma))
+    details = {"pairs_checked": len(grid) ** 2, "failures": bad}
     if spec:
         res = duality_check(p, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,))
         assignment = dict(spec)
@@ -393,14 +428,10 @@ def suite_verma(n: int, box: int, seed: int, kmax: int = 5, nmax: int = 4,
     checks = []
     S0 = Scalar.from_rational(0)
 
-    dims = []
-    ok_partitions = True
-    for k in range(kmax + 1):
-        dim = weight_space_dim_truncated(1, (-k,),
-                                         TruncationBox(max(k, 1), max(k, 1)))
-        dims.append(dim)
-        ok_partitions = ok_partitions and dim == _partition_count(k)
-    checks.append(check("verma/rank1_partition_dimensions", ok_partitions,
+    dims = [weight_space_dim_truncated(1, (-k,), TruncationBox(max(k, 1), max(k, 1)))
+            for k in range(kmax + 1)]
+    checks.append(check("verma/rank1_partition_dimensions",
+                        dims == [_partition_count(k) for k in range(kmax + 1)],
                         dims=dims, kmax=kmax))
 
     growth = []
@@ -428,17 +459,14 @@ def suite_verma(n: int, box: int, seed: int, kmax: int = 5, nmax: int = 4,
 
     monos = pbw_enumerate(2, (-1, 0), TruncationBox(2, 3)) \
         + pbw_enumerate(2, (0, -2), TruncationBox(2, 2))
-    bad = 0
-    for _ in range(trials):
+    def axiom():
         alpha = _random_point(rng, 2, 2)
         beta = _random_point(rng, 2, 2)
         x, y = basis_element(2, alpha), basis_element(2, beta)
         v = VermaVector(2, {rng.choice(monos): ONE})
         lhs = verma_act(x, verma_act(y, v)) - verma_act(y, verma_act(x, v))
-        if lhs != verma_act(vir_bracket(x, y), v):
-            bad += 1
-    checks.append(check("verma/module_axiom_random", bad == 0,
-                        trials=trials, failures=bad))
+        return lhs != verma_act(vir_bracket(x, y), v)
+    checks.append(_trials_check("verma/module_axiom_random", trials, axiom))
     return checks
 
 
@@ -469,17 +497,14 @@ def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25,
     monos = [GvmMonomial(n, ((1, (0,) * (n - 1)),), (0,) * (n - 1)),
              GvmMonomial(n, ((1, (-1,) + (0,) * (n - 2)),), (1,) + (0,) * (n - 2)),
              GvmMonomial(n, (), (0,) * (n - 1))]
-    bad = 0
-    for _ in range(trials):
+    def axiom():
         alpha = _random_point(rng, n, 2)
         beta = _random_point(rng, n, 2)
         x, y = basis_element(n, alpha), basis_element(n, beta)
         v = GvmVector(n, {rng.choice(monos): ONE})
         lhs = gvm_act(x, gvm_act(y, v, p), p) - gvm_act(y, gvm_act(x, v, p), p)
-        if lhs != gvm_act(vir_bracket(x, y), v, p):
-            bad += 1
-    checks.append(check(f"gvm/n={n}/module_axiom_random", bad == 0,
-                        trials=trials, failures=bad))
+        return lhs != gvm_act(vir_bracket(x, y), v, p)
+    checks.append(_trials_check(f"gvm/n={n}/module_axiom_random", trials, axiom))
 
     tables = []
     ok_ranks = True

@@ -116,6 +116,27 @@ def test_cochain_point_of_wrong_rank_rejected(tmp_path, capsys, command, field,
     assert "point [1, 0, 5] in a rank-2 cochain record" in captured.err
 
 
+@pytest.mark.parametrize("command", [["normalize"], ["verify", "cocycle"]])
+@pytest.mark.parametrize("field, entries, named", [
+    ("coboundary", [[[1, 0], "2"], [[1, 0], "3"]], "point [1, 0] listed twice"),
+    ("extra", [[[0, 1], [1, 1], "2"], [[1, 1], [0, 1], "-2"]],
+     "pair [1, 1], [0, 1] listed twice"),
+])
+def test_cochain_repeated_entry_rejected(tmp_path, capsys, command, field,
+                                         entries, named):
+    """A point or an unordered extra pair listed twice is bad input: no
+    value may silently win over the other."""
+    data = {"n": 2, "canonical_multiple": "1", "coboundary": [], "extra": []}
+    data[field] = entries
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(data))
+    code = main(command + ["--input", str(path), "--box", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert named in captured.err
+
+
 def test_normalize_command(tmp_path, capsys):
     data = {"n": 2, "canonical_multiple": "1",
             "coboundary": [[[1, 0], "3"], [[0, 0], "1/2"]], "extra": []}

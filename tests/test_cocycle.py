@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from solvir.cocycle import (
     canonical_cochain,
     canonical_cocycle,
     check_cocycle_on_box,
+    check_diagonal_on_box,
     coboundary,
     cocycle_residual,
     full_equation_residual,
@@ -27,6 +29,7 @@ from solvir.errors import (
     NotCubicOddError,
     NotNormalizableError,
     OutsideBoxError,
+    ParseError,
     RankMismatchError,
 )
 from solvir.scalars import ONE, ZERO, Scalar, mu_poly
@@ -379,3 +382,91 @@ def test_two_cochain_records_roundtrip():
     for alpha in box_points(2, 2):
         for beta in box_points(2, 2):
             assert back.value(alpha, beta) == theta.value(alpha, beta)
+
+
+def _reference_diagonal_check(theta, box):
+    """The pair loop check_diagonal_on_box replaced: every off-diagonal box
+    pair, alpha then beta; the first nonzero pair with its value, or None."""
+    pts = box_points(theta.n, box)
+    for alpha in pts:
+        for beta in pts:
+            if all(a + b == 0 for a, b in zip(alpha, beta)):
+                continue
+            val = theta.value(alpha, beta)
+            if val:
+                return (alpha, beta), str(val)
+    return None
+
+
+def test_check_diagonal_on_box_matches_pair_loop():
+    # cochains that pass (f and extra off the box's reach, or f at 0 and
+    # extra on the diagonal) and that fail (f or extra inside the box)
+    rng = random.Random(12)
+    seen = set()
+    for trial in range(60):
+        n, box = (2, rng.choice((1, 2, 3))) if trial % 4 else (3, 1)
+        reach = rng.choice((0, box, 2 * box, 2 * box + 1))
+
+        def point(radius):
+            return tuple(rng.randint(-radius, radius) for _ in range(n))
+
+        far = (2 * box + 1,) + (0,) * (n - 1)
+        cob = {(0,) * n: Fraction(rng.randint(1, 4))}
+        for _ in range(rng.randint(0, 2)):
+            p = point(reach) if reach <= 2 * box else vadd(far, point(box))
+            cob[p] = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+        extra = {}
+        for _ in range(rng.randint(0, 2)):
+            p = point(box + 1)
+            q = vneg(p) if rng.random() < 0.5 else point(box + 1)
+            if p != q:
+                extra[(p, q)] = Scalar.from_rational(rng.randint(1, 5))
+        theta = TwoCochain(n, Fraction(rng.randint(0, 2)), OneCochain(n, cob), extra)
+        expected = _reference_diagonal_check(theta, box)
+        try:
+            check_diagonal_on_box(theta, box)
+            got = None
+        except NotNormalizableError as exc:
+            got = (exc.pair, exc.value)
+        assert got == expected, (trial, n, box)
+        seen.add(expected is None)
+    assert seen == {True, False}
+
+
+def test_normalize_pair_scan_skips_cleared_pairs(monkeypatch):
+    # the shift leaves canonical + df with only f(0), on diagonal pairs, so
+    # the pair scan evaluates nothing (the pair loop evaluated all 2352
+    # off-diagonal pairs of the rank-2 box of radius 3)
+    import solvir.cocycle as cocycle
+
+    f = OneCochain(2, {(0, 0): 2, (1, 0): Fraction(1, 2), (0, -1): 3})
+    calls = []
+    value = TwoCochain.value
+    scan = cocycle.check_diagonal_on_box
+
+    def counted(self, alpha, beta):
+        calls.append((alpha, beta))
+        return value(self, alpha, beta)
+
+    def counted_scan(theta, box):
+        with monkeypatch.context() as m:
+            m.setattr(TwoCochain, "value", counted)
+            scan(theta, box)
+
+    monkeypatch.setattr(cocycle, "check_diagonal_on_box", counted_scan)
+    eta, _shift = normalize_cocycle(canonical_cochain(2) + coboundary(f), 3)
+    assert calls == []
+    assert recognize_eta(eta)[0] == Scalar.from_rational(Fraction(1, 12))
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": 2, "coboundary": [[[1, 0], "2"], [[1, 0], "3"]]},
+     "point [1, 0] listed twice"),
+    ({"n": 2, "extra": [[[0, 1], [1, 0], "1"], [[0, 1], [1, 0], "2"]]},
+     "pair [0, 1], [1, 0] listed twice"),
+    ({"n": 2, "extra": [[[0, 1], [1, 0], "1"], [[1, 0], [0, 1], "-1"]]},
+     "pair [1, 0], [0, 1] listed twice"),
+])
+def test_cochain_records_reject_repeats(data, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        TwoCochain.from_records(data)
