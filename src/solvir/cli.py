@@ -40,6 +40,8 @@ class RunConfig:
     spec: dict = field(default_factory=dict)
     out: str | None = None
     jobs: int = 1
+    # keys set by the config file or a flag, as against defaults
+    given: set = field(default_factory=set)
 
     def validate(self):
         if self.n < 1:
@@ -114,9 +116,11 @@ def build_config(args) -> RunConfig:
     for key, parse in CONFIG_KEYS.items():
         if key in file_values:
             setattr(cfg, key, parse(file_values[key]))
+            cfg.given.add(key)
     for key, parse in CONFIG_KEYS.items():
         if getattr(args, key, None) not in (None, ""):
             setattr(cfg, key, parse(getattr(args, key)))
+            cfg.given.add(key)
     cfg.validate()
     return cfg
 
@@ -130,6 +134,17 @@ def emit(report: dict, out_path: str | None) -> str:
     return text
 
 
+def read_cochain(path: str, cfg: RunConfig) -> TwoCochain:
+    """The two-cochain of a JSON file, whose rank becomes cfg.n; an n given
+    by flag or config file must agree with it."""
+    theta = TwoCochain.from_records(json.loads(Path(path).read_text()))
+    if "n" in cfg.given and cfg.n != theta.n:
+        raise ValueError(f"cochain points of rank {theta.n} do not match "
+                         f"--n {cfg.n}")
+    cfg.n = theta.n
+    return theta
+
+
 def cmd_verify(args) -> int:
     cfg = build_config(args)
     theta_input = None
@@ -138,9 +153,7 @@ def cmd_verify(args) -> int:
             print("--input is only meaningful for the cocycle suite",
                   file=sys.stderr)
             return 2
-        data = json.loads(Path(args.input).read_text())
-        theta_input = TwoCochain.from_records(data)
-        cfg.n = theta_input.n
+        theta_input = read_cochain(args.input, cfg)
     checks = run_suite(args.suite, cfg.n, cfg.box, cfg.seed,
                        boxes=cfg.boxes or None, spec=cfg.spec,
                        theta_input=theta_input)
@@ -237,8 +250,7 @@ def cmd_dims(args) -> int:
 
 def cmd_normalize(args) -> int:
     cfg = build_config(args)
-    data = json.loads(Path(args.input).read_text())
-    theta = TwoCochain.from_records(data)
+    theta = read_cochain(args.input, cfg)
     report = {"command": "normalize", "version": __version__, "config": cfg.echo()}
     try:
         eta, shift = normalize_cocycle(theta, cfg.box)

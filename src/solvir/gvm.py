@@ -161,6 +161,7 @@ def gvm_act(x: AlgebraElement, v: GvmVector, p: DensityParams) -> GvmVector:
         return {((), vadd(base, gamma)): coef} if coef else {}
 
     acc = {}
+    memo = {}
     for key, ce in x.terms.items():
         if key == CENTRAL:
             continue
@@ -169,7 +170,7 @@ def gvm_act(x: AlgebraElement, v: GvmVector, p: DensityParams) -> GvmVector:
             letters = tuple(map(_pair_key, mono.word))
             # C acts by zero on the module
             for wb, cw in straighten(key, letters, mono.base, DEGREE_ZERO, act,
-                                     ZERO).items():
+                                     ZERO, memo).items():
                 _acc(acc, wb, coef * cw)
     return v._like({GvmMonomial(n, [(-a[0], a[1:]) for a in word], base): coef
                     for (word, base), coef in acc.items()})

@@ -478,7 +478,7 @@ def suite_verma(n: int, box: int, seed: int, kmax: int = 5, nmax: int = 4,
 def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25,
               kappas=((0,), (1,), (-1,))):
     if n < 2:
-        n = 2
+        raise ValueError("the gvm suite needs --n >= 2")
     rng = random.Random(seed)
     checks = []
     p = formal_params(n - 1)

@@ -24,6 +24,7 @@ homogeneous vector at shift s is -s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import (
     CENTRAL,
@@ -120,7 +121,7 @@ def vacuum(n: int) -> VermaVector:
     return VermaVector(n, {PBWMonomial(n): ONE})
 
 
-def straighten(alpha, word, base, ceiling, act, c):
+def straighten(alpha, word, base, ceiling, act, c, memo):
     """E(alpha) applied to the PBW vector (word, base): {(word, base): Scalar}.
 
     The one rewriting behind verma_act and gvm_act.  A word is an ascending
@@ -136,6 +137,11 @@ def straighten(alpha, word, base, ceiling, act, c):
     alpha + top = 0, and C acting by the scalar c.  Each swap either lowers
     the inversions at fixed length or merges two generators into one, so the
     rewriting terminates.
+
+    memo maps (alpha, word, base) to the rewritings already made; it is valid
+    for one (ceiling, act, c), so the module's action builds a fresh one per
+    call and shares it among all the straightenings of that call.  The
+    returned dicts may sit in the memo: treat them as read-only.
     """
     if alpha < ceiling:
         if not word or alpha >= word[-1]:
@@ -144,18 +150,22 @@ def straighten(alpha, word, base, ceiling, act, c):
         out = act(alpha, word, base)
         if out is not None:
             return out
+    out = memo.get((alpha, word, base))
+    if out is not None:
+        return out
     top, rest = word[-1], word[:-1]
     out = {}
-    for (w2, b2), c2 in straighten(alpha, rest, base, ceiling, act, c).items():
-        for key, c3 in straighten(top, w2, b2, ceiling, act, c).items():
-            _acc(out, key, c2 * c3)
+    for (w2, b2), c2 in straighten(alpha, rest, base, ceiling, act, c, memo).items():
+        for key, c3 in straighten(top, w2, b2, ceiling, act, c, memo).items():
+            _acc(out, key, c2 if c3 is ONE else c2 * c3)
     merged = vadd(alpha, top)
     bracket = _mu_scalar(vsub(top, alpha))
     if bracket:
-        for key, c4 in straighten(merged, rest, base, ceiling, act, c).items():
+        for key, c4 in straighten(merged, rest, base, ceiling, act, c, memo).items():
             _acc(out, key, bracket * c4)
     if not any(merged):
         _acc(out, (rest, base), eta0(alpha) * c)
+    memo[alpha, word, base] = out
     return out
 
 
@@ -179,13 +189,15 @@ def verma_act(x: AlgebraElement, v: VermaVector, lam: Scalar = LAMBDA,
         return None if word else {}
 
     acc = {}
+    memo = {}
     for key, ce in x.terms.items():
         for mono, cv in v.terms.items():
             coef = ce * cv
             if key == CENTRAL:
                 _acc(acc, mono.word, coef * c)
                 continue
-            for (word, _), cw in straighten(key, mono.word, None, zero, act, c).items():
+            for (word, _), cw in straighten(key, mono.word, None, zero, act, c,
+                                            memo).items():
                 _acc(acc, word, coef * cw)
     out = {}
     for word, coef in acc.items():
@@ -212,6 +224,10 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
     non-decreasing words.  Sums of lex-negative points are lex-negative, so a
     branch closes exactly when its remaining target reaches zero, and dies
     when the target turns lex-positive or moves out of coordinate reach.
+    Those tests live in one count of the words below a branch, memoized for
+    this call on (generator index, remaining target, letters left); the
+    search descends only into branches whose count is nonzero, so its cost
+    is in proportion to its output.
     """
     shift = tuple(shift)
     if len(shift) != n:
@@ -219,28 +235,38 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
     if lex_sign(shift) > 0:
         raise ValueError("shift must be lex-nonpositive")
     gens = _negative_generators(n, box.N)
-    out = []
 
-    def dfs(start, remaining, word):
-        if not any(remaining):
-            out.append(PBWMonomial(n, word))
-            return
-        if len(word) >= box.L:
-            return
-        if lex_sign(remaining) > 0:
-            return
-        rem = box.L - len(word)
-        if any(abs(c) > rem * box.N for c in remaining):
-            return
-        if remaining[0] > 0:
-            return
+    def branches(start, remaining):
         for idx in range(start, len(gens)):
             g = gens[idx]
             # first coordinates of generators are <= 0, so a zero first
             # coordinate of the target rules out any g with g[0] < 0
             if remaining[0] == 0 and g[0] < 0:
                 continue
-            dfs(idx, vsub(remaining, g), word + (g,))
+            yield idx, g, vsub(remaining, g)
+
+    @cache
+    def count(start, remaining, left):
+        """Words from gens[start:] of at most left letters summing to remaining."""
+        if not any(remaining):
+            return 1
+        if left == 0 or lex_sign(remaining) > 0:
+            return 0
+        if any(abs(c) > left * box.N for c in remaining):
+            return 0
+        return sum(count(idx, rest, left - 1)
+                   for idx, _, rest in branches(start, remaining))
+
+    out = []
+
+    def dfs(start, remaining, word):
+        if not any(remaining):
+            out.append(PBWMonomial(n, word))
+            return
+        left = box.L - len(word) - 1
+        for idx, g, rest in branches(start, remaining):
+            if count(idx, rest, left):
+                dfs(idx, rest, word + (g,))
 
     dfs(0, shift, ())
     return out

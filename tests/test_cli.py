@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +95,41 @@ def test_verify_cocycle_good_input(tmp_path, capsys):
     code, _ = run_cli(["verify", "cocycle", "--input", str(path), "--box", "2"],
                       capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("command", [["verify", "cocycle"], ["normalize"]])
+def test_cochain_input_rank_against_n(tmp_path, capsys, command):
+    """The rank comes from the cochain file; an n given by flag or config
+    file is checked against it, and the report echoes the file's rank."""
+    theta = str(Path(__file__).parent / "golden" / "theta_normalize.json")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 3\n")
+    for extra in (["--n", "3"], ["--config", str(cfg)]):
+        code = main(command + ["--input", theta, "--box", "2"] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "cochain points of rank 2 do not match --n 3" in captured.err
+    code, out = run_cli(command + ["--input", theta, "--box", "2", "--n", "2"],
+                        capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["n"] == 2
+    rank3 = tmp_path / "rank3.json"
+    rank3.write_text(json.dumps({"n": 3, "canonical_multiple": "1",
+                                 "coboundary": [[[1, 0, -1], "2"]], "extra": []}))
+    code, out = run_cli(command + ["--input", str(rank3), "--box", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["n"] == 3
+
+
+@pytest.mark.parametrize("suite", ["gvm", "all"])
+def test_gvm_suite_needs_rank_two(suite, capsys):
+    """The graded modules need rank 2; rank 1 is a usage error, not rank 2."""
+    code = main(["verify", suite, "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "the gvm suite needs --n >= 2" in captured.err
 
 
 @pytest.mark.parametrize("command", [["normalize"], ["verify", "cocycle"]])

@@ -212,3 +212,18 @@ def test_report_shape():
     assert data["kappa"] == [0]
     assert {"radius", "rows", "cols", "rank"} <= set(data["boxes"][0])
     assert data["bound"] == "1*3"
+
+
+def test_repeated_action_leaves_earlier_results_intact():
+    """Straightenings share their dicts within a call; no call may alter a
+    result handed out before, nor its input."""
+    terms = {mono: Scalar.from_rational(k + 1)
+             for k, mono in enumerate(level_weight_basis(2, 2, (1,), 1))}
+    v = GvmVector(2, dict(terms))
+    x = A2.e(1, 1) + A2.e(2, -1).scale(3) + A2.e(0, 2) + A2.e(-1, 0)
+    first = gvm_act(x, v, P)
+    snapshot = dict(first.terms)
+    second = gvm_act(x, v, P)
+    assert second == first
+    assert first.terms == snapshot
+    assert v.terms == terms

@@ -4,8 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from solvir.algebra import SolenoidalAlgebra, basis_element, central_element, vir_bracket
+from solvir.algebra import (
+    SolenoidalAlgebra,
+    basis_element,
+    central_element,
+    eta0,
+    lex_sign,
+    vadd,
+    vir_bracket,
+    vsub,
+)
+from solvir.density import formal_params
 from solvir.errors import BoxOverflowError, NonHomogeneousError
+from solvir.gvm import DEGREE_ZERO, embedded_form, level_weight_basis
 from solvir.scalars import CCHARGE, LAMBDA, ONE, ZERO, Scalar, mu_poly
 from solvir.verma import (
     PBWMonomial,
@@ -14,6 +25,7 @@ from solvir.verma import (
     is_singular_within_box,
     pbw_enumerate,
     singular_residuals,
+    straighten,
     vacuum,
     verma_act,
     weight_space_dim_truncated,
@@ -53,6 +65,55 @@ def brute_enumerate(n, shift, box):
     return found
 
 
+def unpruned_enumerate(n, shift, box):
+    """Reference: the depth-first search with its dead-branch tests inline."""
+    gens = sorted(p for p in itertools.product(range(-box.N, box.N + 1), repeat=n)
+                  if lex_sign(p) < 0)
+    out = []
+
+    def dfs(start, remaining, word):
+        if not any(remaining):
+            out.append(word)
+            return
+        if len(word) >= box.L:
+            return
+        if lex_sign(remaining) > 0:
+            return
+        rem = box.L - len(word)
+        if any(abs(c) > rem * box.N for c in remaining):
+            return
+        if remaining[0] > 0:
+            return
+        for idx in range(start, len(gens)):
+            g = gens[idx]
+            if remaining[0] == 0 and g[0] < 0:
+                continue
+            dfs(idx, vsub(remaining, g), word + (g,))
+
+    dfs(0, tuple(shift), ())
+    return out
+
+
+def rank2_dim_by_table(shift, N, L):
+    """Independent count: fold the generators one at a time into tables, one
+    per word length, of partial sum -> multisets.  Every letter has first
+    coordinate <= 0, so every partial sum of a word of the shift has first
+    coordinate in [shift[0], 0]."""
+    gens = [g for g in itertools.product(range(-N, N + 1), repeat=2)
+            if lex_sign(g) < 0 and g[0] >= shift[0]]
+    tables = [{} for _ in range(L + 1)]
+    tables[0][0, 0] = 1
+    for g in gens:
+        # any multiplicity of g: extend in order of increasing length
+        for length in range(L):
+            longer = tables[length + 1]
+            for s, ways in tables[length].items():
+                t = (s[0] + g[0], s[1] + g[1])
+                if t[0] >= shift[0]:
+                    longer[t] = longer.get(t, 0) + ways
+    return sum(table.get(tuple(shift), 0) for table in tables)
+
+
 def test_pbw_enumerate_vacuum():
     out = pbw_enumerate(2, (0, 0), TruncationBox(2, 3))
     assert [m.word for m in out] == [()]
@@ -84,6 +145,40 @@ def test_pbw_enumerate_matches_bruteforce():
                        ((0, -3), TruncationBox(3, 4))]:
         ours = {m.word for m in pbw_enumerate(2, shift, box)}
         assert ours == brute_enumerate(2, shift, box)
+
+
+def test_pruned_enumeration_matches_unpruned_search():
+    """Same words in the same order, empty slices included."""
+    rng = random.Random(4711)
+    cases = [(1, (0,), TruncationBox(1, 1)), (2, (0, 0), TruncationBox(2, 3)),
+             # no in-box word: targets out of coordinate reach, one needing
+             # too long a word, and one whose rest no letter of first
+             # coordinate 0 can reach
+             (2, (-1, 9), TruncationBox(2, 3)), (2, (0, -5), TruncationBox(2, 2)),
+             (1, (-5,), TruncationBox(1, 4)), (3, (0, -1, 5), TruncationBox(1, 4))]
+    for n, N, L, deepest in [(1, 5, 8, 7), (2, 2, 4, 2), (2, 3, 5, 2),
+                             (3, 1, 3, 2), (3, 2, 3, 2)]:
+        for _ in range(6):
+            head = rng.randint(-deepest, 0)
+            rest = [rng.randint(-2 * N, 2 * N) for _ in range(n - 1)]
+            shift = (head, *rest)
+            if lex_sign(shift) <= 0:
+                cases.append((n, shift, TruncationBox(N, L)))
+    empty = 0
+    for n, shift, box in cases:
+        expected = unpruned_enumerate(n, shift, box)
+        assert [m.word for m in pbw_enumerate(n, shift, box)] == expected, \
+            (n, shift, box)
+        empty += not expected
+    assert empty >= 4
+
+
+def test_rank2_dims_at_shift_minus3_match_independent_count():
+    expected = [2, 43, 187, 626, 1823, 4836, 11880]
+    table = [rank2_dim_by_table((-3, 0), N, 2 * N + 1) for N in range(1, 8)]
+    assert table == expected
+    assert [weight_space_dim_truncated(2, (-3, 0), TruncationBox(N, 2 * N + 1))
+            for N in range(1, 8)] == expected
 
 
 def test_rank1_dimensions_are_partition_numbers():
@@ -237,3 +332,102 @@ def test_pbw_monomial_str():
     m = PBWMonomial(2, [(-1, 2), (0, -1)])
     assert str(m) == "e[-1,2]*e[0,-1]*vac" or str(m) == "e[0,-1]*e[-1,2]*vac"
     assert str(PBWMonomial(2)) == "vac"
+
+
+def unmemoized_straighten(alpha, word, base, ceiling, act, c):
+    """Reference: the rewriting of verma.straighten without its memo."""
+    if alpha < ceiling:
+        if not word or alpha >= word[-1]:
+            return {(word + (alpha,), base): ONE}
+    else:
+        out = act(alpha, word, base)
+        if out is not None:
+            return out
+
+    def acc(out, key, value):
+        total = out.get(key, ZERO) + value
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+
+    top, rest = word[-1], word[:-1]
+    out = {}
+    for (w2, b2), c2 in unmemoized_straighten(alpha, rest, base, ceiling, act,
+                                              c).items():
+        for key, c3 in unmemoized_straighten(top, w2, b2, ceiling, act, c).items():
+            acc(out, key, c2 * c3)
+    merged = vadd(alpha, top)
+    bracket = mu(vsub(top, alpha))
+    if bracket:
+        for key, c4 in unmemoized_straighten(merged, rest, base, ceiling, act,
+                                             c).items():
+            acc(out, key, bracket * c4)
+    if not any(merged):
+        acc(out, (rest, base), eta0(alpha) * c)
+    return out
+
+
+def verma_hook(lam):
+    """The zero-part action of M(lam, c) in rank 2, as verma_act has it."""
+    def act(alpha, word, base):
+        if alpha == (0, 0):
+            eig = lam + mu(tuple(map(sum, zip((0, 0), *word))))
+            return {(word, base): eig} if eig else {}
+        return None if word else {}
+    return act
+
+
+def gvm_hook(p):
+    """The coefficient-module action of the rank-2 GVM, as gvm_act has it."""
+    def act(alpha, word, base):
+        if word:
+            return None
+        if alpha[0]:
+            return {}
+        coef = p.a + embedded_form(2, base) + p.b * embedded_form(2, alpha[1:])
+        return {((), vadd(base, alpha[1:])): coef} if coef else {}
+    return act
+
+
+@pytest.mark.parametrize("lam, c", [(LAMBDA, CCHARGE),
+                                    (Scalar.from_rational(Fraction(3, 2)),
+                                     Scalar.from_rational(-2))])
+def test_memoized_straighten_matches_unmemoized_on_verma_words(lam, c):
+    rng = random.Random(2024)
+    letters = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (-2, 1)]
+    act = verma_hook(lam)
+    for length in (8, 10, 12):
+        word = tuple(sorted(rng.choice(letters) for _ in range(length)))
+        for alpha in [(0, 0), (0, 1), (1, 0), (1, -1), rng.choice(letters)]:
+            expected = unmemoized_straighten(alpha, word, None, (0, 0), act, c)
+            assert straighten(alpha, word, None, (0, 0), act, c, {}) == expected, \
+                (alpha, word)
+
+
+@pytest.mark.parametrize("kappa", [0, 1])
+def test_memoized_straighten_matches_unmemoized_on_gvm_words(kappa):
+    act = gvm_hook(formal_params(1))
+    for mono in level_weight_basis(2, 2, (kappa,), 2):
+        letters = tuple((-i,) + gamma for i, gamma in mono.word)
+        for alpha in [(1, 0), (1, -2), (2, 1), (0, 1), (0, 0), (-1, 2)]:
+            expected = unmemoized_straighten(alpha, letters, mono.base, DEGREE_ZERO,
+                                             act, ZERO)
+            assert straighten(alpha, letters, mono.base, DEGREE_ZERO, act, ZERO,
+                              {}) == expected, (alpha, mono)
+
+
+def test_repeated_action_leaves_earlier_results_intact():
+    """Straightenings share their dicts within a call; no call may alter a
+    result handed out before, nor its input."""
+    rng = random.Random(55)
+    word = PBWMonomial(2, [rng.choice([(-1, -1), (-1, 0), (-1, 1), (0, -1)])
+                           for _ in range(10)])
+    v = VermaVector(2, {word: ONE, PBWMonomial(2, word.word[1:]): ONE})
+    x = A2.e(1, 0) + A2.e(0, 1).scale(2) + A2.d()
+    first = verma_act(x, v)
+    snapshot = dict(first.terms)
+    second = verma_act(x, v)
+    assert second == first
+    assert first.terms == snapshot
+    assert v.terms == {word: ONE, PBWMonomial(2, word.word[1:]): ONE}
