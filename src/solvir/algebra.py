@@ -35,8 +35,8 @@ from .scalars import (
     Polynomial,
     Scalar,
     _TokenStream,
+    _parse_factor,
     _parse_int_list,
-    _parse_scalar_expr,
     is_simple_product,
     mu_poly,
     scalar_str,
@@ -468,7 +468,7 @@ def _parse_term(ts: _TokenStream, zero: Combination, symbol: str, central):
         if central and kind == "name" and value == "c" and _ends_product(ts):
             ts.next()
             return coef, CENTRAL
-        coef = coef * _parse_scalar_factor(ts)
+        coef = coef * _parse_factor(ts)
         if ts.at_sym("*"):
             ts.next()
             continue
@@ -480,33 +480,3 @@ def _ends_product(ts: _TokenStream):
     """True when the token after the current one cannot extend the product."""
     nxt = ts.tokens[ts.i + 1] if ts.i + 1 < len(ts.tokens) else (None, None)
     return nxt != ("sym", "*") and nxt != ("sym", "^")
-
-
-def _parse_scalar_factor(ts: _TokenStream) -> Scalar:
-    kind, value = ts.peek()
-    if kind == "sym" and value == "(":
-        ts.next()
-        out = _parse_scalar_expr(ts)
-        ts.expect("sym", ")")
-        if ts.at_sym("^"):
-            ts.next()
-            out = out ** ts.expect("int")
-        return out
-    if kind == "int":
-        ts.next()
-        out = Scalar.from_rational(value)
-    elif kind == "name":
-        ts.next()
-        if value == "mu" and ts.at_sym("("):
-            ts.expect("sym", "(")
-            alpha = _parse_int_list(ts)
-            ts.expect("sym", ")")
-            out = Scalar.mu_form(alpha)
-        else:
-            out = Scalar.indeterminate(value)
-    else:
-        raise ParseError(f"unexpected token {value!r} in coefficient")
-    if ts.at_sym("^"):
-        ts.next()
-        out = out ** ts.expect("int")
-    return out

@@ -23,7 +23,7 @@ from . import __version__
 from .algebra import element_str, parse_element, vir_bracket
 from .cocycle import TwoCochain, normalize_cocycle, recognize_eta
 from .density import formal_params
-from .errors import NotACocycleError, NotNormalizableError, ParseError, SolvirError
+from .errors import NotACocycleError, ParseError, SolvirError
 from .gvm import quotient_dim_level1
 from .verification import run_suite
 from .verma import TruncationBox, weight_space_dim_truncated
@@ -259,9 +259,6 @@ def cmd_normalize(args) -> int:
         report.update(status="fail", error="not_a_cocycle",
                       failing_triple=[list(p) for p in exc.triple],
                       residual=str(exc.residual))
-    except NotNormalizableError as exc:
-        report.update(status="fail", error="not_normalizable",
-                      pair=[list(p) for p in exc.pair], value=str(exc.value))
     else:
         report.update(status="pass", shift=shift.to_records(),
                       eta=[[list(alpha), str(value)]

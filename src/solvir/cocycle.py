@@ -14,11 +14,13 @@ parameterization with three parts, each exactly evaluable at every pair:
 The normalization algorithm follows the change of basis
 e'_alpha = e_alpha + theta(0, alpha)/(mu.alpha) * c: subtracting the
 coboundary of the shift g(alpha) = theta(0, alpha)/(mu.alpha) kills every
-theta(0, .) entry, and for a genuine cocycle the shifted cochain is
-supported on the diagonal pairs (alpha, -alpha), where it defines an odd
-table eta.  Valid eta tables fit eta(alpha) = a*(mu.alpha)^3 + b*(mu.alpha);
-the class of the cocycle is measured by the coefficient a alone, which is
-invariant under adding coboundaries.
+theta(0, .) entry.  For a genuine cocycle the shifted cochain is then
+supported on the diagonal pairs (alpha, -alpha): its residual at the triple
+(alpha, beta, 0) is mu.(alpha + beta) times its value at (alpha, beta).  On
+the diagonal it defines an odd table eta.  Valid eta tables fit
+eta(alpha) = a*(mu.alpha)^3 + b*(mu.alpha); the class of the cocycle is
+measured by the coefficient a alone, which is invariant under adding
+coboundaries.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .errors import (
     BoxTooSmallError,
     NotACocycleError,
     NotCubicOddError,
-    NotNormalizableError,
     OutsideBoxError,
     ParseError,
     RankMismatchError,
@@ -343,32 +344,20 @@ class EtaTable:
         return self.values.get(alpha, ZERO)
 
 
-def check_diagonal_on_box(theta: TwoCochain, box: int):
-    """Raise NotNormalizableError at the first box pair off the diagonal where
-    theta is nonzero, in box_points x box_points order.  Off the diagonal C0
-    vanishes, df is nonzero only where the pair sum lies in the support of f,
-    and extra only at its stored pairs (p, q), p < q, and their reverses,
-    which come later in the scan with the negated value: only the stored
-    pairs and the pairs of those sums are evaluated.
-    """
-    pts = box_points(theta.n, box)
-    idx = set(pts)
-    pairs = set(theta.extra)
-    pairs.update((alpha, vsub(s, alpha)) for s in theta.cob.terms for alpha in pts)
-    for alpha, beta in sorted(pairs):
-        if alpha in idx and beta in idx and any(vadd(alpha, beta)):
-            val = theta.value(alpha, beta)
-            if val:
-                raise NotNormalizableError((alpha, beta), str(val))
-
-
 def normalize_cocycle(theta: TwoCochain, box: int):
     """Shift a cocycle into diagonal form; returns (EtaTable, shift OneCochain).
 
     Validates the cocycle condition on the box first (NotACocycleError), then
-    subtracts the coboundary of g(alpha) = theta(0, alpha)/(mu.alpha) and
-    certifies that no off-diagonal pair inside the box survives
-    (NotNormalizableError otherwise).
+    subtracts the coboundary of g(alpha) = theta(0, alpha)/(mu.alpha).  The
+    shifted cochain theta' needs no second certificate: it is diagonal on
+    the box.  The shift clears theta'(0, gamma) at every lattice point gamma
+    (each gamma where theta(0, gamma) can be nonzero is a candidate), and
+    theta' has the residual of theta, which is zero on the box.  At the box
+    triple (alpha, beta, 0) that residual is
+        mu.beta * theta'(alpha, beta) - mu.alpha * theta'(beta, alpha)
+            + mu.(beta - alpha) * theta'(0, alpha + beta)
+        = mu.(alpha + beta) * theta'(alpha, beta),
+    and mu is generic, so theta'(alpha, beta) = 0 unless beta = -alpha.
     """
     check_cocycle_on_box(theta, box)
     n = theta.n
@@ -386,7 +375,6 @@ def normalize_cocycle(theta: TwoCochain, box: int):
     shifted = TwoCochain(n, theta.canonical_multiple, theta.cob - shift,
                          dict(theta.extra))
 
-    check_diagonal_on_box(shifted, box)
     values = {}
     for alpha in box_points(n, box):
         val = shifted.value(alpha, vneg(alpha))

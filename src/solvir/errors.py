@@ -42,15 +42,6 @@ class NotACocycleError(SolvirError):
         super().__init__(f"cocycle condition fails at triple {triple}: residual {residual}")
 
 
-class NotNormalizableError(SolvirError):
-    """An off-diagonal value survived the basis shift."""
-
-    def __init__(self, pair, value):
-        self.pair = pair
-        self.value = value
-        super().__init__(f"off-diagonal value survives shift at pair {pair}: {value}")
-
-
 class NotCubicOddError(SolvirError):
     """An eta table does not fit a*(mu.alpha)^3 + b*(mu.alpha)."""
 

@@ -13,33 +13,15 @@ sparse rational systems row by row.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
-from .scalars import Polynomial, mu_poly
+from .scalars import Polynomial, _forms_product, _multiset_max, _multiset_sub
 
 
 def _clear_row(row):
-    """Multiply a Scalar row by its denominator forms; returns Polynomials."""
-    counts = {}
-    for s in row:
-        seen = {}
-        for alpha in s.forms:
-            seen[alpha] = seen.get(alpha, 0) + 1
-        for alpha, k in seen.items():
-            counts[alpha] = max(counts.get(alpha, 0), k)
-    mult = Polynomial.const(1)
-    for alpha in sorted(counts):
-        form = mu_poly(alpha)
-        for _ in range(counts[alpha]):
-            mult = mult * form
-    out = []
-    for s in row:
-        p = s.num * mult
-        for alpha in s.forms:
-            q = p.exact_div(mu_poly(alpha))
-            assert q is not None, "denominator did not divide the cleared row"
-            p = q
-        out.append(p)
-    return out
+    """Multiply a Scalar row by its common denominator forms; returns Polynomials."""
+    common = reduce(_multiset_max, (s.forms for s in row), ())
+    return [s.num * _forms_product(_multiset_sub(common, s.forms)) for s in row]
 
 
 def rank_scalar_matrix(rows) -> int:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache, reduce
+from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
 
@@ -142,27 +142,6 @@ def _var_mon(ident: int) -> int:
 
 def _mon_degree(m):
     return sum(e for _, e in m)
-
-
-def _mon_cmp(m1, m2):
-    """Graded lex on (id, exp) tuples: higher degree first, then higher power
-    at the smaller id."""
-    d1, d2 = _mon_degree(m1), _mon_degree(m2)
-    if d1 != d2:
-        return 1 if d1 > d2 else -1
-    i = j = 0
-    big = 1 << 62
-    while i < len(m1) or j < len(m2):
-        id1 = m1[i][0] if i < len(m1) else big
-        id2 = m2[j][0] if j < len(m2) else big
-        if id1 != id2:
-            return 1 if id1 < id2 else -1
-        e1, e2 = m1[i][1], m2[j][1]
-        if e1 != e2:
-            return 1 if e1 > e2 else -1
-        i += 1
-        j += 1
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -710,8 +689,10 @@ ONE = Scalar(Polynomial.const(1))
 
 
 def _sorted_terms(terms):
+    """Graded lex on (id, exp) tuples: higher degree first, then higher power
+    at the smaller id."""
     return sorted(terms.items(),
-                  key=cmp_to_key(lambda a, b: _mon_cmp(a[0], b[0])),
+                  key=lambda t: (_mon_degree(t[0]), tuple((-i, e) for i, e in t[0])),
                   reverse=True)
 
 
