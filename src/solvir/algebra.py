@@ -34,9 +34,9 @@ from .scalars import (
     ZERO,
     Polynomial,
     Scalar,
+    _parse_point,
+    _signed_terms,
     _TokenStream,
-    _parse_factor,
-    _parse_int_list,
     is_simple_product,
     mu_poly,
     scalar_str,
@@ -419,64 +419,38 @@ def _coef_str(c: Scalar) -> str:
     return s if is_simple_product(c) else f"({s})"
 
 
-def read_sign(ts: _TokenStream, sign=1) -> int:
-    """Fold any run of leading +/- tokens into a single sign."""
-    while ts.at_sym("-") or ts.at_sym("+"):
-        _, op = ts.next()
-        if op == "-":
-            sign = -sign
-    return sign
-
-
 def parse_element(text: str, n: int) -> AlgebraElement:
     """Inverse of element_str; also accepts '-' separated sums."""
     return parse_combination(text, AlgebraElement(n), "e", central=True)
 
 
 def parse_combination(text: str, zero: Combination, symbol: str, central=False):
-    """Sum of terms 'coef*symbol[...]' (and 'coef*c' when central) in zero's type."""
+    """Sum of terms 'coef*symbol[...]' (and 'coef*c' when central) in zero's
+    type, read by the scalar grammar with the basis symbol as one factor.
+
+    c is the central symbol where it ends a product, and the central charge
+    where '*' or '^' follows it.
+    """
     ts = _TokenStream(tokenize(text))
+
+    def leaf(ts):
+        tok = ts.peek()
+        if tok == ("name", symbol):
+            ts.next()
+            return zero._key(_parse_point(ts, "[", "]"))
+        if central and tok == ("name", "c") \
+                and ts.tokens[ts.i + 1:ts.i + 2] not in ([("sym", "*")], [("sym", "^")]):
+            ts.next()
+            return CENTRAL
+        return None
+
     terms = {}
-    sign = read_sign(ts)
-    while True:
-        coef, key = _parse_term(ts, zero, symbol, central)
+    for coef, key in _signed_terms(ts, leaf):
         if key is not None:
-            _acc(terms, key, -coef if sign < 0 else coef)
-        if ts.done():
-            return zero._like(terms)
-        kind, op = ts.next()
-        if kind != "sym" or op not in "+-":
-            raise ParseError(f"unexpected token {op!r} in {type(zero).__name__}")
-        sign = read_sign(ts, -1 if op == "-" else 1)
-
-
-def _parse_term(ts: _TokenStream, zero: Combination, symbol: str, central):
-    """One product; returns (Scalar, key) with key None for a literal 0."""
-    kind, value = ts.peek()
-    if kind == "int" and value == 0:
-        ts.next()
-        return ONE, None
-    coef = ONE
-    while True:
-        kind, value = ts.peek()
-        if kind == "name" and value == symbol:
-            ts.next()
-            ts.expect("sym", "[")
-            point = _parse_int_list(ts)
-            ts.expect("sym", "]")
-            return coef, zero._key(point)
-        if central and kind == "name" and value == "c" and _ends_product(ts):
-            ts.next()
-            return coef, CENTRAL
-        coef = coef * _parse_factor(ts)
-        if ts.at_sym("*"):
-            ts.next()
-            continue
-        raise ParseError(f"term lacks a basis symbol {symbol}[...]"
-                         + (" or c" if central else ""))
-
-
-def _ends_product(ts: _TokenStream):
-    """True when the token after the current one cannot extend the product."""
-    nxt = ts.tokens[ts.i + 1] if ts.i + 1 < len(ts.tokens) else (None, None)
-    return nxt != ("sym", "*") and nxt != ("sym", "^")
+            _acc(terms, key, coef)
+        elif coef:
+            raise ParseError(f"term lacks a basis symbol {symbol}[...]"
+                             + (" or c" if central else ""))
+    if not ts.done():
+        raise ParseError(f"unexpected token {ts.peek()[1]!r} in {type(zero).__name__}")
+    return zero._like(terms)

@@ -23,7 +23,7 @@ from . import __version__
 from .algebra import element_str, parse_element, vir_bracket
 from .cocycle import TwoCochain, normalize_cocycle, recognize_eta
 from .density import formal_params
-from .errors import NotACocycleError, ParseError, SolvirError
+from .errors import BoxTooSmallError, NotACocycleError, ParseError, SolvirError
 from .gvm import quotient_dim_level1
 from .verification import run_suite
 from .verma import TruncationBox, weight_space_dim_truncated
@@ -358,6 +358,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ParseError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BoxTooSmallError as exc:
+        print(f"error: --box too small: {exc}", file=sys.stderr)
         return 2
     except SolvirError as exc:
         print(f"verification error: {exc}", file=sys.stderr)

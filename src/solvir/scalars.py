@@ -704,13 +704,9 @@ def _mon_str(m):
     return "*".join(parts)
 
 
-def poly_str(poly: Polynomial, int_coeffs=None) -> str:
-    """Render a polynomial; terms in graded-lex descending order.
-
-    ``int_coeffs`` is an (id, exp)-tuple keyed dict from ``_int_normalized``;
-    without it the polynomial's own rational coefficients are written.
-    """
-    terms = int_coeffs if int_coeffs is not None else dict(poly.terms())
+def poly_str(poly: Polynomial) -> str:
+    """Render a polynomial; terms in graded-lex descending order."""
+    terms = dict(poly.terms())
     if not terms:
         return "0"
     pieces = []
@@ -731,15 +727,6 @@ def poly_str(poly: Polynomial, int_coeffs=None) -> str:
     return out
 
 
-def _int_normalized(poly: Polynomial):
-    """Integer coefficients keyed by (id, exp) tuples, and the denominator.
-
-    Canonical form keeps gcd(content, d) = 1, so d is already the lcm of the
-    reduced coefficient denominators.
-    """
-    return {_unpack(m): c for m, c in poly.t.items()}, poly.d
-
-
 def form_token(alpha, mult=1) -> str:
     body = "mu(" + ",".join(str(c) for c in alpha) + ")"
     return body if mult == 1 else f"{body}^{mult}"
@@ -749,11 +736,12 @@ def scalar_str(s: Scalar) -> str:
     """Canonical string; integer-content denominator, sorted form tokens."""
     if not s.num.t:
         return "0"
-    ints, den_int = _int_normalized(s.num)
-    num_str = poly_str(s.num, ints)
+    # canonical form keeps gcd(content, d) = 1: the numerator is written
+    # with its integer coefficients t, and d leads the denominator
+    num_str = poly_str(Polynomial(s.num.t))
     factors = []
-    if den_int != 1:
-        factors.append(str(den_int))
+    if s.num.d != 1:
+        factors.append(str(s.num.d))
     counts = {}
     for alpha in s.forms:
         counts[alpha] = counts.get(alpha, 0) + 1
@@ -761,7 +749,7 @@ def scalar_str(s: Scalar) -> str:
         factors.append(form_token(alpha, counts[alpha]))
     if not factors:
         return num_str
-    if len(ints) > 1:
+    if len(s.num.t) > 1:
         num_str = f"({num_str})"
     den_str = factors[0] if len(factors) == 1 else "(" + "*".join(factors) + ")"
     return f"{num_str}/{den_str}"
@@ -827,7 +815,9 @@ class _TokenStream:
         return self.i >= len(self.tokens)
 
 
-def _parse_int_list(ts: _TokenStream):
+def _parse_point(ts: _TokenStream, open_sym, close_sym):
+    """A bracketed list of signed ints, such as (1,-2) or [0,3]."""
+    ts.expect("sym", open_sym)
     coords = []
     while True:
         sign = 1
@@ -835,83 +825,49 @@ def _parse_int_list(ts: _TokenStream):
             ts.next()
             sign = -1
         coords.append(sign * ts.expect("int"))
-        if ts.at_sym(","):
-            ts.next()
-            continue
-        return tuple(coords)
-
-
-def _parse_den_factor(ts: _TokenStream):
-    """One denominator factor: integer or mu(alpha), optionally powered."""
-    kind, value = ts.peek()
-    if kind == "int":
+        if not ts.at_sym(","):
+            ts.expect("sym", close_sym)
+            return tuple(coords)
         ts.next()
-        rat, alpha = Fraction(value), None
-    elif kind == "name" and value == "mu":
-        ts.next()
-        ts.expect("sym", "(")
-        alpha = _parse_int_list(ts)
-        ts.expect("sym", ")")
-        rat = Fraction(1)
-    else:
-        raise ParseError(f"bad denominator factor near {value!r}")
-    mult = 1
-    if ts.at_sym("^"):
-        ts.next()
-        mult = ts.expect("int")
-    if alpha is None:
-        return rat ** mult, ()
-    return rat, (alpha,) * mult
 
 
-def _parse_denominator(ts: _TokenStream):
-    """Denominator: single factor or parenthesized product of factors."""
-    rat = Fraction(1)
-    alphas = []
+def _parse_divisor(ts: _TokenStream) -> Scalar:
+    """divisor := (int | mu(alpha)) ["^" k] | "(" divisor ("*" divisor)* ")",
+    returned as its reciprocal."""
     if ts.at_sym("("):
         ts.next()
-        while True:
-            r, forms = _parse_den_factor(ts)
-            rat *= r
-            alphas.extend(forms)
-            if ts.at_sym("*"):
-                ts.next()
-                continue
-            break
+        out = _parse_divisor(ts)
+        while ts.at_sym("*"):
+            ts.next()
+            out = out * _parse_divisor(ts)
         ts.expect("sym", ")")
+        return out
+    kind, value = ts.next()
+    if kind == "int":
+        if not value:
+            raise ParseError("zero denominator")
+        out = Scalar.from_rational(Fraction(1, value))
+    elif (kind, value) == ("name", "mu"):
+        out = ONE.div_form(_parse_point(ts, "(", ")"))
     else:
-        r, forms = _parse_den_factor(ts)
-        rat *= r
-        alphas.extend(forms)
-    return rat, alphas
-
-
-def _div_scalar(num: Scalar, rat: Fraction, alphas) -> Scalar:
-    if rat == 0:
-        raise ParseError("zero denominator")
-    out = num * Scalar.from_rational(Fraction(1) / rat)
-    for alpha in alphas:
-        out = out.div_form(alpha)
+        raise ParseError(f"bad denominator factor near {value!r}")
+    if ts.at_sym("^"):
+        ts.next()
+        out = out ** ts.expect("int")
     return out
 
 
 def _parse_factor(ts: _TokenStream) -> Scalar:
-    kind, value = ts.peek()
+    kind, value = ts.next()
     if kind == "int":
-        ts.next()
         out = Scalar.from_rational(value)
     elif kind == "name":
-        ts.next()
         if value == "mu" and ts.at_sym("("):
-            ts.expect("sym", "(")
-            alpha = _parse_int_list(ts)
-            ts.expect("sym", ")")
-            out = Scalar.mu_form(alpha)
+            out = Scalar.mu_form(_parse_point(ts, "(", ")"))
         else:
             out = Scalar.indeterminate(value)
-    elif kind == "sym" and value == "(":
-        ts.next()
-        out = _parse_scalar_expr(ts)
+    elif (kind, value) == ("sym", "("):
+        out = _parse_sum(ts)
         ts.expect("sym", ")")
     else:
         raise ParseError(f"unexpected token {value!r}")
@@ -921,38 +877,55 @@ def _parse_factor(ts: _TokenStream) -> Scalar:
     return out
 
 
-def _parse_term(ts: _TokenStream) -> Scalar:
-    out = _parse_factor(ts)
-    while ts.at_sym("*"):
+def _parse_term(ts: _TokenStream, leaf=None):
+    """term := factor (("*" factor) | ("/" divisor))*, so "/" divides the
+    product before it and never a sum.
+
+    ``leaf(ts)`` may read a basis symbol in place of a factor and return its
+    key; a term holds at most one.  Returns (Scalar, key), key None when no
+    basis symbol was read.
+    """
+    coef, key = ONE, None
+    while True:
+        k = leaf(ts) if leaf else None
+        if k is None:
+            coef = coef * _parse_factor(ts)
+        elif key is None:
+            key = k
+        else:
+            raise ParseError("two basis symbols in one term")
+        while ts.at_sym("/"):
+            ts.next()
+            coef = coef * _parse_divisor(ts)
+        if not ts.at_sym("*"):
+            return coef, key
         ts.next()
-        out = out * _parse_factor(ts)
-    return out
 
 
-def _parse_scalar_expr(ts: _TokenStream) -> Scalar:
-    negate = False
-    if ts.at_sym("-"):
-        ts.next()
-        negate = True
-    elif ts.at_sym("+"):
-        ts.next()
-    out = _parse_term(ts)
-    if negate:
-        out = -out
-    while ts.at_sym("+") or ts.at_sym("-"):
-        _, op = ts.next()
-        term = _parse_term(ts)
-        out = out + (term if op == "+" else -term)
-    if ts.at_sym("/"):
-        ts.next()
-        rat, alphas = _parse_denominator(ts)
-        out = _div_scalar(out, rat, alphas)
+def _signed_terms(ts: _TokenStream, leaf=None):
+    """sum := sign* term (("+"|"-") sign* term)*, as a list of (Scalar, key)
+    pairs with each run of signs folded into its term."""
+    terms = []
+    while True:
+        negate = False
+        while ts.at_sym("+") or ts.at_sym("-"):
+            negate ^= ts.next()[1] == "-"
+        coef, key = _parse_term(ts, leaf)
+        terms.append((-coef if negate else coef, key))
+        if not (ts.at_sym("+") or ts.at_sym("-")):
+            return terms
+
+
+def _parse_sum(ts: _TokenStream) -> Scalar:
+    out = ZERO
+    for coef, _ in _signed_terms(ts):
+        out = out + coef
     return out
 
 
 def parse_scalar(text: str) -> Scalar:
     ts = _TokenStream(tokenize(text))
-    out = _parse_scalar_expr(ts)
+    out = _parse_sum(ts)
     if not ts.done():
         raise ParseError(f"trailing input after scalar: {text!r}")
     return out

@@ -287,14 +287,14 @@ def test_criterion_09_subalgebra_cocycle():
     assert announce(9, "axis subalgebras carry (mu_i/12, -1/(12 mu_i))", ok)
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, solvir_env):
     outputs = []
     for tag, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
         out = tmp_path / f"{tag}.json"
         result = subprocess.run(
             [sys.executable, "-m", "solvir.cli", "verify", "all",
              "--seed", "42", "--jobs", jobs, "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=solvir_env)
         assert result.returncode == 0, result.stderr
         outputs.append(out.read_bytes())
     ok = outputs[0] == outputs[1] == outputs[2]

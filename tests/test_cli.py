@@ -188,6 +188,37 @@ def test_normalize_command(tmp_path, capsys):
     assert [[1, 0], "3"] in report["shift"]
 
 
+def test_normalize_reads_slash_as_binding_to_its_factor(tmp_path, capsys):
+    """A coboundary value mu1 + 1/2 is mu1 + (1/2), never (mu1 + 1)/2."""
+    reports = []
+    for value in ("mu1 + 1/2", "(2*mu1+1)/2", "(mu1+1)/2"):
+        data = {"n": 2, "canonical_multiple": "1",
+                "coboundary": [[[1, 0], value]], "extra": []}
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli(["normalize", "--input", str(path), "--box", "2"],
+                            capsys)
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert reports[0] != reports[2]
+
+
+@pytest.mark.parametrize("command", [["verify", "cocycle"], ["verify", "all"],
+                                     ["normalize"]])
+def test_box_below_minimum_is_usage_error(capsys, command):
+    """recognize_eta needs radius 2; --box 1 is bad input and writes no report."""
+    if command == ["normalize"]:
+        command = command + ["--input", str(Path(__file__).parent / "golden"
+                                             / "theta_normalize.json")]
+    code = main(command + ["--box", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--box too small" in captured.err
+    assert "box >= 2" in captured.err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 2\nbox = 2\nseed = 5\nspec = mu1=3\n# comment\n")
@@ -288,11 +319,11 @@ def test_determinism_same_seed(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-def test_console_entry_point_subprocess(tmp_path):
+def test_console_entry_point_subprocess(tmp_path, solvir_env):
     out_file = tmp_path / "r.json"
     result = subprocess.run(
         [sys.executable, "-m", "solvir.cli", "verify", "verma",
          "--seed", "3", "--out", str(out_file)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=solvir_env)
     assert result.returncode == 0
     assert json.loads(out_file.read_text())["status"] == "pass"

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from solvir.algebra import parse_element
 from solvir.errors import (
     DenominatorVanishesError,
     MissingAssignmentError,
+    ParseError,
     ZeroFormError,
 )
 from solvir.scalars import (
+    A,
     ONE,
     ZERO,
     Polynomial,
@@ -187,3 +190,25 @@ def test_polynomial_exact_division():
     assert p.exact_div(mu_poly((1, 1))) == mu_poly((1, -1))
     assert p.exact_div(mu_poly((1, 0))) is None
     assert Polynomial().exact_div(mu_poly((1, 0))) == Polynomial()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("a + 1/2", A + Fraction(1, 2)),
+    ("1/2 + a", A + Fraction(1, 2)),
+    ("a - 1/mu(1,0)", A - ONE.div_form((1, 0))),
+    ("2/3*a", A * Fraction(2, 3)),
+    ("-mu1/2", Scalar.indeterminate("mu1") * Fraction(-1, 2)),
+])
+def test_slash_binds_to_its_factor(text, expected):
+    assert parse_scalar(text) == expected
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_scalar, "a/b"),
+    (parse_scalar, "1/0"),
+    (parse_scalar, "a/"),
+    (lambda text: parse_element(text, 2), "e[1,0]*e[0,1]"),
+])
+def test_malformed_text_raises_parse_error(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)

@@ -24,7 +24,7 @@ from solvir.cocycle import (
     triples_with_sum,
 )
 from solvir.scalars import ZERO, Scalar
-from solvir.verification import scan_triples, suite_cocycle, suite_jacobi
+from solvir.verification import run_suite, scan_triples, suite_cocycle, suite_jacobi
 
 
 def _honest(triples, residual):
@@ -217,3 +217,13 @@ def test_random_checks_keep_their_bytes(monkeypatch, suite, n, box):
         monkeypatch.setattr(ver, name, lambda n, box, honest=honest, z=zero_sum:
                             ver.ScanResult(*honest(n, box, z), 0))
     assert _without_evaluated(engine) == _without_evaluated(suite(n, box, 5, **kwargs))
+
+
+def test_cocycle_suite_passes_at_rank_one_radius_two():
+    """At rank 1 the H^2 rank experiment needs radius 3 to pin the kernel;
+    the suite runs it there, so a radius-2 run has no false failure."""
+    checks = run_suite("cocycle", 1, 2, 0)
+    assert [c["id"] for c in checks if c["status"] != "pass"] == []
+    h2 = next(c for c in checks if c["id"] == "cocycle/n=1/h2_quotient_dim")
+    assert h2["details"] == {"cocycle_space_dim": 2, "coboundary_space_dim": 1,
+                             "quotient_dim": 1}
