@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import product
 
 from .errors import (
     AxisOutOfRangeError,
@@ -65,6 +66,12 @@ def vneg(a):
     return tuple(-x for x in a)
 
 
+def box_points(n: int, radius: int):
+    """All lattice points of rank n with coordinates in [-radius, radius],
+    in lex order."""
+    return list(product(range(-radius, radius + 1), repeat=n))
+
+
 def vsum(points, start):
     """start plus the sum of the points."""
     for p in points:
@@ -100,7 +107,8 @@ def eta0(alpha) -> Scalar:
 
 @lru_cache(maxsize=None)
 def _mu_scalar(alpha) -> Scalar:
-    return Scalar(mu_poly(alpha))
+    """The form mu.alpha as a Scalar, cached per lattice point."""
+    return Scalar.mu_form(alpha)
 
 
 # --------------------------------------------------------------------------

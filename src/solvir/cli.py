@@ -226,26 +226,24 @@ def cmd_dims(args) -> int:
         }
         emit(report, cfg.out)
         return 0
-    if args.target == "gvm":
-        if cfg.n < 2:
-            print("dims gvm needs rank n >= 2", file=sys.stderr)
-            return 2
-        kappa_text = args.kappa or "0"
-        kappa = tuple(int(t) for t in kappa_text.split(","))
-        if len(kappa) == 1 and cfg.n > 2:
-            kappa = kappa * (cfg.n - 1)
-        if len(kappa) != cfg.n - 1:
-            print(f"kappa {kappa} does not match rank {cfg.n}", file=sys.stderr)
-            return 2
-        boxes = cfg.boxes or [1, 2, 3, 4]
-        result = quotient_dim_level1(cfg.n, kappa, formal_params(cfg.n - 1), boxes)
-        report = {"command": "dims gvm", "version": __version__,
-                  "config": cfg.echo()}
-        report.update(result.as_dict())
-        emit(report, cfg.out)
-        return 0
-    print(f"unknown dims target {args.target!r}", file=sys.stderr)
-    return 2
+    # argparse admits only the targets "verma" and "gvm"
+    if cfg.n < 2:
+        print("dims gvm needs rank n >= 2", file=sys.stderr)
+        return 2
+    kappa_text = args.kappa or "0"
+    kappa = tuple(int(t) for t in kappa_text.split(","))
+    if len(kappa) == 1 and cfg.n > 2:
+        kappa = kappa * (cfg.n - 1)
+    if len(kappa) != cfg.n - 1:
+        print(f"kappa {kappa} does not match rank {cfg.n}", file=sys.stderr)
+        return 2
+    boxes = cfg.boxes or [1, 2, 3, 4]
+    result = quotient_dim_level1(cfg.n, kappa, formal_params(cfg.n - 1), boxes)
+    report = {"command": "dims gvm", "version": __version__,
+              "config": cfg.echo()}
+    report.update(result.as_dict())
+    emit(report, cfg.out)
+    return 0
 
 
 def cmd_normalize(args) -> int:

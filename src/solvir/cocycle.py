@@ -28,13 +28,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import product
 
 from .algebra import (
     Combination,
     _acc,
     _mu_scalar,
     as_scalar,
+    box_points,
     eta0,
     lex_compare,
     point_str,
@@ -60,11 +60,6 @@ def canonical_cocycle(alpha, beta) -> Scalar:
     if any(a + b for a, b in zip(alpha, beta)):
         return ZERO
     return eta0(tuple(alpha))
-
-
-def box_points(n: int, radius: int):
-    """All lattice points of rank n with coordinates in [-radius, radius]."""
-    return [tuple(p) for p in product(range(-radius, radius + 1), repeat=n)]
 
 
 def triples_with_sum(pts, total):
@@ -397,9 +392,9 @@ def recognize_eta(eta: EtaTable):
     eta2 = eta.value(two_eps)
     sixth = Scalar.from_rational(Fraction(1, 6))
     a = ((eta2 - eta1 - eta1) * sixth).div_form(eps).div_form(eps).div_form(eps)
-    b = (eta1 - a * (Scalar.mu_form(eps) ** 3)).div_form(eps)
+    b = (eta1 - a * (_mu_scalar(eps) ** 3)).div_form(eps)
     for alpha in box_points(eta.n, eta.box):
-        x = Scalar(mu_poly(alpha))
+        x = _mu_scalar(alpha)
         if eta.value(alpha) != a * x * x * x + b * x:
             raise NotCubicOddError(f"table value at {alpha} off the cubic fit")
     return a, b
@@ -408,8 +403,7 @@ def recognize_eta(eta: EtaTable):
 def full_equation_residual(eta: EtaTable, alpha, beta) -> Scalar:
     """2x*eta(x) - 2y*eta(y) - (x-y)*eta(x+y) - (x+y)*eta(x-y) at lattice points."""
     alpha, beta = tuple(alpha), tuple(beta)
-    x = Scalar(mu_poly(alpha))
-    y = Scalar(mu_poly(beta))
+    x, y = _mu_scalar(alpha), _mu_scalar(beta)
     return (x * eta.value(alpha) * 2 - y * eta.value(beta) * 2
             - (x - y) * eta.value(vadd(alpha, beta))
             - (x + y) * eta.value(vsub(alpha, beta)))
@@ -444,24 +438,10 @@ def solve_functional_equation(degree_bound: int) -> FunctionalEquationSolution:
 
 
 class H2Report:
-    def __init__(self, cocycle_space_dim, coboundary_space_dim, box,
-                 degree_bound, equations):
+    def __init__(self, cocycle_space_dim, coboundary_space_dim):
         self.cocycle_space_dim = cocycle_space_dim
         self.coboundary_space_dim = coboundary_space_dim
         self.quotient_dim = cocycle_space_dim - coboundary_space_dim
-        self.box = box
-        self.degree_bound = degree_bound
-        self.equations = equations
-
-    def as_dict(self):
-        return {
-            "cocycle_space_dim": self.cocycle_space_dim,
-            "coboundary_space_dim": self.coboundary_space_dim,
-            "quotient_dim": self.quotient_dim,
-            "box": self.box,
-            "degree_bound": self.degree_bound,
-            "equations": self.equations,
-        }
 
 
 def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
@@ -481,14 +461,12 @@ def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
         raise BoxTooSmallError("h2_rank_experiment needs box >= 2")
     ncoef = degree_bound + 1
     ech = RationalEchelon(ncoef)
-    equations = 0
 
     # skewness: eta must be odd
     for k in range(0, ncoef, 2):
         row = [Fraction(0)] * ncoef
         row[k] = Fraction(2)
         ech.add_row(row)
-        equations += 1
 
     x_direction = [Fraction(0)] * ncoef
     if ncoef > 1:
@@ -508,12 +486,7 @@ def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
         return cached
 
     max_rank = ncoef - 2 if degree_bound >= 3 else ncoef
-    seen = set()
     for alpha, beta, kappa in triples_with_sum(pts, (0,) * n):
-        key = tuple(sorted((alpha, beta, kappa)))
-        if key in seen:
-            continue
-        seen.add(key)
         u = [mu_poly(vsub(beta, kappa)), mu_poly(vsub(kappa, alpha)),
              mu_poly(vsub(alpha, beta))]
         xs = [pows(alpha), pows(beta), pows(kappa)]
@@ -530,15 +503,12 @@ def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
                 row[k] += coef
         for mon in sorted(per_mon, key=lambda m: (len(m), m)):
             row = per_mon[mon]
-            if not any(row):
-                continue
             assert sum(c * v for c, v in zip(row, x_direction)) == 0, \
                 "x direction must solve every cocycle equation"
-            equations += 1
             ech.add_row(row)
         if ech.rank >= max_rank:
             break
 
     cocycle_dim = ncoef - ech.rank
     cob_dim = 1 if ncoef > 1 else 0
-    return H2Report(cocycle_dim, cob_dim, box, degree_bound, equations)
+    return H2Report(cocycle_dim, cob_dim)

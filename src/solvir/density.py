@@ -27,8 +27,10 @@ from .algebra import (
     AlgebraElement,
     Combination,
     _acc,
+    _mu_scalar,
     as_scalar,
     basis_element,
+    box_points,
     parse_combination,
     point_str,
     vadd,
@@ -36,16 +38,8 @@ from .algebra import (
     vsub,
     vir_bracket,
 )
-from .cocycle import box_points
 from .errors import RankMismatchError, WrongCaseError
-from .scalars import (
-    A,
-    B,
-    ONE,
-    ZERO,
-    Scalar,
-    mu_poly,
-)
+from .scalars import A, B, ONE, ZERO, Scalar
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ class DensityParams:
             tag = tuple(self.a_lattice_tag)
             if len(tag) != self.n:
                 raise RankMismatchError(f"tag {tag} in rank-{self.n} params")
-            if Scalar(mu_poly(tag)) != self.a:
+            if _mu_scalar(tag) != self.a:
                 raise ValueError("lattice tag does not match the a parameter")
             object.__setattr__(self, "a_lattice_tag", tag)
 
@@ -74,7 +68,7 @@ def formal_params(n: int) -> DensityParams:
 def lattice_params(n: int, gamma, b) -> DensityParams:
     gamma = tuple(gamma)
     b = as_scalar(b)
-    return DensityParams(n, Scalar(mu_poly(gamma)), b, gamma)
+    return DensityParams(n, _mu_scalar(gamma), b, gamma)
 
 
 class DensityVector(Combination):
@@ -96,7 +90,7 @@ def parse_density_vector(text: str, n: int) -> DensityVector:
 
 def act_coefficient(alpha, beta, p: DensityParams) -> Scalar:
     """mu.beta + a + (mu.alpha) b."""
-    return Scalar(mu_poly(beta)) + p.a + Scalar(mu_poly(alpha)) * p.b
+    return _mu_scalar(beta) + p.a + _mu_scalar(alpha) * p.b
 
 
 def density_act(x: AlgebraElement, v: DensityVector, p: DensityParams) -> DensityVector:
@@ -128,9 +122,6 @@ REDUCIBLE_CODIM_ONE = "reducible_codim_one"
 class Classification:
     case: str
     witness: Optional[dict]
-
-    def as_dict(self):
-        return {"case": self.case, "witness": self.witness}
 
 
 def _lattice_membership(p: DensityParams):
@@ -164,10 +155,6 @@ class SubmoduleReport:
     checks: list
     ok: bool
 
-    def as_dict(self):
-        return {"case": self.case, "box": self.box, "ok": self.ok,
-                "checks": [{"id": cid, "ok": cok} for cid, cok in self.checks]}
-
 
 def submodule_invariance_check(p: DensityParams, box: int) -> SubmoduleReport:
     """Certify the exceptional submodule structure inside a box.
@@ -185,43 +172,23 @@ def submodule_invariance_check(p: DensityParams, box: int) -> SubmoduleReport:
     n = p.n
     shifted = DensityParams(n, ZERO, p.b)
     pts = box_points(n, box)
-    checks = []
+    zero = (0,) * n
+    nonzero = [kappa for kappa in pts if any(kappa)]
 
     if cls.case == REDUCIBLE_TRIVIAL_SUB:
-        ok_line = True
-        for alpha in pts:
-            if density_act(basis_element(n, alpha), basis_vector(n, (0,) * n), shifted):
-                ok_line = False
-        checks.append(("invariant_line_v0", ok_line))
-        ok_reach = True
-        for kappa in pts:
-            if not any(kappa):
-                continue
-            for target in pts:
-                coef = act_coefficient(vsub(target, kappa), kappa, shifted)
-                if coef.is_zero():
-                    ok_reach = False
-        checks.append(("v_kappa_reaches_box", ok_reach))
+        checks = [("invariant_line_v0", not any(
+            density_act(basis_element(n, alpha), basis_vector(n, zero), shifted)
+            for alpha in pts))]
+        reach_id, targets = "v_kappa_reaches_box", pts
     else:
-        ok_cancel = True
-        for alpha in pts:
-            if not any(alpha):
-                continue
-            image = density_act(basis_element(n, alpha), basis_vector(n, vneg(alpha)), shifted)
-            if image.coefficient((0,) * n):
-                ok_cancel = False
-        checks.append(("v0_coefficient_cancels", ok_cancel))
-        ok_reach = True
-        for kappa in pts:
-            if not any(kappa):
-                continue
-            for target in pts:
-                if not any(target):
-                    continue
-                coef = act_coefficient(vsub(target, kappa), kappa, shifted)
-                if coef.is_zero():
-                    ok_reach = False
-        checks.append(("codim_one_part_reaches_box", ok_reach))
+        checks = [("v0_coefficient_cancels", not any(
+            density_act(basis_element(n, alpha), basis_vector(n, vneg(alpha)),
+                        shifted).coefficient(zero)
+            for alpha in nonzero))]
+        reach_id, targets = "codim_one_part_reaches_box", nonzero
+    checks.append((reach_id, all(
+        act_coefficient(vsub(target, kappa), kappa, shifted)
+        for kappa in nonzero for target in targets)))
 
     ok = all(c for _, c in checks)
     return SubmoduleReport(cls.case, box, checks, ok)
@@ -235,6 +202,6 @@ def duality_check(p: DensityParams, alpha, gamma) -> Scalar:
     T(-a, 1-b) coefficient mu.(-gamma) - a + (mu.alpha)(1-b) must give zero.
     """
     alpha, gamma = tuple(alpha), tuple(gamma)
-    lhs = -(Scalar(mu_poly(vsub(gamma, alpha))) + p.a + Scalar(mu_poly(alpha)) * p.b)
-    rhs = Scalar(mu_poly(vneg(gamma))) - p.a + Scalar(mu_poly(alpha)) * (ONE - p.b)
+    lhs = -(_mu_scalar(vsub(gamma, alpha)) + p.a + _mu_scalar(alpha) * p.b)
+    rhs = _mu_scalar(vneg(gamma)) - p.a + _mu_scalar(alpha) * (ONE - p.b)
     return lhs - rhs

@@ -34,14 +34,15 @@ the flag is evidence, not proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .algebra import (
     CENTRAL,
     AlgebraElement,
     Combination,
     _acc,
+    _mu_scalar,
     basis_element,
+    box_points,
     point_str,
     vadd,
     vsub,
@@ -50,7 +51,7 @@ from .algebra import (
 from .density import DensityParams
 from .errors import NotFormalParamsError, RankMismatchError
 from .linalg import rank_scalar_matrix
-from .scalars import A, B, ONE, ZERO, Scalar, mu_poly
+from .scalars import A, B, ONE, ZERO, Scalar
 from .verma import straighten
 
 
@@ -66,7 +67,7 @@ def grade_of(x: AlgebraElement):
 
 def embedded_form(n: int, gamma) -> Scalar:
     """mu'.gamma as a rank-n scalar, i.e. mu.(0, gamma)."""
-    return Scalar(mu_poly((0,) + tuple(gamma)))
+    return _mu_scalar((0,) + tuple(gamma))
 
 
 def _pair_key(pair):
@@ -181,7 +182,7 @@ def level_weight_basis(n: int, level: int, kappa, box: int):
     if level < 1:
         raise ValueError("level must be >= 1")
     kappa = tuple(kappa)
-    gammas = [tuple(g) for g in product(range(-box, box + 1), repeat=n - 1)]
+    gammas = box_points(n - 1, box)
     out = []
 
     def words(level_left, word):
@@ -236,10 +237,8 @@ def quotient_dim_level1(n: int, kappa, p: DensityParams, boxes) -> QuotientRankR
     ranks = []
     for box in sorted(boxes):
         columns = level_weight_basis(n, 1, kappa, box)
-        raisings = [tuple(g) for g in product(range(-box, box + 1), repeat=n - 1)]
-        raisings.sort()
         matrix = []
-        for gamma_r in raisings:
+        for gamma_r in box_points(n - 1, box):
             raiser = basis_element(n, (1,) + gamma_r)
             target = GvmMonomial(n, (), vadd(kappa, gamma_r))
             row = []

@@ -416,13 +416,9 @@ def normalize_form(alpha):
         g = gcd(g, abs(coord))
     if g == 0:
         raise ZeroFormError(f"form requested for zero lattice point {alpha}")
-    prim = tuple(coord // g for coord in alpha)
-    for coord in prim:
-        if coord > 0:
-            return prim, g
-        if coord < 0:
-            return tuple(-c for c in prim), -g
-    raise ZeroFormError(f"form requested for zero lattice point {alpha}")
+    if next(coord for coord in alpha if coord) < 0:
+        g = -g
+    return tuple(coord // g for coord in alpha), g
 
 
 # --------------------------------------------------------------------------
@@ -629,17 +625,15 @@ def _assignment_ids(assignment):
 
 
 def _cancel(num: Polynomial, forms):
-    """Cancel every stored form that exactly divides the numerator."""
+    """Cancel every stored form that exactly divides the nonzero numerator;
+    an exact quotient of nonzero polynomials is nonzero."""
     remaining = []
     for alpha in forms:
-        if num.t:
-            q = num.exact_div(mu_poly(alpha))
-            if q is not None:
-                num = q
-                continue
-        remaining.append(alpha)
-    if not num.t:
-        return num, ()
+        q = num.exact_div(mu_poly(alpha))
+        if q is None:
+            remaining.append(alpha)
+        else:
+            num = q
     return num, tuple(remaining)
 
 
@@ -831,6 +825,17 @@ def _parse_point(ts: _TokenStream, open_sym, close_sym):
         ts.next()
 
 
+def _parse_power(ts: _TokenStream, out: Scalar) -> Scalar:
+    """out, raised to the power k of an optional "^" k."""
+    if not ts.at_sym("^"):
+        return out
+    ts.next()
+    k = ts.expect("int")
+    if k > MAX_EXPONENT:
+        raise ParseError(f"exponent {k} past {MAX_EXPONENT}")
+    return out ** k
+
+
 def _parse_divisor(ts: _TokenStream) -> Scalar:
     """divisor := (int | mu(alpha)) ["^" k] | "(" divisor ("*" divisor)* ")",
     returned as its reciprocal."""
@@ -848,13 +853,13 @@ def _parse_divisor(ts: _TokenStream) -> Scalar:
             raise ParseError("zero denominator")
         out = Scalar.from_rational(Fraction(1, value))
     elif (kind, value) == ("name", "mu"):
-        out = ONE.div_form(_parse_point(ts, "(", ")"))
+        alpha = _parse_point(ts, "(", ")")
+        if not any(alpha):
+            raise ParseError(f"zero form {form_token(alpha)} in a denominator")
+        out = ONE.div_form(alpha)
     else:
         raise ParseError(f"bad denominator factor near {value!r}")
-    if ts.at_sym("^"):
-        ts.next()
-        out = out ** ts.expect("int")
-    return out
+    return _parse_power(ts, out)
 
 
 def _parse_factor(ts: _TokenStream) -> Scalar:
@@ -871,10 +876,7 @@ def _parse_factor(ts: _TokenStream) -> Scalar:
         ts.expect("sym", ")")
     else:
         raise ParseError(f"unexpected token {value!r}")
-    if ts.at_sym("^"):
-        ts.next()
-        out = out ** ts.expect("int")
-    return out
+    return _parse_power(ts, out)
 
 
 def _parse_term(ts: _TokenStream, leaf=None):
@@ -904,13 +906,20 @@ def _parse_term(ts: _TokenStream, leaf=None):
 
 def _signed_terms(ts: _TokenStream, leaf=None):
     """sum := sign* term (("+"|"-") sign* term)*, as a list of (Scalar, key)
-    pairs with each run of signs folded into its term."""
+    pairs with each run of signs folded into its term.
+
+    A term past the packed kernel (an indeterminate past mu60, or an
+    exponent past MAX_EXPONENT) is a ParseError.
+    """
     terms = []
     while True:
         negate = False
         while ts.at_sym("+") or ts.at_sym("-"):
             negate ^= ts.next()[1] == "-"
-        coef, key = _parse_term(ts, leaf)
+        try:
+            coef, key = _parse_term(ts, leaf)
+        except OverflowError as exc:
+            raise ParseError(str(exc)) from None
         terms.append((-coef if negate else coef, key))
         if not (ts.at_sym("+") or ts.at_sym("-")):
             return terms

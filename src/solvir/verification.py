@@ -23,7 +23,9 @@ import random
 from fractions import Fraction
 
 from .algebra import (
+    _mu_scalar,
     basis_element,
+    box_points,
     central_element,
     euler_element,
     jacobi_residual,
@@ -32,7 +34,6 @@ from .algebra import (
     witt_jacobi_symbolic_identity,
 )
 from .cocycle import (
-    box_points,
     canonical_cochain,
     canonical_cocycle,
     canonical_cocycle_identity,
@@ -60,7 +61,7 @@ from .density import (
     REDUCIBLE_TRIVIAL_SUB,
 )
 from .gvm import grade_of, gvm_act, quotient_dim_level1, GvmMonomial, GvmVector
-from .scalars import ONE, ZERO, Scalar, mu_poly
+from .scalars import ONE, ZERO, Scalar
 from .verma import (
     TruncationBox,
     VermaVector,
@@ -250,7 +251,7 @@ def suite_jacobi(n: int, box: int, seed: int, trials: int = 60):
     for axis in range(1, n + 1):
         a, b = vir_i_cocycle_coefficients(n, axis)
         eps = tuple(1 if j == axis - 1 else 0 for j in range(n))
-        ok = ok and (not a.is_zero() and a == Scalar.mu_form(eps) * twelfth
+        ok = ok and (not a.is_zero() and a == _mu_scalar(eps) * twelfth
                      and b == -(ONE.div_form(eps) * twelfth))
     checks.append(check(f"jacobi/n={n}/axis_subalgebra_cocycle", ok, axes=n))
     return checks
@@ -382,7 +383,7 @@ def suite_density(n: int, box: int, seed: int, trials: int = 100,
     checks.append(_trials_check(f"density/n={n}/axiom_random_pairs", trials, axiom))
 
     ok = all(vir_bracket(euler_element(n), basis_element(n, beta))
-             == basis_element(n, beta).scale(Scalar(mu_poly(beta))) for beta in pts)
+             == basis_element(n, beta).scale(_mu_scalar(beta)) for beta in pts)
     checks.append(check(f"density/n={n}/weight_property", ok))
 
     cls_ok = (classify_density(p).case == IRREDUCIBLE

@@ -32,6 +32,8 @@ from .algebra import (
     Combination,
     _acc,
     _mu_scalar,
+    basis_element,
+    box_points,
     eta0,
     lex_sign,
     point_str,
@@ -207,16 +209,6 @@ def verma_act(x: AlgebraElement, v: VermaVector, lam: Scalar = LAMBDA,
     return v._like(out)
 
 
-def _negative_generators(n: int, radius: int):
-    """Lex-negative points with coordinates in [-radius, radius], ascending."""
-    from itertools import product
-
-    pts = [p for p in product(range(-radius, radius + 1), repeat=n)
-           if lex_sign(p) < 0]
-    pts.sort()
-    return pts
-
-
 def pbw_enumerate(n: int, shift, box: TruncationBox):
     """All in-box normal words of lex-negative points summing to shift.
 
@@ -234,7 +226,7 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
         raise RankMismatchError(f"shift {shift} in rank {n}")
     if lex_sign(shift) > 0:
         raise ValueError("shift must be lex-nonpositive")
-    gens = _negative_generators(n, box.N)
+    gens = [g for g in box_points(n, box.N) if lex_sign(g) < 0]
 
     def branches(start, remaining):
         for idx in range(start, len(gens)):
@@ -285,15 +277,11 @@ def singular_residuals(v: VermaVector, box: TruncationBox, lam: Scalar = LAMBDA,
     all-zero result certifies singularity relative to the tested raising set
     (a box certificate, never a global claim).
     """
-    from itertools import product
-
-    from .algebra import basis_element
-
     if v.is_zero():
         raise NonHomogeneousError("zero vector has no weight")
     beta = v.weight_shift()
     residuals = {}
-    for gamma in product(range(-box.N, box.N + 1), repeat=v.n):
+    for gamma in box_points(v.n, box.N):
         if lex_sign(gamma) <= 0:
             continue
         if lex_sign(vadd(beta, gamma)) > 0:

@@ -34,6 +34,27 @@ def test_bracket_parse_error(capsys):
     assert code == 2  # rank not inferable
 
 
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 \
+        and "Traceback" not in err
+
+
+@pytest.mark.parametrize("left, named", [
+    ("mu100*e[1,0]", "mu100 has no exponent slot (at most mu60)"),
+    ("mu1^40000*e[1,0]", "exponent 40000 past 32767"),
+    ("e[1,0] + 2", "term lacks a basis symbol e[...] or c"),
+    ("e[1,0] )", "unexpected token ')' in AlgebraElement"),
+])
+def test_bracket_bad_text_is_usage_error(capsys, left, named):
+    """Text the grammar or the packed kernel cannot take exits 2 with one
+    error line."""
+    code = main(["bracket", left, "e[0,1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and named in captured.err
+
+
 def test_bracket_mixed_ranks_is_usage_error(capsys):
     code = main(["bracket", "e[1,2]", "e[1]"])
     err = capsys.readouterr().err
@@ -171,6 +192,22 @@ def test_cochain_repeated_entry_rejected(tmp_path, capsys, command, field,
     assert code == 2
     assert captured.out == ""
     assert named in captured.err
+
+
+@pytest.mark.parametrize("value, named", [
+    ("mu61", "mu61 has no exponent slot (at most mu60)"),
+    ("1/mu(0,0)", "zero form mu(0,0) in a denominator"),
+])
+def test_cochain_value_past_grammar_is_usage_error(tmp_path, capsys, value, named):
+    data = {"n": 2, "canonical_multiple": "1", "coboundary": [[[1, 0], value]],
+            "extra": []}
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(data))
+    code = main(["normalize", "--input", str(path), "--box", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and named in captured.err
 
 
 def test_normalize_command(tmp_path, capsys):

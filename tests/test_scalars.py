@@ -207,8 +207,21 @@ def test_slash_binds_to_its_factor(text, expected):
     (parse_scalar, "a/b"),
     (parse_scalar, "1/0"),
     (parse_scalar, "a/"),
+    (parse_scalar, "1/mu(0,0)"),
+    # past the packed kernel: mu60 is the last indeterminate, 32767 the
+    # largest exponent
+    (parse_scalar, "mu61"),
+    (parse_scalar, "mu1^40000"),
+    (parse_scalar, "mu1^20000*mu1^20000"),
     (lambda text: parse_element(text, 2), "e[1,0]*e[0,1]"),
+    (lambda text: parse_element(text, 2), "mu100*e[1,0]"),
 ])
 def test_malformed_text_raises_parse_error(parse, text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+def test_form_factor_is_its_linear_form():
+    mu1, mu2 = Scalar.indeterminate("mu1"), Scalar.indeterminate("mu2")
+    assert parse_scalar("mu(1,-2)") == mu1 - 2 * mu2
+    assert parse_scalar("mu(0,3)^2/mu(0,1)") == 9 * mu2

@@ -219,6 +219,33 @@ def test_random_checks_keep_their_bytes(monkeypatch, suite, n, box):
     assert _without_evaluated(engine) == _without_evaluated(suite(n, box, 5, **kwargs))
 
 
+def _case_split_records(n, box):
+    """The pair_support_lemma and zero_sum_exhaustive records of
+    suite_cocycle, whose box is past FULL_SCAN_LIMIT triples.  No normalize
+    trials: normalize_cocycle raises under a broken C0."""
+    assert len(box_points(n, box)) ** 3 > ver.FULL_SCAN_LIMIT
+    checks = {c["id"]: c for c in suite_cocycle(n, box, 0, trials=1,
+                                                normalize_trials=0)}
+    return (checks[f"cocycle/n={n}/pair_support_lemma"],
+            checks[f"cocycle/n={n}/zero_sum_exhaustive"])
+
+
+def test_cocycle_case_split_passes_on_every_zero_sum_triple():
+    lemma, scan = _case_split_records(3, 2)
+    pts = box_points(3, 2)
+    zero_sum = sum(1 for a, b in itertools.product(pts, repeat=2)
+                   if all(abs(x + y) <= 2 for x, y in zip(a, b)))
+    assert lemma["status"] == "pass" and scan["status"] == "pass"
+    assert lemma["details"]["pairs_checked"] == len(pts) ** 2 == 15625
+    assert scan["details"]["triples_checked"] == zero_sum == 6859
+    assert scan["details"]["evaluated"] < zero_sum
+
+
+def test_cocycle_case_split_fails_on_wrong_canonical(wrong_canonical):
+    _, scan = _case_split_records(3, 2)
+    assert scan["status"] == "fail" and scan["details"]["failures"]
+
+
 def test_cocycle_suite_passes_at_rank_one_radius_two():
     """At rank 1 the H^2 rank experiment needs radius 3 to pin the kernel;
     the suite runs it there, so a radius-2 run has no false failure."""
