@@ -66,9 +66,16 @@ def vneg(a):
     return tuple(-x for x in a)
 
 
+# the most points box_points lists; a larger box is refused before listing
+MAX_BOX_POINTS = 10**6
+
+
 def box_points(n: int, radius: int):
     """All lattice points of rank n with coordinates in [-radius, radius],
-    in lex order."""
+    in lex order; ValueError past MAX_BOX_POINTS points."""
+    if (2 * radius + 1) ** n > MAX_BOX_POINTS:
+        raise ValueError(f"the rank-{n} box of radius {radius} has more than "
+                         f"{MAX_BOX_POINTS} points")
     return list(product(range(-radius, radius + 1), repeat=n))
 
 

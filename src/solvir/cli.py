@@ -25,6 +25,7 @@ from .cocycle import TwoCochain, normalize_cocycle, recognize_eta
 from .density import formal_params
 from .errors import BoxTooSmallError, NotACocycleError, ParseError, SolvirError
 from .gvm import quotient_dim_level1
+from .scalars import MAX_RANK
 from .verification import run_suite
 from .verma import TruncationBox, weight_space_dim_truncated
 
@@ -44,8 +45,7 @@ class RunConfig:
     given: set = field(default_factory=set)
 
     def validate(self):
-        if self.n < 1:
-            raise ValueError("rank n must be >= 1")
+        check_rank(self.n)
         if self.box < 1 or any(b < 1 for b in self.boxes):
             raise ValueError("box radii must be >= 1")
         if self.jobs < 1:
@@ -60,6 +60,14 @@ class RunConfig:
             "seed": self.seed,
             "spec": {k: str(v) for k, v in sorted(self.spec.items())},
         }
+
+
+def check_rank(n: int) -> int:
+    """n, when the scalar kernel has a mu slot for each coordinate of rank n;
+    ValueError otherwise."""
+    if not 1 <= n <= MAX_RANK:
+        raise ValueError(f"rank n must be in 1..{MAX_RANK}")
+    return n
 
 
 def parse_spec(text: str) -> dict:
@@ -141,7 +149,7 @@ def read_cochain(path: str, cfg: RunConfig) -> TwoCochain:
     if "n" in cfg.given and cfg.n != theta.n:
         raise ValueError(f"cochain points of rank {theta.n} do not match "
                          f"--n {cfg.n}")
-    cfg.n = theta.n
+    cfg.n = check_rank(theta.n)
     return theta
 
 
@@ -150,9 +158,7 @@ def cmd_verify(args) -> int:
     theta_input = None
     if getattr(args, "input", None):
         if args.suite != "cocycle":
-            print("--input is only meaningful for the cocycle suite",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--input is only meaningful for the cocycle suite")
         theta_input = read_cochain(args.input, cfg)
     checks = run_suite(args.suite, cfg.n, cfg.box, cfg.seed,
                        boxes=cfg.boxes or None, spec=cfg.spec,
@@ -181,10 +187,10 @@ def _infer_rank(texts, explicit):
     if explicit is None:
         if not ranks:
             raise ValueError("rank cannot be inferred; pass --n")
-        return ranks[0]
+        return check_rank(ranks[0])
     if ranks and ranks[0] != explicit:
         raise ValueError(f"points of rank {ranks[0]} do not match --n {explicit}")
-    return explicit
+    return check_rank(explicit)
 
 
 def cmd_bracket(args) -> int:
@@ -203,13 +209,10 @@ def cmd_dims(args) -> int:
             sizes = [(max(args.level, 1), max(args.level, 1))]
         else:
             if not args.shift:
-                print("dims verma needs --shift or --level", file=sys.stderr)
-                return 2
+                raise ValueError("dims verma needs --shift or --level")
             shift = tuple(int(t) for t in args.shift.split(","))
             if len(shift) != cfg.n:
-                print(f"shift {shift} does not match rank {cfg.n}",
-                      file=sys.stderr)
-                return 2
+                raise ValueError(f"shift {shift} does not match rank {cfg.n}")
             sizes = [(N, 2 * N + 1) for N in cfg.boxes or [1, 2, 3, 4]]
         table = [{"N": N, "L": L, "dim": weight_space_dim_truncated(
                       cfg.n, shift, TruncationBox(N, L))} for N, L in sizes]
@@ -228,15 +231,13 @@ def cmd_dims(args) -> int:
         return 0
     # argparse admits only the targets "verma" and "gvm"
     if cfg.n < 2:
-        print("dims gvm needs rank n >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("dims gvm needs rank n >= 2")
     kappa_text = args.kappa or "0"
     kappa = tuple(int(t) for t in kappa_text.split(","))
     if len(kappa) == 1 and cfg.n > 2:
         kappa = kappa * (cfg.n - 1)
     if len(kappa) != cfg.n - 1:
-        print(f"kappa {kappa} does not match rank {cfg.n}", file=sys.stderr)
-        return 2
+        raise ValueError(f"kappa {kappa} does not match rank {cfg.n}")
     boxes = cfg.boxes or [1, 2, 3, 4]
     result = quotient_dim_level1(cfg.n, kappa, formal_params(cfg.n - 1), boxes)
     report = {"command": "dims gvm", "version": __version__,
@@ -277,11 +278,9 @@ def make_parser() -> argparse.ArgumentParser:
                     "Virasoro algebra")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, want_box=True):
+    def common(p):
         p.add_argument("--n", type=int, default=None, help="lattice rank")
-        if want_box:
-            p.add_argument("--box", type=int, default=None,
-                           help="truncation radius")
+        p.add_argument("--box", type=int, default=None, help="truncation radius")
         p.add_argument("--boxes", type=str, default=None,
                        help="radius list: '1..6' or '2,4,6'")
         p.add_argument("--seed", type=int, default=None, help="PRNG seed")

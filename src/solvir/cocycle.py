@@ -418,11 +418,6 @@ class FunctionalEquationSolution:
                          for k in range(degree_bound + 1)}
         self.kernel_exponents = [k for k, c in self.diagonal.items() if c == 0]
         self.dimension = len(self.kernel_exponents)
-        self.basis = [f"x^{k}" for k in self.kernel_exponents]
-
-    def __repr__(self):
-        return (f"FunctionalEquationSolution(degree_bound={self.degree_bound}, "
-                f"basis={self.basis})")
 
 
 def solve_functional_equation(degree_bound: int) -> FunctionalEquationSolution:
@@ -448,67 +443,41 @@ def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
     """Truncated rank computation behind the one-dimensionality of H^2.
 
     After normalization a cocycle is the diagonal ansatz
-    theta(alpha, beta) = delta_{alpha,-beta} * eta(mu.alpha) with polynomial
-    eta = sum_k a_k x^k, k <= degree_bound.  The linear system imposed on the
-    a_k consists of the skewness conditions (even coefficients vanish) plus
-    the cocycle condition on every zero-sum triple inside the box, expanded
-    into one rational equation per mu-monomial.  The kernel dimension is the
-    cocycle space dimension; the coboundary directions inside the ansatz are
-    the multiples of x (shifts reach exactly those), and the quotient
-    dimension is their difference.
+    theta(alpha, beta) = delta_{alpha,-beta} * eta(mu.alpha), and skewness
+    makes eta odd, so eta = sum_k a_k x^k over the odd k <= degree_bound.
+    The linear system on these a_k is the cocycle condition on every
+    zero-sum triple inside the box, expanded into one rational equation per
+    mu-monomial.  Its kernel dimension is the cocycle space dimension.  Two
+    solutions are known: x, which spans the coboundaries inside the ansatz
+    (shifts reach exactly its multiples), and x^3, the canonical cocycle.
+    So the rank cannot pass (unknowns - known solutions), the scan stops
+    there, and both solutions are then checked against every row kept.  The
+    quotient dimension is the kernel dimension minus the coboundary one.
     """
     if box < 2:
         raise BoxTooSmallError("h2_rank_experiment needs box >= 2")
-    ncoef = degree_bound + 1
-    ech = RationalEchelon(ncoef)
-
-    # skewness: eta must be odd
-    for k in range(0, ncoef, 2):
-        row = [Fraction(0)] * ncoef
-        row[k] = Fraction(2)
-        ech.add_row(row)
-
-    x_direction = [Fraction(0)] * ncoef
-    if ncoef > 1:
-        x_direction[1] = Fraction(1)
-
-    pts = box_points(n, box)
+    ks = range(1, degree_bound + 1, 2)
+    known = [[int(k == j) for k in ks] for j in (1, 3) if j in ks]
+    ech = RationalEchelon(len(ks))
     powers = {}
-
-    def pows(point):
-        cached = powers.get(point)
-        if cached is None:
-            base = mu_poly(point)
-            cached = [Polynomial.const(1)]
-            for _ in range(degree_bound):
-                cached.append(cached[-1] * base)
-            powers[point] = cached
-        return cached
-
-    max_rank = ncoef - 2 if degree_bound >= 3 else ncoef
-    for alpha, beta, kappa in triples_with_sum(pts, (0,) * n):
+    for alpha, beta, kappa in triples_with_sum(box_points(n, box), (0,) * n):
         u = [mu_poly(vsub(beta, kappa)), mu_poly(vsub(kappa, alpha)),
              mu_poly(vsub(alpha, beta))]
-        xs = [pows(alpha), pows(beta), pows(kappa)]
+        xs = []
+        for point in (alpha, beta, kappa):
+            if point not in powers:
+                base = mu_poly(point)
+                powers[point] = [base ** k for k in ks]
+            xs.append(powers[point])
         per_mon = {}
-        for k in range(ncoef):
-            col = Polynomial()
-            for i in range(3):
-                col = col + u[i] * xs[i][k]
+        for j in range(len(ks)):
+            col = u[0] * xs[0][j] + u[1] * xs[1][j] + u[2] * xs[2][j]
             for mon, coef in col.terms():
-                row = per_mon.get(mon)
-                if row is None:
-                    row = [Fraction(0)] * ncoef
-                    per_mon[mon] = row
-                row[k] += coef
-        for mon in sorted(per_mon, key=lambda m: (len(m), m)):
-            row = per_mon[mon]
-            assert sum(c * v for c, v in zip(row, x_direction)) == 0, \
-                "x direction must solve every cocycle equation"
+                per_mon.setdefault(mon, [0] * len(ks))[j] += coef
+        for row in per_mon.values():
             ech.add_row(row)
-        if ech.rank >= max_rank:
+        if ech.rank >= len(ks) - len(known):
             break
-
-    cocycle_dim = ncoef - ech.rank
-    cob_dim = 1 if ncoef > 1 else 0
-    return H2Report(cocycle_dim, cob_dim)
+    if not all(ech.in_row_space_kernel(v) for v in known):
+        raise RuntimeError("a known solution fails the cocycle equations")
+    return H2Report(len(ks) - ech.rank, 1 if ks else 0)

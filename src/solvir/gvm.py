@@ -48,7 +48,7 @@ from .algebra import (
     vsub,
     vsum,
 )
-from .density import DensityParams
+from .density import DensityParams, act_coefficient
 from .errors import NotFormalParamsError, RankMismatchError
 from .linalg import rank_scalar_matrix
 from .scalars import A, B, ONE, ZERO, Scalar
@@ -157,9 +157,9 @@ def gvm_act(x: AlgebraElement, v: GvmVector, p: DensityParams) -> GvmVector:
             return None
         if alpha[0]:
             return {}
-        gamma = alpha[1:]
-        coef = p.a + embedded_form(n, base) + p.b * embedded_form(n, gamma)
-        return {((), vadd(base, gamma)): coef} if coef else {}
+        # mu.(0, kappa) is mu'.kappa, so this is T(a, b) at v_base
+        coef = act_coefficient(alpha, (0,) + base, p)
+        return {((), vadd(base, alpha[1:])): coef} if coef else {}
 
     acc = {}
     memo = {}

@@ -94,6 +94,8 @@ _GUARD_BIT = 1 << (_SLOT_BITS - 1)
 MAX_EXPONENT = _GUARD_BIT - 1
 # a, b, lambda, c and mu_1..mu_60
 _SLOTS = 64
+# the largest rank whose mu_i all have a slot
+MAX_RANK = _SLOTS - 4
 _GUARD = sum(_GUARD_BIT << (_SLOT_BITS * s) for s in range(_SLOTS))
 
 
@@ -115,7 +117,7 @@ def _pack(pairs) -> int:
         slot = _slot(ident)
         if slot >= _SLOTS:
             raise OverflowError(f"{indet_name(ident)} has no exponent slot "
-                                f"(at most mu{_SLOTS - 4})")
+                                f"(at most mu{MAX_RANK})")
         m += e << (_SLOT_BITS * slot)
     return m
 
@@ -277,17 +279,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = Polynomial.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _power(self, k, Polynomial.const(1))
 
     def scale(self, c):
         c = Fraction(c)
@@ -397,6 +389,20 @@ class Polynomial:
         return f"Polynomial({poly_str(self) if self.t else '0'})"
 
 
+def _power(base, k: int, one):
+    """base**k by square-and-multiply, one being the ring's unit."""
+    if k < 0:
+        raise ValueError("negative power")
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
 def mu_poly(alpha) -> Polynomial:
     """The linear form mu.alpha as a polynomial."""
     terms = {}
@@ -429,18 +435,16 @@ def normalize_form(alpha):
 class Scalar:
     """Element of the localized ring; immutable once constructed."""
 
-    __slots__ = ("num", "forms", "_hash")
+    __slots__ = ("num", "forms")
 
     def __init__(self, num: Polynomial, forms=()):
         if not forms or not num.t:
             self.num = num
             self.forms = ()
-            self._hash = None
             return
         num, forms = _cancel(num, tuple(forms))
         self.num = num
         self.forms = tuple(sorted(forms))
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -488,7 +492,6 @@ class Scalar:
         s = Scalar.__new__(Scalar)
         s.num = -self.num
         s.forms = self.forms
-        s._hash = None
         return s
 
     def __sub__(self, other):
@@ -513,17 +516,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = ONE
-        base = self
-        if k < 0:
-            raise ValueError("negative power of a Scalar")
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _power(self, k, ONE)
 
     def div_form(self, alpha) -> "Scalar":
         """Divide by the linear form mu.alpha (alpha nonzero)."""
@@ -552,9 +545,7 @@ class Scalar:
         return self.forms == other.forms and self.num == other.num
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((frozenset(self.num.t.items()), self.num.d, self.forms))
-        return self._hash
+        return hash((frozenset(self.num.t.items()), self.num.d, self.forms))
 
     def as_rational(self):
         """Fraction value when the scalar is a rational constant, else None."""
@@ -571,16 +562,7 @@ class Scalar:
         amap = _assignment_ids(assignment)
         val = self.num.evaluate(amap)
         for alpha in self.forms:
-            fv = Fraction(0)
-            for i, coord in enumerate(alpha, start=1):
-                if coord:
-                    if i not in amap:
-                        raise MissingAssignmentError(f"no value for mu{i}")
-                    fv += amap[i] * coord
-            if fv == 0:
-                raise DenominatorVanishesError(
-                    f"mu.{alpha} vanishes under the assignment")
-            val /= fv
+            val /= _form_value(alpha, amap)
         return val
 
     def substitute(self, assignment) -> "Scalar":
@@ -595,18 +577,14 @@ class Scalar:
         keep = []
         scale = Fraction(1)
         for alpha in self.forms:
-            touched = [i for i, coord in enumerate(alpha, start=1) if coord and i in amap]
-            if not touched:
+            touched = [i in amap for i, coord in enumerate(alpha, start=1) if coord]
+            if not any(touched):
                 keep.append(alpha)
                 continue
-            if len(touched) != sum(1 for coord in alpha if coord):
+            if not all(touched):
                 raise ValueError(
                     f"partial specialization of denominator form mu.{alpha}")
-            fv = sum(amap[i] * coord for i, coord in enumerate(alpha, start=1) if coord)
-            if fv == 0:
-                raise DenominatorVanishesError(
-                    f"mu.{alpha} vanishes under the assignment")
-            scale /= fv
+            scale /= _form_value(alpha, amap)
         return Scalar(num.scale(scale) if scale != 1 else num, tuple(keep))
 
     def __repr__(self):
@@ -622,6 +600,19 @@ def _assignment_ids(assignment):
         ident = indet_id(key) if isinstance(key, str) else key
         out[ident] = Fraction(value)
     return out
+
+
+def _form_value(alpha, amap) -> Fraction:
+    """The nonzero value of the form mu.alpha at an id -> Fraction map."""
+    fv = Fraction(0)
+    for i, coord in enumerate(alpha, start=1):
+        if coord:
+            if i not in amap:
+                raise MissingAssignmentError(f"no value for mu{i}")
+            fv += amap[i] * coord
+    if fv == 0:
+        raise DenominatorVanishesError(f"mu.{alpha} vanishes under the assignment")
+    return fv
 
 
 def _cancel(num: Polynomial, forms):

@@ -31,10 +31,10 @@ from .algebra import (
     AlgebraElement,
     Combination,
     _acc,
+    _basis_bracket_terms,
     _mu_scalar,
     basis_element,
     box_points,
-    eta0,
     lex_sign,
     point_str,
     vadd,
@@ -135,10 +135,9 @@ def straighten(alpha, word, base, ceiling, act, c, memo):
 
         E(alpha) E(top) rest = E(top) E(alpha) rest + [E(alpha), E(top)] rest,
 
-    with the bracket mu.(top - alpha) E(alpha + top) + eta0(alpha) C at
-    alpha + top = 0, and C acting by the scalar c.  Each swap either lowers
-    the inversions at fixed length or merges two generators into one, so the
-    rewriting terminates.
+    with the bracket taken from algebra._basis_bracket_terms and C acting by
+    the scalar c.  Each swap either lowers the inversions at fixed length or
+    merges two generators into one, so the rewriting terminates.
 
     memo maps (alpha, word, base) to the rewritings already made; it is valid
     for one (ceiling, act, c), so the module's action builds a fresh one per
@@ -160,13 +159,12 @@ def straighten(alpha, word, base, ceiling, act, c, memo):
     for (w2, b2), c2 in straighten(alpha, rest, base, ceiling, act, c, memo).items():
         for key, c3 in straighten(top, w2, b2, ceiling, act, c, memo).items():
             _acc(out, key, c2 if c3 is ONE else c2 * c3)
-    merged = vadd(alpha, top)
-    bracket = _mu_scalar(vsub(top, alpha))
-    if bracket:
+    for merged, bracket in _basis_bracket_terms(alpha, top).items():
+        if merged == CENTRAL:
+            _acc(out, (rest, base), bracket * c)
+            continue
         for key, c4 in straighten(merged, rest, base, ceiling, act, c, memo).items():
             _acc(out, key, bracket * c4)
-    if not any(merged):
-        _acc(out, (rest, base), eta0(alpha) * c)
     memo[alpha, word, base] = out
     return out
 

@@ -6,9 +6,11 @@ import pytest
 
 from solvir.algebra import (
     CENTRAL,
+    MAX_BOX_POINTS,
     AlgebraElement,
     SolenoidalAlgebra,
     basis_element,
+    box_points,
     central_element,
     element_str,
     euler_element,
@@ -301,3 +303,9 @@ def test_combination_arithmetic_of_every_type(kind):
             twin = other(2)
             twin.terms = dict(x.terms)
             assert x != twin and twin != x
+
+
+def test_box_points_refuses_a_box_past_the_limit():
+    # 3^40 points, past MAX_BOX_POINTS: refused before any is listed
+    with pytest.raises(ValueError, match=f"more than {MAX_BOX_POINTS} points"):
+        box_points(40, 1)

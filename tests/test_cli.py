@@ -320,6 +320,46 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "jacobi", "--input", "theta.json"],
+    ["dims", "verma", "--n", "2"],
+    ["dims", "verma", "--n", "2", "--shift=-1,0,0"],
+    ["dims", "gvm", "--n", "1"],
+    ["dims", "gvm", "--n", "2", "--kappa", "1,0"],
+])
+def test_usage_error_is_one_error_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err)
+
+
+E61 = "e[" + ",".join(["1"] + ["0"] * 60) + "]"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "jacobi", "--n", "61", "--box", "1"], "rank n must be in 1..60"),
+    (["verify", "verma", "--n", "61"], "rank n must be in 1..60"),
+    (["bracket", E61, E61], "rank n must be in 1..60"),
+    (["normalize", "--input", "RANK61", "--box", "2"], "rank n must be in 1..60"),
+    (["verify", "density", "--n", "40", "--box", "1"],
+     "the rank-40 box of radius 1 has more than 1000000 points"),
+])
+def test_rank_or_box_past_the_limits_is_usage_error(tmp_path, capsys, argv, named):
+    """A rank past the scalar kernel's mu slots, or a box past
+    MAX_BOX_POINTS points, exits 2 before any work."""
+    rank61 = tmp_path / "rank61.json"
+    rank61.write_text(json.dumps({"n": 61, "canonical_multiple": "1",
+                                  "coboundary": [[[1] + [0] * 60, "2"]],
+                                  "extra": []}))
+    code = main([str(rank61) if arg == "RANK61" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and named in captured.err
+
+
 def test_reports_validate_against_schema(tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(schema_path().read_text())

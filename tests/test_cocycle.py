@@ -255,6 +255,21 @@ def test_h2_rank_small_box():
     assert report.quotient_dim == 1
 
 
+# (cocycle, coboundary, quotient) dimensions by degree bound: x spans the
+# coboundaries from degree 1 on, and x^3 the quotient from degree 3 on
+H2_DIMS = {0: (0, 0, 0), 1: (1, 1, 0), 2: (1, 1, 0), 3: (2, 1, 1), 10: (2, 1, 1)}
+
+
+@pytest.mark.parametrize("n, radius, degree_bound", [
+    (n, radius, degree_bound)
+    for n, radius in [(1, 3), (2, 2), (2, 3), (3, 2)]
+    for degree_bound in H2_DIMS] + [(3, 3, 10)])
+def test_h2_dimensions_by_degree_bound(n, radius, degree_bound):
+    report = h2_rank_experiment(n, radius, degree_bound=degree_bound)
+    assert (report.cocycle_space_dim, report.coboundary_space_dim,
+            report.quotient_dim) == H2_DIMS[degree_bound]
+
+
 def test_check_cocycle_skip_is_sound():
     # check_cocycle_on_box evaluates only the triples where a residual term
     # reads an extra pair, and theta here has none; honest residuals on

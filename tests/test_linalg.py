@@ -12,6 +12,8 @@ def test_rank_rational_matrices():
     assert rank_polynomial_matrix([[P(1), P(2)], [P(2), P(4)]]) == 1
     assert rank_polynomial_matrix([[P(1), P(0)], [P(0), P(1)]]) == 2
     assert rank_polynomial_matrix([[P(0), P(0)], [P(0), P(0)]]) == 0
+    # the first pivot needs a row swap
+    assert rank_polynomial_matrix([[P(0), P(1)], [P(1), P(0)]]) == 2
     assert rank_polynomial_matrix([]) == 0
 
 

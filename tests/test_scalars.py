@@ -101,6 +101,22 @@ def test_evaluate_examples():
 def test_evaluate_requires_full_assignment():
     with pytest.raises(MissingAssignmentError):
         (mu((1, 1)) + Scalar.indeterminate("a")).evaluate({"mu1": 1, "mu2": 2})
+    # a coordinate of a denominator form without a value
+    with pytest.raises(MissingAssignmentError):
+        ONE.div_form((1, 1)).evaluate({"mu1": 1})
+
+
+@pytest.mark.parametrize("value", [mu_poly((1, 0)), mu((1, 0))])
+def test_negative_power_rejected(value):
+    with pytest.raises(ValueError):
+        value ** -1
+
+
+def test_equal_scalars_hash_equal():
+    x, y = mu((1, 0)), ONE.div_form((1, 1))
+    left, right = (x + y) * y, y * y + x * y
+    assert left == right
+    assert hash(left) == hash(right)
 
 
 def _random_scalar(rng, n=2):
@@ -162,6 +178,11 @@ def test_substitute_restricted():
     s = ONE.div_form((1, 0)) * Scalar.indeterminate("lambda")
     assert s.substitute({"lambda": 0}).is_zero()
     assert s.substitute({"mu1": 2}) == Scalar.indeterminate("lambda") * rat(1, 2)
+    # a form must be specialized whole, and to a nonzero value
+    with pytest.raises(ValueError):
+        ONE.div_form((1, 1)).substitute({"mu1": 1})
+    with pytest.raises(DenominatorVanishesError):
+        ONE.div_form((1, -1)).substitute({"mu1": 3, "mu2": 3})
 
 
 def test_canonical_string_examples():
