@@ -66,17 +66,32 @@ def vneg(a):
     return tuple(-x for x in a)
 
 
-# the most points box_points lists; a larger box is refused before listing
+# the most points box_points lists, and the most (alpha, beta) pairs, or
+# pairing entries, one computation walks; more are refused before listing
 MAX_BOX_POINTS = 10**6
+MAX_PAIRS = 10**6
+
+
+def box_size(n: int, radius: int) -> int:
+    """Points in the rank-n box of the radius; ValueError past MAX_BOX_POINTS."""
+    size = (2 * radius + 1) ** n
+    if size > MAX_BOX_POINTS:
+        raise ValueError(f"the rank-{n} box of radius {radius} has more than "
+                         f"{MAX_BOX_POINTS} points")
+    return size
 
 
 def box_points(n: int, radius: int):
     """All lattice points of rank n with coordinates in [-radius, radius],
     in lex order; ValueError past MAX_BOX_POINTS points."""
-    if (2 * radius + 1) ** n > MAX_BOX_POINTS:
-        raise ValueError(f"the rank-{n} box of radius {radius} has more than "
-                         f"{MAX_BOX_POINTS} points")
+    box_size(n, radius)
     return list(product(range(-radius, radius + 1), repeat=n))
+
+
+def check_pairs(count: int, what: str):
+    """ValueError when what walks more than MAX_PAIRS pairs."""
+    if count > MAX_PAIRS:
+        raise ValueError(f"{what} walks {count} pairs, more than {MAX_PAIRS}")
 
 
 def vsum(points, start):

@@ -8,8 +8,8 @@ parameterization with three parts, each exactly evaluable at every pair:
       C0(alpha, beta) = ((mu.alpha)^3 - mu.alpha)/12 * delta_{alpha,-beta},
 * the coboundary of a finitely supported 1-cochain f, i.e.
       (df)(alpha, beta) = mu.(beta - alpha) * f(alpha + beta),
-* a finitely supported skew "extra" table (each unordered pair stored once,
-  on its lex-sorted representative).
+* a finitely supported skew "extra" table, which stores each pair in both
+  orientations: (alpha, beta) -> v and (beta, alpha) -> -v.
 
 The normalization algorithm follows the change of basis
 e'_alpha = e_alpha + theta(0, alpha)/(mu.alpha) * c: subtracting the
@@ -36,7 +36,6 @@ from .algebra import (
     as_scalar,
     box_points,
     eta0,
-    lex_compare,
     point_str,
     vadd,
     vneg,
@@ -122,22 +121,19 @@ class TwoCochain:
         if self.cob.n != n:
             raise RankMismatchError(f"rank-{self.cob.n} coboundary in rank-{n} cochain")
         self.extra = {}
-        if extra:
-            for (alpha, beta), value in extra.items():
-                self._put(tuple(alpha), tuple(beta), value)
+        for (alpha, beta), value in (extra or {}).items():
+            self._put(tuple(alpha), tuple(beta), value)
 
     def _put(self, alpha, beta, value):
         value = as_scalar(value)
-        if len(alpha) != self.n:
+        if len(alpha) != self.n or len(beta) != self.n:
             raise RankMismatchError(f"pair {alpha}, {beta} in rank-{self.n} cochain")
-        cmp = lex_compare(alpha, beta)
-        if cmp == 0:
+        if alpha == beta:
             if value:
                 raise ValueError("skewness forces zero on diagonal pairs")
             return
-        if cmp > 0:
-            alpha, beta, value = beta, alpha, -value
         _acc(self.extra, (alpha, beta), value)
+        _acc(self.extra, (beta, alpha), -value)
 
     def value(self, alpha, beta) -> Scalar:
         alpha, beta = tuple(alpha), tuple(beta)
@@ -151,34 +147,27 @@ class TwoCochain:
             if f:
                 out = out + _mu_scalar(vsub(beta, alpha)) * f
         if self.extra:
-            cmp = lex_compare(alpha, beta)
-            if cmp < 0:
-                v = self.extra.get((alpha, beta))
-                if v is not None:
-                    out = out + v
-            elif cmp > 0:
-                v = self.extra.get((beta, alpha))
-                if v is not None:
-                    out = out - v
+            v = self.extra.get((alpha, beta))
+            if v is not None:
+                out = out + v
         return out
 
     def __add__(self, other):
         if self.n != other.n:
             raise RankMismatchError(f"rank {self.n} vs {other.n}")
         res = TwoCochain(self.n, self.canonical_multiple + other.canonical_multiple,
-                         self.cob + other.cob, dict(self.extra))
-        for (alpha, beta), value in other.extra.items():
-            res._put(alpha, beta, value)
+                         self.cob + other.cob)
+        res.extra = dict(self.extra)
+        for pair, value in other.extra.items():
+            _acc(res.extra, pair, value)
         return res
 
     def pair_sum_support(self):
         """Lattice sums s where theta can be nonzero on pairs with alpha+beta=s."""
-        sums = set()
+        sums = {vadd(alpha, beta) for alpha, beta in self.extra}
+        sums.update(self.cob.terms)
         if self.canonical_multiple:
             sums.add((0,) * self.n)
-        sums.update(self.cob.terms)
-        for alpha, beta in self.extra:
-            sums.add(vadd(alpha, beta))
         return sums
 
     def to_records(self):
@@ -187,7 +176,7 @@ class TwoCochain:
             "canonical_multiple": str(self.canonical_multiple),
             "coboundary": self.cob.to_records(),
             "extra": [[list(a), list(b), str(v)]
-                      for (a, b), v in sorted(self.extra.items())],
+                      for (a, b), v in sorted(self.extra.items()) if a < b],
         }
 
     @classmethod
@@ -254,21 +243,20 @@ def _extra_triples(theta: TwoCochain, pts):
     """(total, alpha, beta) of box triples where a residual term reads extra.
 
     The terms read theta(x, y+z) for (x, y, z) = (alpha, kappa, beta),
-    (beta, alpha, kappa), (kappa, beta, alpha); for a stored pair read as
-    theta(u, w), x = u and {y, z} = {a, w - a}.
+    (beta, alpha, kappa), (kappa, beta, alpha); for a stored pair (u, w),
+    either orientation, x = u and {y, z} = {a, w - a}.
     """
     idx = set(pts)
     out = set()
-    for p, q in theta.extra:
-        total = vadd(p, q)
-        for u, w in ((p, q), (q, p)):
-            if u not in idx:
-                continue
-            for a in pts:
-                b = vsub(w, a)
-                if b in idx:
-                    # u in the alpha, beta and kappa slots
-                    out.update(((total, u, a), (total, a, u), (total, a, b)))
+    for u, w in theta.extra:
+        if u not in idx:
+            continue
+        total = vadd(u, w)
+        for a in pts:
+            b = vsub(w, a)
+            if b in idx:
+                # u in the alpha, beta and kappa slots
+                out.update(((total, u, a), (total, a, u), (total, a, b)))
     return out
 
 
@@ -329,12 +317,9 @@ class EtaTable:
             if neg in self.values and self.values[neg] != -value:
                 raise ValueError(f"eta table is not odd at {alpha}")
 
-    def in_box(self, alpha):
-        return all(abs(c) <= self.box for c in alpha)
-
     def value(self, alpha) -> Scalar:
         alpha = tuple(alpha)
-        if not self.in_box(alpha):
+        if any(abs(c) > self.box for c in alpha):
             raise OutsideBoxError(f"{alpha} outside radius {self.box}")
         return self.values.get(alpha, ZERO)
 
@@ -358,17 +343,11 @@ def normalize_cocycle(theta: TwoCochain, box: int):
     n = theta.n
     zero = (0,) * n
 
-    shift_support = {}
-    candidates = set(theta.cob.terms)
-    candidates.update(q if p == zero else p for p, q in theta.extra if zero in (p, q))
-    for gamma in candidates - {zero}:
-        val = theta.value(zero, gamma)
-        if val:
-            shift_support[gamma] = val.div_form(gamma)
-    shift = OneCochain(n, shift_support)
+    candidates = set(theta.cob.terms) | {q for p, q in theta.extra if p == zero}
+    shift = OneCochain(n, {gamma: theta.value(zero, gamma).div_form(gamma)
+                           for gamma in candidates - {zero}})
 
-    shifted = TwoCochain(n, theta.canonical_multiple, theta.cob - shift,
-                         dict(theta.extra))
+    shifted = theta + coboundary(-shift)
 
     values = {}
     for alpha in box_points(n, box):

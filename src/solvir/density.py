@@ -128,8 +128,7 @@ def _lattice_membership(p: DensityParams):
     """(member?, shift gamma) decided from the declared shape of a."""
     if p.a_lattice_tag is not None:
         return True, p.a_lattice_tag
-    rat = p.a.as_rational()
-    if rat is not None and rat == 0:
+    if p.a.as_rational() == 0:
         return True, (0,) * p.n
     return False, None
 
@@ -197,11 +196,11 @@ def submodule_invariance_check(p: DensityParams, box: int) -> SubmoduleReport:
 def duality_check(p: DensityParams, alpha, gamma) -> Scalar:
     """Residual of the dual-module identification with T_mu(-a, 1-b).
 
-    The contragredient action on the dual basis has coefficient
-    -(mu.(gamma-alpha) + a + (mu.alpha) b); matching it against the
-    T(-a, 1-b) coefficient mu.(-gamma) - a + (mu.alpha)(1-b) must give zero.
+    The contragredient action on the dual basis has coefficient minus the
+    T(a, b) coefficient at (alpha, gamma - alpha); matching it against the
+    T(-a, 1-b) coefficient at (alpha, -gamma) must give zero.
     """
     alpha, gamma = tuple(alpha), tuple(gamma)
-    lhs = -(_mu_scalar(vsub(gamma, alpha)) + p.a + _mu_scalar(alpha) * p.b)
-    rhs = _mu_scalar(vneg(gamma)) - p.a + _mu_scalar(alpha) * (ONE - p.b)
+    lhs = -act_coefficient(alpha, vsub(gamma, alpha), p)
+    rhs = act_coefficient(alpha, vneg(gamma), DensityParams(p.n, -p.a, ONE - p.b))
     return lhs - rhs

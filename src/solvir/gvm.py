@@ -43,6 +43,8 @@ from .algebra import (
     _mu_scalar,
     basis_element,
     box_points,
+    box_size,
+    check_pairs,
     point_str,
     vadd,
     vsub,
@@ -232,6 +234,9 @@ def quotient_dim_level1(n: int, kappa, p: DensityParams, boxes) -> QuotientRankR
     """
     if p.a != A or p.b != B:
         raise NotFormalParamsError("quotient rank needs formal parameters a, b")
+    # rows and columns of each matrix are indexed by the rank-(n-1) box
+    check_pairs(sum(box_size(n - 1, box) ** 2 for box in boxes),
+                f"the rank-{n} level-one pairing")
     kappa = tuple(kappa)
     results = []
     ranks = []

@@ -13,21 +13,13 @@ sparse rational systems row by row.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 
-from .scalars import Polynomial, _forms_product, _multiset_max, _multiset_sub
-
-
-def _clear_row(row):
-    """Multiply a Scalar row by its common denominator forms; returns Polynomials."""
-    common = reduce(_multiset_max, (s.forms for s in row), ())
-    return [s.num * _forms_product(_multiset_sub(common, s.forms)) for s in row]
+from .scalars import Polynomial, common_denominator
 
 
 def rank_scalar_matrix(rows) -> int:
     """Exact rank of a matrix with Scalar entries."""
-    cleared = [_clear_row(list(r)) for r in rows]
-    return rank_polynomial_matrix(cleared)
+    return rank_polynomial_matrix([common_denominator(list(r))[1] for r in rows])
 
 
 def rank_polynomial_matrix(rows) -> int:

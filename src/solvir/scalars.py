@@ -40,6 +40,7 @@ tokens"; parse/print round-trips exactly.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
@@ -140,10 +141,6 @@ def _unpack(m: int):
 @lru_cache(maxsize=None)
 def _var_mon(ident: int) -> int:
     return _pack(((ident, 1),))
-
-
-def _mon_degree(m):
-    return sum(e for _, e in m)
 
 
 # --------------------------------------------------------------------------
@@ -481,10 +478,8 @@ class Scalar:
             return self
         if self.forms == other.forms:
             return Scalar(self.num + other.num, self.forms)
-        common = _multiset_max(self.forms, other.forms)
-        left = self.num * _forms_product(_multiset_sub(common, self.forms))
-        right = other.num * _forms_product(_multiset_sub(common, other.forms))
-        return Scalar(left + right, common)
+        forms, (left, right) = common_denominator((self, other))
+        return Scalar(left + right, forms)
 
     __radd__ = __add__
 
@@ -628,40 +623,20 @@ def _cancel(num: Polynomial, forms):
     return num, tuple(remaining)
 
 
-def _multiset_max(f1, f2):
-    counts = {}
-    for a in f1:
-        counts[a] = counts.get(a, 0) + 1
-    other = {}
-    for a in f2:
-        other[a] = other.get(a, 0) + 1
-    for a, k in other.items():
-        counts[a] = max(counts.get(a, 0), k)
-    out = []
-    for a in sorted(counts):
-        out.extend([a] * counts[a])
-    return tuple(out)
-
-
-def _multiset_sub(big, small):
-    counts = {}
-    for a in big:
-        counts[a] = counts.get(a, 0) + 1
-    for a in small:
-        counts[a] -= 1
-    out = []
-    for a in sorted(counts):
-        if counts[a] < 0:
-            raise ValueError("multiset underflow")
-        out.extend([a] * counts[a])
-    return tuple(out)
-
-
-def _forms_product(forms) -> Polynomial:
-    out = Polynomial.const(1)
-    for alpha in forms:
-        out = out * mu_poly(alpha)
-    return out
+def common_denominator(scalars):
+    """(forms, numerators) with numerators[i] / prod(forms) == scalars[i]:
+    forms is the least common multiple of the scalars' form multisets, as a
+    sorted tuple, and each numerator is its scalar's times the forms it lacks.
+    """
+    have = [Counter(s.forms) for s in scalars]
+    lcm = reduce(or_, have, Counter())
+    numerators = []
+    for s, own in zip(scalars, have):
+        num = s.num
+        for alpha in (lcm - own).elements():
+            num = num * mu_poly(alpha)
+        numerators.append(num)
+    return tuple(sorted(lcm.elements())), numerators
 
 
 ZERO = Scalar(Polynomial())
@@ -676,9 +651,9 @@ ONE = Scalar(Polynomial.const(1))
 def _sorted_terms(terms):
     """Graded lex on (id, exp) tuples: higher degree first, then higher power
     at the smaller id."""
-    return sorted(terms.items(),
-                  key=lambda t: (_mon_degree(t[0]), tuple((-i, e) for i, e in t[0])),
-                  reverse=True)
+    return sorted(terms.items(), reverse=True,
+                  key=lambda t: (sum(e for _, e in t[0]),
+                                 tuple((-i, e) for i, e in t[0])))
 
 
 def _mon_str(m):
@@ -727,11 +702,8 @@ def scalar_str(s: Scalar) -> str:
     factors = []
     if s.num.d != 1:
         factors.append(str(s.num.d))
-    counts = {}
-    for alpha in s.forms:
-        counts[alpha] = counts.get(alpha, 0) + 1
-    for alpha in sorted(counts):
-        factors.append(form_token(alpha, counts[alpha]))
+    # forms is sorted, so the counts come in token order
+    factors.extend(form_token(alpha, k) for alpha, k in Counter(s.forms).items())
     if not factors:
         return num_str
     if len(s.num.t) > 1:

@@ -26,7 +26,9 @@ from .algebra import (
     _mu_scalar,
     basis_element,
     box_points,
+    box_size,
     central_element,
+    check_pairs,
     euler_element,
     jacobi_residual,
     vir_bracket,
@@ -184,6 +186,7 @@ def _cocycle_residual(n, pts):
 
 def _box_scan(residual_of, n, box, zero_sum):
     """Scan the box triples, or those of sum 0, for residual_of(n, pts)."""
+    check_pairs(box_size(n, box) ** 2, f"the rank-{n} scan of radius {box}")
     pts = box_points(n, box)
     triples = (triples_with_sum(pts, (0,) * n) if zero_sum
                else itertools.product(pts, repeat=3))
@@ -216,7 +219,7 @@ def _scan_check(check_id, result):
 def suite_jacobi(n: int, box: int, seed: int, trials: int = 60):
     rng = random.Random(seed)
     checks = []
-    total = len(box_points(n, box)) ** 3
+    total = box_size(n, box) ** 3
 
     if total <= FULL_SCAN_LIMIT:
         checks.append(_scan_check(f"jacobi/n={n}/exhaustive",
@@ -278,11 +281,14 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
 
     if theta_input is not None:
         # rotations keep the lattice sum: one engine scan per sum
+        totals = sorted(theta_input.pair_sum_support() | {(0,) * n})
+        check_pairs(len(totals) * box_size(n, box) ** 2,
+                    f"the rank-{n} input scan of radius {box}")
         pts = box_points(n, box)
         results = [scan_triples(triples_with_sum(pts, total),
                                 lambda a, b, k: cocycle_residual(theta_input, a, b, k),
                                 f"input:{n}:{box}:{total}")
-                   for total in sorted(theta_input.pair_sum_support() | {(0,) * n})]
+                   for total in totals]
         failing = next((failures[0] for _, failures in results if failures), None)
         checks.append(check("cocycle/input_file_residual", failing is None,
                             triples_checked=sum(r[0] for r in results),
@@ -291,11 +297,13 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
                             failing_triple=failing))
         return checks
 
-    total = len(box_points(n, box)) ** 3
+    total = box_size(n, box) ** 3
     if total <= FULL_SCAN_LIMIT:
         checks.append(_scan_check(f"cocycle/n={n}/exhaustive",
                                   cocycle_full_scan(n, box)))
     else:
+        # the scan refuses a box past MAX_PAIRS before the lemma walks its pairs
+        scan = cocycle_zero_sum_scan(n, box)
         pts = box_points(n, box)
         support_ok = all(
             canonical_cocycle(a, b).is_zero()
@@ -304,8 +312,7 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
         checks.append(check(f"cocycle/n={n}/pair_support_lemma", support_ok,
                             pairs_checked=len(pts) ** 2,
                             covers=f"all {total} triples with nonzero lattice sum"))
-        checks.append(_scan_check(f"cocycle/n={n}/zero_sum_exhaustive",
-                                  cocycle_zero_sum_scan(n, box)))
+        checks.append(_scan_check(f"cocycle/n={n}/zero_sum_exhaustive", scan))
 
     theta = canonical_cochain(n)
     bad = 0
@@ -362,6 +369,7 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
 
 def suite_density(n: int, box: int, seed: int, trials: int = 100,
                   spec=None):
+    check_pairs(box_size(n, box) ** 2, f"the rank-{n} density suite of radius {box}")
     rng = random.Random(seed)
     p = formal_params(n)
     checks = []
@@ -429,7 +437,6 @@ def suite_verma(n: int, box: int, seed: int, kmax: int = 5, nmax: int = 4,
                 trials: int = 25):
     rng = random.Random(seed)
     checks = []
-    S0 = Scalar.from_rational(0)
 
     dims = [weight_space_dim_truncated(1, (-k,), TruncationBox(max(k, 1), max(k, 1)))
             for k in range(kmax + 1)]
@@ -451,8 +458,8 @@ def suite_verma(n: int, box: int, seed: int, kmax: int = 5, nmax: int = 4,
         a["dim"] < b["dim"] for a, b in zip(growth, growth[1:]))
     checks.append(check("verma/rank2_weight_growth", ok_growth, table=growth))
 
-    v = verma_act(basis_element(1, (-1,)), vacuum(1), lam=S0, c=S0)
-    ok_singular = is_singular_within_box(v, TruncationBox(4, 4), lam=S0, c=S0)
+    v = verma_act(basis_element(1, (-1,)), vacuum(1), lam=ZERO, c=ZERO)
+    ok_singular = is_singular_within_box(v, TruncationBox(4, 4), lam=ZERO, c=ZERO)
     ok_singular = ok_singular and is_singular_within_box(
         vacuum(2), TruncationBox(2, 2))
     generic = verma_act(basis_element(1, (-1,)), vacuum(1))

@@ -7,11 +7,13 @@ import pytest
 from solvir.algebra import (
     CENTRAL,
     MAX_BOX_POINTS,
+    MAX_PAIRS,
     AlgebraElement,
     SolenoidalAlgebra,
     basis_element,
     box_points,
     central_element,
+    check_pairs,
     element_str,
     euler_element,
     jacobi_residual,
@@ -309,3 +311,9 @@ def test_box_points_refuses_a_box_past_the_limit():
     # 3^40 points, past MAX_BOX_POINTS: refused before any is listed
     with pytest.raises(ValueError, match=f"more than {MAX_BOX_POINTS} points"):
         box_points(40, 1)
+
+
+def test_check_pairs_refuses_a_walk_past_the_limit():
+    check_pairs(MAX_PAIRS, "a walk")
+    with pytest.raises(ValueError, match=f"a walk walks {MAX_PAIRS + 1} pairs"):
+        check_pairs(MAX_PAIRS + 1, "a walk")

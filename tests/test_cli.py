@@ -360,6 +360,36 @@ def test_rank_or_box_past_the_limits_is_usage_error(tmp_path, capsys, argv, name
     assert _one_error_line(captured.err) and named in captured.err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "jacobi", "--n", "12", "--box", "1"],
+     "the rank-12 scan of radius 1 walks 282429536481 pairs"),
+    (["verify", "cocycle", "--n", "12", "--box", "1"],
+     "the rank-12 scan of radius 1 walks 282429536481 pairs"),
+    (["verify", "cocycle", "--input", "RANK12", "--box", "1"],
+     "the rank-12 input scan of radius 1 walks 564859072962 pairs"),
+    (["verify", "density", "--n", "12", "--box", "1"],
+     "the rank-12 density suite of radius 1 walks 282429536481 pairs"),
+    (["verify", "gvm", "--n", "12", "--boxes", "1"],
+     "the rank-12 level-one pairing walks 31381059609 pairs"),
+    (["dims", "gvm", "--n", "12", "--boxes", "1"],
+     "the rank-12 level-one pairing walks 31381059609 pairs"),
+    # the default radii 1..4 reach a rank-11 box past MAX_BOX_POINTS
+    (["verify", "gvm", "--n", "12"], "the rank-11 box of radius 2 has more than"),
+])
+def test_walk_past_the_pair_limit_is_usage_error(tmp_path, capsys, argv, named):
+    """A scan, suite or pairing walking more than MAX_PAIRS pairs exits 2
+    before any work."""
+    rank12 = tmp_path / "rank12.json"
+    rank12.write_text(json.dumps({"n": 12, "canonical_multiple": "1",
+                                  "coboundary": [[[1] + [0] * 11, "2"]],
+                                  "extra": []}))
+    code = main([str(rank12) if arg == "RANK12" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and named in captured.err
+
+
 def test_reports_validate_against_schema(tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(schema_path().read_text())

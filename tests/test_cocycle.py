@@ -120,6 +120,24 @@ def test_two_cochain_ranks_checked():
         coboundary(OneCochain(3, {(1, 0, 0): 1})) + coboundary(OneCochain(2))
 
 
+def test_pair_of_mixed_ranks_rejected():
+    for pair in (((0, 1), (1, 0, 0)), ((1, 0, 0), (0, 1))):
+        with pytest.raises(RankMismatchError):
+            TwoCochain(2, extra={pair: ONE})
+
+
+def test_sum_accumulates_the_right_extra_table():
+    left = TwoCochain(2, ONE, extra={((0, 1), (1, 0)): mu((1, 1))})
+    # the same pair in the opposite orientation: the extra parts cancel
+    right = TwoCochain(2, ZERO, OneCochain(2, {(1, 1): 2}),
+                       extra={((1, 0), (0, 1)): mu((1, 1))})
+    total = left + right
+    for alpha, beta in itertools.product(box_points(2, 2), repeat=2):
+        assert total.value(alpha, beta) == (left.value(alpha, beta)
+                                            + right.value(alpha, beta))
+    assert total.to_records()["extra"] == []
+
+
 def test_normalize_canonical():
     eta, shift = normalize_cocycle(canonical_cochain(2), 3)
     assert shift.is_zero()

@@ -32,6 +32,15 @@ def test_rank_scalar_matrix_clears_denominators():
     assert rank_scalar_matrix([[s, t], [t, s]]) == 2
 
 
+def test_rank_scalar_matrix_with_repeated_forms():
+    x = ONE.div_form((1, 0))
+    y = ONE.div_form((0, 1))
+    # the second row is the first times 1/mu(1,0)
+    assert rank_scalar_matrix([[x, x * y], [x * x, x * x * y]]) == 1
+    # determinant x*y*(x*y - 1)
+    assert rank_scalar_matrix([[x * x, y], [x, y * y]]) == 2
+
+
 def test_rational_echelon_incremental():
     ech = RationalEchelon(3)
     assert ech.add_row([1, 0, 1])

@@ -16,6 +16,7 @@ from solvir.scalars import (
     ZERO,
     Polynomial,
     Scalar,
+    common_denominator,
     mu_poly,
     normalize_form,
     parse_scalar,
@@ -246,3 +247,13 @@ def test_form_factor_is_its_linear_form():
     mu1, mu2 = Scalar.indeterminate("mu1"), Scalar.indeterminate("mu2")
     assert parse_scalar("mu(1,-2)") == mu1 - 2 * mu2
     assert parse_scalar("mu(0,3)^2/mu(0,1)") == 9 * mu2
+
+
+def test_common_denominator_takes_the_lcm_of_repeated_forms():
+    s1 = parse_scalar("1/mu(1,0)^2")
+    s2 = parse_scalar("1/(mu(1,0)*mu(0,1))")
+    forms, nums = common_denominator([s1, s2])
+    assert forms == ((0, 1), (1, 0), (1, 0))
+    assert nums == [mu_poly((0, 1)), mu_poly((1, 0))]
+    assert Scalar(nums[0] + nums[1], forms) == s1 + s2
+    assert s1 + s2 == parse_scalar("(mu1+mu2)/(mu(1,0)^2*mu(0,1))")
