@@ -223,6 +223,11 @@ class QuotientRankReport:
         }
 
 
+def _shell_key(gamma):
+    """Shell order: the radius of the smallest box holding gamma, then gamma."""
+    return (max(map(abs, gamma)), gamma)
+
+
 def quotient_dim_level1(n: int, kappa, p: DensityParams, boxes) -> QuotientRankReport:
     """Exact ranks of the level-one raising pairing over increasing boxes.
 
@@ -231,31 +236,41 @@ def quotient_dim_level1(n: int, kappa, p: DensityParams, boxes) -> QuotientRankR
     coefficient of the single target v_{kappa+gamma'} under the action.
     Formal parameters are required: the kernel criterion in the module
     docstring needs the coefficient module irreducible.
+
+    The matrix is built once, at the largest radius, with rows and columns
+    in shell order (_shell_key of gamma' and of gamma), so the matrix of
+    each smaller radius is a leading block; one staged elimination
+    (linalg.rank_scalar_matrix with corners) ranks every block.  Row and
+    column order do not change a rank.
     """
     if p.a != A or p.b != B:
         raise NotFormalParamsError("quotient rank needs formal parameters a, b")
-    # rows and columns of each matrix are indexed by the rank-(n-1) box
-    check_pairs(sum(box_size(n - 1, box) ** 2 for box in boxes),
-                f"the rank-{n} level-one pairing")
     kappa = tuple(kappa)
-    results = []
-    ranks = []
-    for box in sorted(boxes):
-        columns = level_weight_basis(n, 1, kappa, box)
-        matrix = []
-        for gamma_r in box_points(n - 1, box):
-            raiser = basis_element(n, (1,) + gamma_r)
-            target = GvmMonomial(n, (), vadd(kappa, gamma_r))
-            row = []
-            for mono in columns:
-                image = gvm_act(raiser, GvmVector(n, {mono: ONE}), p)
-                for m in image.terms:
-                    assert m == target, "raising image off the expected base vector"
-                row.append(image.coefficient(target))
-            matrix.append(row)
-        rank = rank_scalar_matrix(matrix)
-        results.append({"radius": box, "rows": len(matrix),
-                        "cols": len(columns), "rank": rank})
-        ranks.append(rank)
+    radii = sorted(boxes)
+    if not radii:
+        return QuotientRankReport(n, kappa, [], False)
+    if radii[0] < 0:
+        raise ValueError(f"radius {radii[0]} is negative")
+    # rows and columns are indexed by the rank-(n-1) box of each radius; the
+    # one build walks the entries of the largest
+    sizes = [box_size(n - 1, radius) for radius in radii]
+    check_pairs(sizes[-1] ** 2, f"the rank-{n} level-one pairing")
+    gammas = sorted(box_points(n - 1, radii[-1]), key=_shell_key)
+    columns = sorted(level_weight_basis(n, 1, kappa, radii[-1]),
+                     key=lambda mono: _shell_key(mono.word[0][1]))
+    matrix = []
+    for gamma_r in gammas:
+        raiser = basis_element(n, (1,) + gamma_r)
+        target = GvmMonomial(n, (), vadd(kappa, gamma_r))
+        row = []
+        for mono in columns:
+            image = gvm_act(raiser, GvmVector(n, {mono: ONE}), p)
+            if any(m != target for m in image.terms):
+                raise RuntimeError("raising image off the expected base vector")
+            row.append(image.coefficient(target))
+        matrix.append(row)
+    ranks = rank_scalar_matrix(matrix, [(size, size) for size in sizes])
+    results = [{"radius": radius, "rows": size, "cols": size, "rank": rank}
+               for radius, size, rank in zip(radii, sizes, ranks)]
     stabilized = len(ranks) >= 2 and ranks[-1] == ranks[-2]
     return QuotientRankReport(n, kappa, results, stabilized)

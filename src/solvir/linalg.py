@@ -2,9 +2,15 @@
 
 Matrices with Scalar entries are reduced to Polynomial matrices by clearing
 each row's denominators (row scaling by nonzero field elements preserves
-rank), then eliminated with the Bareiss fraction-free scheme.  Every division
-in Bareiss is an exact polynomial division; a failed division would signal a
-bug, not data, and raises immediately.
+the rank of every block of rows), then eliminated with the Bareiss
+fraction-free scheme.  Every division in Bareiss is an exact polynomial
+division; a failed division would signal a bug, not data, and raises
+RuntimeError at once.
+
+One elimination serves a chain of nested leading blocks: a caller whose
+matrices grow by appending rows and columns (the level-one pairing of gvm,
+listed in shell order) builds the largest matrix once and reads the rank of
+every smaller one from the same elimination.
 
 A small incremental echelon form over Q is also provided for assembling large
 sparse rational systems row by row.
@@ -17,43 +23,72 @@ from fractions import Fraction
 from .scalars import Polynomial, common_denominator
 
 
-def rank_scalar_matrix(rows) -> int:
-    """Exact rank of a matrix with Scalar entries."""
-    return rank_polynomial_matrix([common_denominator(list(r))[1] for r in rows])
+def rank_scalar_matrix(rows, corners=None):
+    """Exact rank of a matrix with Scalar entries, or of each of its corners.
+
+    corners as in rank_polynomial_matrix.
+    """
+    return rank_polynomial_matrix([common_denominator(list(r))[1] for r in rows],
+                                  corners)
 
 
-def rank_polynomial_matrix(rows) -> int:
-    """Bareiss fraction-free elimination; deterministic pivoting."""
+def rank_polynomial_matrix(rows, corners=None):
+    """Bareiss ranks of the nested leading blocks of a Polynomial matrix.
+
+    corners is a chain of (rows, cols) sizes, each at least the one before in
+    both entries; the result lists the rank of each leading block rows x cols.
+    Without corners the one corner is the whole matrix, and its rank comes
+    back as an int.
+
+    Pivots are taken block by block: inside the first corner until its
+    remaining entries are zero, then inside the next.  Each pivot updates
+    every remaining row and every column without a pivot of the whole matrix.
+    After k pivots in rows P and columns Q (in the order taken), Sylvester's
+    identity makes each remaining entry (i, j) the minor det M[P+i, Q+j],
+    and the division by the previous pivot det M[P, Q] exact, whatever the
+    order of P and Q (Bareiss 1968).  The Schur complement of M[P, Q] in a
+    block holding P and Q has the entries det M[P+i, Q+j] / det M[P, Q], so
+    once they are zero inside a corner, that corner's rank is the pivot
+    count k.  Row swaps stay inside the corner being searched, and pivots of
+    a smaller corner lie in every larger one, so they stay valid there.
+    Within a corner, a column found zero on its remaining rows stays zero on
+    them, so one left-to-right pass over its columns finds every pivot.
+    """
     m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    chain = [(nrows, ncols)] if corners is None else [tuple(c) for c in corners]
+    steps = [(0, 0)] + chain + [(nrows, ncols)]
+    if any(r > r2 or c > c2 for (r, c), (r2, c2) in zip(steps, steps[1:])):
+        raise ValueError(f"corners {chain} are not a chain inside "
+                         f"a {nrows} x {ncols} matrix")
+    live = list(range(ncols))  # columns without a pivot
     prev = Polynomial.const(1)
     rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
+    ranks = []
+    for r_end, c_end in chain:
+        for col in [j for j in live if j < c_end]:
+            pivot = next((i for i in range(rank, r_end) if m[i][col]), None)
+            if pivot is None:
+                continue
             m[rank], m[pivot] = m[pivot], m[rank]
-        piv = m[rank][col]
-        for i in range(rank + 1, nrows):
-            entry_i_col = m[i][col]
-            for j in range(col + 1, ncols):
-                num = piv * m[i][j] - entry_i_col * m[rank][j]
-                q = num.exact_div(prev)
-                assert q is not None, "Bareiss division failed"
-                m[i][j] = q
-            m[i][col] = Polynomial()
-        prev = piv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+            top = m[rank]
+            piv = top[col]
+            live.remove(col)
+            for i in range(rank + 1, nrows):
+                row = m[i]
+                entry_i_col = row[col]
+                for j in live:
+                    if not row[j] and not top[j]:
+                        continue  # both products are zero, and so is q
+                    q = (piv * row[j] - entry_i_col * top[j]).exact_div(prev)
+                    if q is None:
+                        raise RuntimeError("Bareiss division failed")
+                    row[j] = q
+            prev = piv
+            rank += 1
+        ranks.append(rank)
+    return ranks[0] if corners is None else ranks
 
 
 class RationalEchelon:

@@ -78,6 +78,16 @@ class PBWMonomial:
         self.word = word
         self._hash = hash((n, word))
 
+    @classmethod
+    def _normal(cls, n: int, word: tuple):
+        """A word already ascending and lex-negative, taken unchecked; for
+        the words pbw_enumerate and verma_act build."""
+        self = object.__new__(cls)
+        self.n = n
+        self.word = word
+        self._hash = hash((n, word))
+        return self
+
     def weight_shift(self):
         return vsum(self.word, (0,) * self.n)
 
@@ -201,9 +211,10 @@ def verma_act(x: AlgebraElement, v: VermaVector, lam: Scalar = LAMBDA,
                 _acc(acc, word, coef * cw)
     out = {}
     for word, coef in acc.items():
+        mono = PBWMonomial._normal(n, word)
         if box is not None and not box.contains_word(word):
-            raise BoxOverflowError(PBWMonomial(n, word))
-        out[PBWMonomial(n, word)] = coef
+            raise BoxOverflowError(mono)
+        out[mono] = coef
     return v._like(out)
 
 
@@ -251,7 +262,7 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
 
     def dfs(start, remaining, word):
         if not any(remaining):
-            out.append(PBWMonomial(n, word))
+            out.append(PBWMonomial._normal(n, word))
             return
         left = box.L - len(word) - 1
         for idx, g, rest in branches(start, remaining):

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import solvir.gvm as gvm
 from solvir.algebra import (
     SolenoidalAlgebra,
     basis_element,
+    box_points,
     central_element,
     vir_bracket,
 )
@@ -22,6 +24,7 @@ from solvir.gvm import (
     level_weight_basis,
     quotient_dim_level1,
 )
+from solvir.linalg import rank_scalar_matrix
 from solvir.scalars import A, B, ONE, Scalar, mu_poly
 
 A3 = SolenoidalAlgebra(3)
@@ -212,6 +215,73 @@ def test_report_shape():
     assert data["kappa"] == [0]
     assert {"radius", "rows", "cols", "rank"} <= set(data["boxes"][0])
     assert data["bound"] == "1*3"
+
+
+def test_one_build_for_all_radii(monkeypatch):
+    """Radii 1..8 build the 17 x 17 matrix of radius 8 once: one gvm_act
+    per entry and one staged elimination."""
+    calls = {"act": 0, "rank": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(gvm, "gvm_act", counted("act", gvm.gvm_act))
+    monkeypatch.setattr(gvm, "rank_scalar_matrix",
+                        counted("rank", gvm.rank_scalar_matrix))
+    report = quotient_dim_level1(2, (0,), P, range(1, 9))
+    assert calls == {"act": 17 ** 2, "rank": 1}
+    assert [e["rows"] for e in report.boxes] == [2 * r + 1 for r in range(1, 9)]
+
+
+def per_radius_ranks(n, kappa, p, radii):
+    """Independent oracle: a fresh matrix per radius, rows and columns in
+    box order, each ranked alone."""
+    ranks = []
+    for radius in radii:
+        columns = level_weight_basis(n, 1, kappa, radius)
+        matrix = []
+        for gamma_r in box_points(n - 1, radius):
+            target = GvmMonomial(n, (), tuple(k + g for k, g in zip(kappa, gamma_r)))
+            matrix.append([gvm_act(basis_element(n, (1,) + gamma_r),
+                                   GvmVector(n, {mono: ONE}), p).coefficient(target)
+                           for mono in columns])
+        ranks.append(rank_scalar_matrix(matrix))
+    return ranks
+
+
+@pytest.mark.parametrize("n,kappa,radii", [(2, (1,), [1, 2, 3, 4]),
+                                           (2, (-2,), [2, 3]),
+                                           (3, (0, 1), [1, 2])])
+def test_shell_order_ranks_match_per_radius_builds(n, kappa, radii):
+    p = formal_params(n - 1)
+    report = quotient_dim_level1(n, kappa, p, radii)
+    assert [e["rank"] for e in report.boxes] == per_radius_ranks(n, kappa, p, radii)
+
+
+def test_unsorted_repeated_and_empty_radii():
+    report = quotient_dim_level1(2, (0,), P, [3, 1, 3])
+    assert report.as_dict() == {
+        "n": 2, "kappa": [0], "bound": "1*3", "stabilized": True,
+        "boxes": [{"radius": 1, "rows": 3, "cols": 3, "rank": 3},
+                  {"radius": 3, "rows": 7, "cols": 7, "rank": 3},
+                  {"radius": 3, "rows": 7, "cols": 7, "rank": 3}]}
+    assert quotient_dim_level1(2, (0,), P, []).as_dict() == {
+        "n": 2, "kappa": [0], "bound": "1*3", "stabilized": False, "boxes": []}
+    with pytest.raises(ValueError, match="negative"):
+        quotient_dim_level1(2, (0,), P, [2, -1])
+
+
+def test_raising_image_off_target_raises(monkeypatch):
+    """The check on each image is a RuntimeError, so python -O keeps it."""
+    def stray(x, v, p):
+        return base_vector(2, (99,))
+
+    monkeypatch.setattr(gvm, "gvm_act", stray)
+    with pytest.raises(RuntimeError, match="off the expected base vector"):
+        quotient_dim_level1(2, (0,), P, [1])
 
 
 def test_repeated_action_leaves_earlier_results_intact():

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
+import pytest
+
 from solvir.linalg import RationalEchelon, rank_polynomial_matrix, rank_scalar_matrix
-from solvir.scalars import ONE, Polynomial, Scalar, mu_poly
+from solvir.scalars import ONE, ZERO, Polynomial, Scalar, mu_poly
 
 
 def P(c):
@@ -49,3 +52,103 @@ def test_rational_echelon_incremental():
     assert ech.rank == 2
     assert ech.in_row_space_kernel([Fraction(1), Fraction(0), Fraction(-1)])
     assert not ech.in_row_space_kernel([1, 0, 0])
+
+
+# rank-2 mu-forms, the factors and denominators of the seeded entries
+FORMS = [(1, 0), (0, 1), (1, 1), (1, -2), (2, 1)]
+
+
+def seeded_entry(rng):
+    """Small integer times up to two mu-forms, over a mu-form half the time;
+    zero one time in four."""
+    if rng.random() < 0.25:
+        return ZERO
+    out = Scalar.from_rational(rng.choice([-3, -2, -1, 1, 2, 5]))
+    for _ in range(rng.randint(0, 2)):
+        out = out * Scalar.mu_form(rng.choice(FORMS))
+    return out.div_form(rng.choice(FORMS)) if rng.random() < 0.5 else out
+
+
+def seeded_matrix(rng, nrows, ncols, inner=None):
+    """Seeded entries; with inner, the product of an nrows x inner and an
+    inner x ncols factor, so every block has rank at most inner."""
+    if inner is None:
+        return [[seeded_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    u = seeded_matrix(rng, nrows, inner)
+    v = seeded_matrix(rng, inner, ncols)
+    return [[sum((u[i][k] * v[k][j] for k in range(inner)), ZERO)
+             for j in range(ncols)] for i in range(nrows)]
+
+
+def block(rows, corner):
+    r, c = corner
+    return [row[:c] for row in rows[:r]]
+
+
+CHAINS = [
+    [(1, 1), (2, 3), (4, 4), (5, 6)],
+    [(2, 2), (2, 2), (3, 5), (5, 6)],  # a repeated corner
+    [(0, 0), (3, 0), (3, 3), (5, 6)],  # empty blocks
+    [(5, 6)],
+]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_corner_ranks_match_each_block(seed):
+    rng = random.Random(seed)
+    inner = [None, 1, 2, 3][seed % 4]
+    rows = seeded_matrix(rng, 5, 6, inner)
+    for chain in CHAINS:
+        ranks = rank_scalar_matrix(rows, chain)
+        assert ranks == [rank_scalar_matrix(block(rows, c)) for c in chain]
+        if inner is not None:
+            assert max(ranks) <= inner
+
+
+def test_corner_ranks_past_an_all_zero_block():
+    # the leading 2 x 3 block is zero; the later corners find their pivots
+    # in the rows and the column past it
+    rng = random.Random(7)
+    low = seeded_matrix(rng, 2, 2, 1)
+    rows = [[ZERO] * 4, [ZERO] * 3 + [ONE]] + [r + [ONE, ZERO] for r in low]
+    chain = [(2, 3), (4, 3), (4, 4)]
+    ranks = rank_scalar_matrix(rows, chain)
+    assert ranks[0] == 0
+    assert ranks == [rank_scalar_matrix(block(rows, c)) for c in chain]
+
+
+def to_sympy(sympy, scalar):
+    """A Scalar read back from its text form, mu(g) as the linear form."""
+    mu1, mu2 = sympy.symbols("mu1 mu2")
+    return sympy.sympify(str(scalar).replace("^", "**"),
+                         locals={"mu": lambda a, b: a * mu1 + b * mu2,
+                                 "mu1": mu1, "mu2": mu2})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_corner_ranks_match_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(100 + seed)
+    rows = seeded_matrix(rng, 4, 5, [None, 1, 2, 3][seed])
+    exprs = [[to_sympy(sympy, x) for x in row] for row in rows]
+    chain = [(1, 2), (2, 2), (3, 4), (4, 5)]
+    expected = [DomainMatrix.from_Matrix(sympy.Matrix(block(exprs, c)))
+                .to_field().rank() for c in chain]
+    assert rank_scalar_matrix(rows, chain) == expected
+
+
+def test_corners_must_be_a_chain_inside_the_matrix():
+    rows = [[P(1), P(2)], [P(3), P(4)]]
+    assert rank_polynomial_matrix(rows, []) == []
+    with pytest.raises(ValueError):
+        rank_polynomial_matrix(rows, [(2, 2), (1, 2)])
+    with pytest.raises(ValueError):
+        rank_polynomial_matrix(rows, [(3, 2)])
+
+
+def test_failed_bareiss_division_raises(monkeypatch):
+    """The exactness check is a RuntimeError, so python -O keeps it."""
+    monkeypatch.setattr(Polynomial, "exact_div", lambda self, other: None)
+    with pytest.raises(RuntimeError, match="Bareiss division failed"):
+        rank_polynomial_matrix([[P(1), P(2)], [P(3), P(4)]])

@@ -257,6 +257,20 @@ def test_pbw_word_order_is_canonical():
     assert PBWMonomial(2, word).word == tuple(sorted(tuple(p) for p in word))
 
 
+def test_unchecked_words_are_the_validated_ones():
+    """pbw_enumerate and verma_act build their words unchecked: each must
+    be the word the validating constructor makes, and the public
+    constructor still refuses a word that is not lex-negative."""
+    monos = pbw_enumerate(2, (-2, 1), TruncationBox(2, 4))
+    out = verma_act(A2.e(1, -1) + A2.e(0, 0) + A2.e(-1, 2),
+                    VermaVector(2, {m: ONE for m in monos}))
+    for mono in monos + list(out.terms):
+        checked = PBWMonomial(2, mono.word)
+        assert checked.word == mono.word and hash(checked) == hash(mono)
+    with pytest.raises(ValueError):
+        PBWMonomial(2, [(-1, 0), (0, 1)])
+
+
 def test_straightening_determinism_across_application_orders():
     # applying the generators of a fixed multiset in the two opposite orders
     # differs exactly by the bracket correction
