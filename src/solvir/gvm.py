@@ -10,11 +10,11 @@ v_kappa, kappa in Z^(n-1), on which
 
 writing mu'.gamma for the form sum_{j>=2} mu_j gamma_{j-1}.  Positive degrees
 act by zero on the coefficient module and the negative part acts freely, so a
-monomial is a normal-ordered word of pairs (i >= 1, gamma'), standing for the
-generator E((-i, gamma')), applied to a base vector v_kappa.  The level of a
-monomial is the sum of its i entries.  gvm_act rewrites into this basis with
-the Verma modules' engine, verma.straighten, on the letters (-i, gamma'); only
-the action on the coefficient module is its own.
+monomial is a normal-ordered word of negative-degree generators over a base
+vector v_kappa, stored as in verma: an ascending tuple of the algebra's lattice
+points, the letters (-i, gamma') with i >= 1; its level is the sum of the i.
+gvm_act rewrites into this basis with verma.straighten, which reads and returns
+these words as they are; only the action on the coefficient module is its own.
 
 Quotient criterion (level 1).  Write W for the level-one weight slice at
 total shift kappa, spanned by E((-1, gamma)) . v_{kappa-gamma}.  A vector w
@@ -40,7 +40,6 @@ from .algebra import (
     AlgebraElement,
     Combination,
     _acc,
-    _mu_scalar,
     basis_element,
     box_points,
     box_size,
@@ -53,7 +52,7 @@ from .algebra import (
 from .density import DensityParams, act_coefficient
 from .errors import NotFormalParamsError, RankMismatchError
 from .linalg import rank_scalar_matrix
-from .scalars import A, B, ONE, ZERO, Scalar
+from .scalars import A, B, ONE, ZERO
 from .verma import straighten
 
 
@@ -67,19 +66,14 @@ def grade_of(x: AlgebraElement):
             for degree, terms in sorted(parts.items())}
 
 
-def embedded_form(n: int, gamma) -> Scalar:
-    """mu'.gamma as a rank-n scalar, i.e. mu.(0, gamma)."""
-    return _mu_scalar((0,) + tuple(gamma))
-
-
-def _pair_key(pair):
-    """The letter of a word entry: (i, gamma') stands for E((-i, gamma'))."""
-    i, gamma = pair
-    return (-i,) + gamma
-
-
 class GvmMonomial:
-    """Word of (i, gamma') pairs, normal-ordered, over a base vector."""
+    """Normal-ordered word of letters (-i, gamma'), i >= 1, over a base vector.
+
+    The word is stored ascending, as in PBWMonomial.  Kept for report bytes:
+    str prints the letters in application order, first-applied leftmost (the
+    reverse of PBWMonomial's operator order), and monomials sort level first,
+    each letter read as (i,) + gamma', then by base.
+    """
 
     __slots__ = ("n", "word", "base", "_hash")
 
@@ -89,26 +83,23 @@ class GvmMonomial:
         base = tuple(base) if base is not None else (0,) * (n - 1)
         if len(base) != n - 1:
             raise RankMismatchError(f"base {base} in rank-{n} monomial")
-        cleaned = []
-        for i, gamma in word:
-            gamma = tuple(gamma)
-            if i < 1:
-                raise ValueError(f"word entry ({i}, {gamma}) has level < 1")
-            if len(gamma) != n - 1:
-                raise RankMismatchError(f"word entry {gamma} in rank {n}")
-            cleaned.append((i, gamma))
-        cleaned.sort(key=_pair_key)
+        word = tuple(sorted(tuple(letter) for letter in word))
+        for letter in word:
+            if len(letter) != n:
+                raise RankMismatchError(f"letter {letter} in rank-{n} monomial")
+            if letter[0] >= 0:
+                raise ValueError(f"letter {letter} has degree >= 0")
         self.n = n
-        self.word = tuple(cleaned)
+        self.word = word
         self.base = base
-        self._hash = hash((n, self.word, base))
+        self._hash = hash((n, word, base))
 
     def level(self) -> int:
-        return sum(i for i, _ in self.word)
+        return -sum(letter[0] for letter in self.word)
 
     def mu_shift(self):
-        """Total mu'-index: base plus the word's gamma entries."""
-        return vsum((gamma for _, gamma in self.word), self.base)
+        """Total mu'-index: base plus the word's gamma' entries."""
+        return vsum((letter[1:] for letter in self.word), self.base)
 
     def __eq__(self, other):
         return isinstance(other, GvmMonomial) and self.n == other.n \
@@ -117,11 +108,14 @@ class GvmMonomial:
     def __hash__(self):
         return self._hash
 
+    def _sort_key(self):
+        return [(-letter[0],) + letter[1:] for letter in self.word], self.base
+
     def __lt__(self, other):
-        return (self.word, self.base) < (other.word, other.base)
+        return self._sort_key() < other._sort_key()
 
     def __str__(self):
-        return "*".join([point_str("e", _pair_key(p)) for p in self.word]
+        return "*".join([point_str("e", letter) for letter in self.word]
                         + [point_str("v", self.base)])
 
     def __repr__(self):
@@ -143,7 +137,7 @@ def base_vector(n: int, kappa) -> GvmVector:
     return GvmVector(n, {GvmMonomial(n, (), kappa): ONE})
 
 
-# letters E((-i, gamma')), i >= 1, are the points below (0,) in tuple order
+# letters (-i, gamma'), i >= 1, are the points below (0,) in tuple order
 DEGREE_ZERO = (0,)
 
 
@@ -170,34 +164,40 @@ def gvm_act(x: AlgebraElement, v: GvmVector, p: DensityParams) -> GvmVector:
             continue
         for mono, cv in v.terms.items():
             coef = ce * cv
-            letters = tuple(map(_pair_key, mono.word))
             # C acts by zero on the module
-            for wb, cw in straighten(key, letters, mono.base, DEGREE_ZERO, act,
+            for wb, cw in straighten(key, mono.word, mono.base, DEGREE_ZERO, act,
                                      ZERO, memo).items():
                 _acc(acc, wb, coef * cw)
-    return v._like({GvmMonomial(n, [(-a[0], a[1:]) for a in word], base): coef
+    return v._like({GvmMonomial(n, word, base): coef
                     for (word, base), coef in acc.items()})
+
+
+def _check_kappa(n: int, kappa) -> tuple:
+    kappa = tuple(kappa)
+    if len(kappa) != n - 1:
+        raise RankMismatchError(f"kappa {kappa} in rank {n}: needs {n - 1} entries")
+    return kappa
 
 
 def level_weight_basis(n: int, level: int, kappa, box: int):
     """In-box monomials of the given level whose total mu'-shift is kappa."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    kappa = tuple(kappa)
+    kappa = _check_kappa(n, kappa)
     gammas = box_points(n - 1, box)
     out = []
 
     def words(level_left, word):
         if level_left == 0:
-            shift = vsum((gamma for _, gamma in word), (0,) * (n - 1))
+            shift = vsum((letter[1:] for letter in word), (0,) * (n - 1))
             out.append(GvmMonomial(n, word, vsub(kappa, shift)))
             return
         for i in range(1, level_left + 1):
             for gamma in gammas:
-                pair = (i, gamma)
-                if word and _pair_key(pair) < _pair_key(word[-1]):
+                letter = (-i,) + gamma
+                if word and letter < word[-1]:
                     continue
-                words(level_left - i, word + (pair,))
+                words(level_left - i, word + (letter,))
 
     words(level, ())
     return sorted(out)
@@ -210,8 +210,8 @@ class QuotientRankReport:
     boxes: list  # entries {radius, rows, cols, rank}
     stabilized: bool
 
-    def bound_string(self, level=1):
-        return "*".join(str(2 * j + 1) for j in range(level + 1))
+    def bound_string(self):
+        return "1*3"  # the level-one ceiling, the double factorial (2*0+1)*(2*1+1)
 
     def as_dict(self):
         return {
@@ -245,7 +245,7 @@ def quotient_dim_level1(n: int, kappa, p: DensityParams, boxes) -> QuotientRankR
     """
     if p.a != A or p.b != B:
         raise NotFormalParamsError("quotient rank needs formal parameters a, b")
-    kappa = tuple(kappa)
+    kappa = _check_kappa(n, kappa)
     radii = sorted(boxes)
     if not radii:
         return QuotientRankReport(n, kappa, [], False)
@@ -256,8 +256,7 @@ def quotient_dim_level1(n: int, kappa, p: DensityParams, boxes) -> QuotientRankR
     sizes = [box_size(n - 1, radius) for radius in radii]
     check_pairs(sizes[-1] ** 2, f"the rank-{n} level-one pairing")
     gammas = sorted(box_points(n - 1, radii[-1]), key=_shell_key)
-    columns = sorted(level_weight_basis(n, 1, kappa, radii[-1]),
-                     key=lambda mono: _shell_key(mono.word[0][1]))
+    columns = [GvmMonomial(n, ((-1,) + gamma,), vsub(kappa, gamma)) for gamma in gammas]
     matrix = []
     for gamma_r in gammas:
         raiser = basis_element(n, (1,) + gamma_r)

@@ -102,12 +102,12 @@ def _random_point(rng, n, box):
     return tuple(rng.randint(-box, box) for _ in range(n))
 
 
-def _random_element(rng, n, box, allow_central=True):
+def _random_element(rng, n, box):
     out = basis_element(n, _random_point(rng, n, box)).scale(rng.randint(1, 4))
     for _ in range(rng.randint(0, 2)):
         out = out + basis_element(n, _random_point(rng, n, box)).scale(
             rng.randint(-4, 4))
-    if allow_central and rng.random() < 0.3:
+    if rng.random() < 0.3:
         out = out + central_element(n).scale(rng.randint(-3, 3))
     return out
 
@@ -433,8 +433,8 @@ def suite_density(n: int, box: int, seed: int, trials: int = 100,
 # --------------------------------------------------------------------------
 
 
-def suite_verma(n: int, box: int, seed: int, kmax: int = 5, nmax: int = 4,
-                trials: int = 25):
+def suite_verma(seed: int, kmax: int = 5, nmax: int = 4, trials: int = 25):
+    """Fixed rank-1 and rank-2 checks; the command's --n and --box do not apply."""
     rng = random.Random(seed)
     checks = []
 
@@ -485,8 +485,7 @@ def suite_verma(n: int, box: int, seed: int, kmax: int = 5, nmax: int = 4,
 # --------------------------------------------------------------------------
 
 
-def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25,
-              kappas=((0,), (1,), (-1,))):
+def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25):
     if n < 2:
         raise ValueError("the gvm suite needs --n >= 2")
     rng = random.Random(seed)
@@ -504,8 +503,8 @@ def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25,
     checks.append(check(f"gvm/n={n}/grading_respects_bracket", bad == 0,
                         trials=trials, failures=bad))
 
-    monos = [GvmMonomial(n, ((1, (0,) * (n - 1)),), (0,) * (n - 1)),
-             GvmMonomial(n, ((1, (-1,) + (0,) * (n - 2)),), (1,) + (0,) * (n - 2)),
+    monos = [GvmMonomial(n, ((-1,) + (0,) * (n - 1),), (0,) * (n - 1)),
+             GvmMonomial(n, ((-1, -1) + (0,) * (n - 2),), (1,) + (0,) * (n - 2)),
              GvmMonomial(n, (), (0,) * (n - 1))]
     def axiom():
         alpha = _random_point(rng, n, 2)
@@ -518,8 +517,8 @@ def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25,
 
     tables = []
     ok_ranks = True
-    for kappa in kappas:
-        kappa = tuple(kappa) if len(kappa) == n - 1 else (kappa[0],) * (n - 1)
+    for k in (0, 1, -1):
+        kappa = (k,) * (n - 1)
         report = quotient_dim_level1(n, kappa, formal_params(n - 1), boxes)
         ranks = [entry["rank"] for entry in report.boxes]
         monotone = all(x <= y for x, y in zip(ranks, ranks[1:]))
@@ -543,7 +542,7 @@ def run_suite(name: str, n: int, box: int, seed: int, boxes=None, spec=None,
     if name == "density":
         return suite_density(n, box, seed, spec=spec)
     if name == "verma":
-        return suite_verma(n, box, seed)
+        return suite_verma(seed)
     if name == "gvm":
         return suite_gvm(n, seed, boxes=boxes)
     if name == "all":
@@ -551,7 +550,7 @@ def run_suite(name: str, n: int, box: int, seed: int, boxes=None, spec=None,
         checks += suite_jacobi(n, min(box, 2), seed)
         checks += suite_cocycle(n, min(box, 2), seed, normalize_trials=3)
         checks += suite_density(n, min(box, 2), seed, trials=40, spec=spec)
-        checks += suite_verma(n, box, seed, kmax=4, nmax=3)
+        checks += suite_verma(seed, kmax=4, nmax=3)
         checks += suite_gvm(n, seed, boxes=[1, 2, 3])
         return checks
     raise ValueError(f"unknown suite {name!r}")

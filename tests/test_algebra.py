@@ -34,7 +34,7 @@ from solvir.errors import (
     RankMismatchError,
 )
 from solvir.gvm import GvmMonomial, GvmVector
-from solvir.scalars import ONE, ZERO, Scalar, mu_poly
+from solvir.scalars import ONE, ZERO, Scalar
 from solvir.verma import PBWMonomial, VermaVector
 
 
@@ -263,8 +263,9 @@ def _three_keys(kind, n):
         return [PBWMonomial(n, [(-1,) + (0,) * (n - 1)]), PBWMonomial(n, [last]),
                 PBWMonomial(n)]
     if kind is GvmVector:
-        return [GvmMonomial(n, [(1, (0,) * (n - 1))]), GvmMonomial(n, [], (1,) * (n - 1)),
-                GvmMonomial(n, [(2, (-1,) * (n - 1))])]
+        return [GvmMonomial(n, [(-1,) + (0,) * (n - 1)]),
+                GvmMonomial(n, [], (1,) * (n - 1)),
+                GvmMonomial(n, [(-2,) + (-1,) * (n - 1)])]
     return [first, last, (2,) * n]
 
 

@@ -1,6 +1,4 @@
-import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -13,12 +11,11 @@ from solvir.algebra import (
     vir_bracket,
 )
 from solvir.density import DensityParams, basis_vector, density_act, formal_params
-from solvir.errors import NotFormalParamsError
+from solvir.errors import NotFormalParamsError, RankMismatchError
 from solvir.gvm import (
     GvmMonomial,
     GvmVector,
     base_vector,
-    embedded_form,
     grade_of,
     gvm_act,
     level_weight_basis,
@@ -57,7 +54,7 @@ def test_grade_respects_bracket():
 def test_degree_zero_action_on_base():
     v = base_vector(2, (0,))
     out = gvm_act(A2.e(0, 3), v, P)
-    expected = base_vector(2, (3,)).scale(A + B * embedded_form(2, (3,)))
+    expected = base_vector(2, (3,)).scale(A + B * Scalar.mu_form((0, 3)))
     assert out == expected
 
 
@@ -81,7 +78,7 @@ def test_raising_through_one_letter_word():
     direct = gvm_act(bracket, base_vector(2, kappa), P)
     assert out == direct
     coef = Scalar(mu_poly((-2, g - gp))) * (
-        A + embedded_form(2, kappa) + B * embedded_form(2, (g + gp,)))
+        A + Scalar.mu_form((0,) + kappa) + B * Scalar.mu_form((0, g + gp)))
     assert out == base_vector(2, (kappa[0] + g + gp,)).scale(coef)
 
 
@@ -102,9 +99,9 @@ def test_degree_zero_matches_density_action_after_reindexing():
 
 def test_module_axiom_randomized():
     rng = random.Random(808)
-    monos = [GvmMonomial(2, ((1, (0,)),), (0,)),
-             GvmMonomial(2, ((1, (-1,)), (1, (2,))), (1,)),
-             GvmMonomial(2, ((2, (1,)),), (-1,)),
+    monos = [GvmMonomial(2, ((-1, 0),), (0,)),
+             GvmMonomial(2, ((-1, -1), (-1, 2)), (1,)),
+             GvmMonomial(2, ((-2, 1),), (-1,)),
              GvmMonomial(2, (), (2,))]
     for _ in range(30):
         alpha = (rng.randint(-2, 2), rng.randint(-2, 2))
@@ -121,7 +118,7 @@ def test_weight_bookkeeping():
     rng = random.Random(99)
     for _ in range(20):
         alpha = (rng.randint(-2, 2), rng.randint(-2, 2))
-        start = GvmMonomial(2, ((1, (rng.randint(-2, 2),)),), (rng.randint(-2, 2),))
+        start = GvmMonomial(2, ((-1, rng.randint(-2, 2)),), (rng.randint(-2, 2),))
         out = gvm_act(A2.e(alpha), GvmVector(2, {start: ONE}), P)
         expected_level = start.level() - alpha[0]
         expected_shift = start.mu_shift()[0] + alpha[1]
@@ -130,10 +127,33 @@ def test_weight_bookkeeping():
             assert mono.mu_shift() == (expected_shift,)
 
 
+def test_monomial_constructor_reads_letters():
+    with pytest.raises(ValueError, match="degree >= 0"):
+        GvmMonomial(2, [(0, 1)])
+    with pytest.raises(RankMismatchError):
+        GvmMonomial(2, [(-1, 0, 0)])
+    m = GvmMonomial(3, [(-1, 2, 0), (-2, -1, 1), (-1, -3, 4)], (1, 1))
+    permuted = GvmMonomial(3, [(-1, -3, 4), (-1, 2, 0), (-2, -1, 1)], (1, 1))
+    assert m == permuted and hash(m) == hash(permuted)
+    assert m.word == ((-2, -1, 1), (-1, -3, 4), (-1, 2, 0))
+    assert m.level() == 4
+    assert m.mu_shift() == (-1, 6)
+
+
+@pytest.mark.parametrize("kappa", [(0, 5), ()])
+def test_kappa_of_wrong_length_raises(kappa):
+    with pytest.raises(RankMismatchError, match="kappa"):
+        quotient_dim_level1(2, kappa, P, [1, 2])
+    with pytest.raises(RankMismatchError, match="kappa"):
+        level_weight_basis(2, 1, kappa, 1)
+    with pytest.raises(RankMismatchError, match="kappa"):
+        quotient_dim_level1(3, kappa[:1], formal_params(2), [1])
+
+
 def test_level_weight_basis_level_one():
     basis = level_weight_basis(2, 1, (0,), 3)
     assert len(basis) == 7
-    gammas = sorted(m.word[0][1][0] for m in basis)
+    gammas = sorted(m.word[0][1] for m in basis)
     assert gammas == list(range(-3, 4))
     for m in basis:
         assert m.level() == 1
@@ -143,8 +163,8 @@ def test_level_weight_basis_level_one():
 
 
 def test_level_weight_basis_level_two_oracle():
-    # brute oracle: words (2, g) with |g| <= 1, plus normal-ordered pairs
-    # (1, g1)(1, g2); bases adjust to meet the total shift
+    # brute oracle: words (-2, g) with |g| <= 1, plus normal-ordered pairs
+    # (-1, g1)(-1, g2); bases adjust to meet the total shift
     basis = level_weight_basis(2, 2, (0,), 1)
     singles = list(range(-1, 2))
     ordered_pairs = [(g1, g2) for g1 in singles for g2 in singles if g1 <= g2]
@@ -190,7 +210,7 @@ def test_pairing_entry_closed_form():
         k = kappa[0]
         for box in (1, 2):
             columns = level_weight_basis(2, 1, kappa, box)
-            assert [m.word[0][1][0] for m in columns] == list(range(-box, box + 1))
+            assert [m.word[0][1] for m in columns] == list(range(-box, box + 1))
             for gp in range(-box, box + 1):
                 raiser = A2.e(1, gp)
                 target = GvmMonomial(2, (), (k + gp,))
@@ -198,7 +218,7 @@ def test_pairing_entry_closed_form():
                 y = A + mu2 * k + B * mu2 * gp
                 z = (B - ONE) * mu2
                 for mono in columns:
-                    g = mono.word[0][1][0]
+                    g = mono.word[0][1]
                     entry = (Scalar.mu_form((-2, g - gp))
                              * (A + Scalar.mu_form((0, k - g))
                                 + B * Scalar.mu_form((0, g + gp))))

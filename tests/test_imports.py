@@ -1,8 +1,8 @@
-"""Module-level imports of the solvir sources, read with ast.
+"""Module-level imports of the solvir sources and tests, read with ast.
 
-No import is unused, and no module reaches into the representation that
-scalars owns: the only underscore names imported from scalars are the
-grammar internals algebra drives to read elements.
+No import is unused, in the sources or the tests, and no module reaches into
+the representation that scalars owns: the only underscore names imported
+from scalars are the grammar internals algebra drives to read elements.
 """
 
 import ast
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "solvir"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "solvir"
 MODULES = sorted(SRC.glob("*.py"))
 SCALARS_INTERNALS = {"algebra": {"_parse_point", "_signed_terms", "_TokenStream"}}
 
@@ -27,8 +28,9 @@ def _imports(tree):
 
 
 # the package's own imports are its public namespace
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"]
+                         + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_module_import(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

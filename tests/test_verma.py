@@ -6,7 +6,6 @@ import pytest
 
 from solvir.algebra import (
     SolenoidalAlgebra,
-    basis_element,
     central_element,
     eta0,
     lex_sign,
@@ -16,7 +15,7 @@ from solvir.algebra import (
 )
 from solvir.density import formal_params
 from solvir.errors import BoxOverflowError, NonHomogeneousError
-from solvir.gvm import DEGREE_ZERO, embedded_form, level_weight_basis
+from solvir.gvm import DEGREE_ZERO, level_weight_basis
 from solvir.scalars import CCHARGE, LAMBDA, ONE, ZERO, Scalar, mu_poly
 from solvir.verma import (
     PBWMonomial,
@@ -399,7 +398,8 @@ def gvm_hook(p):
             return None
         if alpha[0]:
             return {}
-        coef = p.a + embedded_form(2, base) + p.b * embedded_form(2, alpha[1:])
+        coef = (p.a + Scalar.mu_form((0,) + base)
+                + p.b * Scalar.mu_form((0,) + alpha[1:]))
         return {((), vadd(base, alpha[1:])): coef} if coef else {}
     return act
 
@@ -423,11 +423,10 @@ def test_memoized_straighten_matches_unmemoized_on_verma_words(lam, c):
 def test_memoized_straighten_matches_unmemoized_on_gvm_words(kappa):
     act = gvm_hook(formal_params(1))
     for mono in level_weight_basis(2, 2, (kappa,), 2):
-        letters = tuple((-i,) + gamma for i, gamma in mono.word)
         for alpha in [(1, 0), (1, -2), (2, 1), (0, 1), (0, 0), (-1, 2)]:
-            expected = unmemoized_straighten(alpha, letters, mono.base, DEGREE_ZERO,
+            expected = unmemoized_straighten(alpha, mono.word, mono.base, DEGREE_ZERO,
                                              act, ZERO)
-            assert straighten(alpha, letters, mono.base, DEGREE_ZERO, act, ZERO,
+            assert straighten(alpha, mono.word, mono.base, DEGREE_ZERO, act, ZERO,
                               {}) == expected, (alpha, mono)
 
 
