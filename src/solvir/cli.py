@@ -70,6 +70,13 @@ def check_rank(n: int) -> int:
     return n
 
 
+def parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_spec(text: str) -> dict:
     """mu1=2/3,mu2=5 -> {'mu1': Fraction(2,3), 'mu2': Fraction(5)}."""
     out = {}
@@ -78,18 +85,24 @@ def parse_spec(text: str) -> dict:
     for item in text.split(","):
         if "=" not in item:
             raise ValueError(f"bad specialization entry {item!r}")
-        key, value = item.split("=", 1)
-        out[key.strip()] = Fraction(value.strip())
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in out:
+            raise ValueError(f"specialization key {key!r} listed twice")
+        out[key] = parse_fraction(value)
     return out
 
 
 def parse_boxes(text: str) -> list:
-    """Accept '1..6' ranges and comma lists."""
+    """Accept '1..6' ranges and comma lists naming at least one radius."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        radii = list(range(int(lo), int(hi) + 1))
+    else:
+        radii = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not radii:
+        raise ValueError(f"radius list {text!r} names no radius")
+    return radii
 
 
 # config key -> parser of its text; a flag of the same name overrides the file
@@ -114,6 +127,8 @@ def load_config_file(path: str) -> dict:
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r} in {path} "
                              f"(known: {', '.join(CONFIG_KEYS)})")
+        if key in values:
+            raise ValueError(f"config key {key!r} listed twice in {path}")
         values[key] = value
     return values
 
@@ -129,6 +144,8 @@ def build_config(args) -> RunConfig:
         if getattr(args, key, None) not in (None, ""):
             setattr(cfg, key, parse(getattr(args, key)))
             cfg.given.add(key)
+    if getattr(args, "mu1", None):
+        cfg.spec["mu1"] = parse_fraction(args.mu1)
     cfg.validate()
     return cfg
 
@@ -204,7 +221,11 @@ def cmd_bracket(args) -> int:
 def cmd_dims(args) -> int:
     cfg = build_config(args)
     if args.target == "verma":
+        if args.kappa is not None:
+            raise ValueError("--kappa applies to dims gvm only")
         if args.level is not None:
+            if args.shift is not None or cfg.boxes:
+                raise ValueError("--level takes neither --shift nor --boxes")
             shift = (-args.level,) + (0,) * (cfg.n - 1)
             sizes = [(max(args.level, 1), max(args.level, 1))]
         else:
@@ -230,6 +251,8 @@ def cmd_dims(args) -> int:
         emit(report, cfg.out)
         return 0
     # argparse admits only the targets "verma" and "gvm"
+    if args.shift is not None or args.level is not None:
+        raise ValueError("--shift and --level apply to dims verma only")
     if cfg.n < 2:
         raise ValueError("dims gvm needs rank n >= 2")
     kappa_text = args.kappa or "0"
@@ -347,10 +370,6 @@ def main(argv=None) -> int:
     parser = make_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_merge_negative_values(argv))
-    if getattr(args, "mu1", None):
-        merged = parse_spec(args.spec) if args.spec else {}
-        merged["mu1"] = Fraction(args.mu1)
-        args.spec = ",".join(f"{k}={v}" for k, v in sorted(merged.items()))
     try:
         return args.func(args)
     except (ValueError, ParseError, OSError, json.JSONDecodeError) as exc:

@@ -62,14 +62,6 @@ class NonHomogeneousError(SolvirError):
     """singular_residuals requires a weight-homogeneous vector."""
 
 
-class BoxOverflowError(SolvirError):
-    """Straightening produced a monomial outside the requested truncation box."""
-
-    def __init__(self, monomial):
-        self.monomial = monomial
-        super().__init__(f"straightening escapes the box at {monomial}")
-
-
 class NotFormalParamsError(SolvirError):
     """The rank criterion needs formal parameters a, b (irreducible coefficient module)."""
 

@@ -13,8 +13,9 @@ act by zero on the coefficient module and the negative part acts freely, so a
 monomial is a normal-ordered word of negative-degree generators over a base
 vector v_kappa, stored as in verma: an ascending tuple of the algebra's lattice
 points, the letters (-i, gamma') with i >= 1; its level is the sum of the i.
-gvm_act rewrites into this basis with verma.straighten, which reads and returns
-these words as they are; only the action on the coefficient module is its own.
+GvmMonomial and GvmVector are verma's Monomial and ModuleVector, and gvm_act
+runs verma's action loop act_on_words; only the ceiling of the letters, the
+base vector and the action on the coefficient module are its own.
 
 Quotient criterion (level 1).  Write W for the level-one weight slice at
 total shift kappa, spanned by E((-1, gamma)) . v_{kappa-gamma}.  A vector w
@@ -38,8 +39,6 @@ from dataclasses import dataclass
 from .algebra import (
     CENTRAL,
     AlgebraElement,
-    Combination,
-    _acc,
     basis_element,
     box_points,
     box_size,
@@ -53,7 +52,7 @@ from .density import DensityParams, act_coefficient
 from .errors import NotFormalParamsError, RankMismatchError
 from .linalg import rank_scalar_matrix
 from .scalars import A, B, ONE, ZERO
-from .verma import straighten
+from .verma import Monomial, ModuleVector, act_on_words
 
 
 def grade_of(x: AlgebraElement):
@@ -66,7 +65,11 @@ def grade_of(x: AlgebraElement):
             for degree, terms in sorted(parts.items())}
 
 
-class GvmMonomial:
+# letters (-i, gamma'), i >= 1, are the points below (0,) in tuple order
+DEGREE_ZERO = (0,)
+
+
+class GvmMonomial(Monomial):
     """Normal-ordered word of letters (-i, gamma'), i >= 1, over a base vector.
 
     The word is stored ascending, as in PBWMonomial.  Kept for report bytes:
@@ -75,24 +78,17 @@ class GvmMonomial:
     each letter read as (i,) + gamma', then by base.
     """
 
-    __slots__ = ("n", "word", "base", "_hash")
+    __slots__ = ()
+    _not_below = "letter {} has degree >= 0"
 
-    def __init__(self, n: int, word=(), base=None):
+    @staticmethod
+    def ceiling(n: int):
+        return DEGREE_ZERO
+
+    def _check_base(self, n: int, base):
         if n < 2:
             raise ValueError("graded modules need rank n >= 2")
-        base = tuple(base) if base is not None else (0,) * (n - 1)
-        if len(base) != n - 1:
-            raise RankMismatchError(f"base {base} in rank-{n} monomial")
-        word = tuple(sorted(tuple(letter) for letter in word))
-        for letter in word:
-            if len(letter) != n:
-                raise RankMismatchError(f"letter {letter} in rank-{n} monomial")
-            if letter[0] >= 0:
-                raise ValueError(f"letter {letter} has degree >= 0")
-        self.n = n
-        self.word = word
-        self.base = base
-        self._hash = hash((n, word, base))
+        return _check_kappa(n, (0,) * (n - 1) if base is None else base)
 
     def level(self) -> int:
         return -sum(letter[0] for letter in self.word)
@@ -100,13 +96,6 @@ class GvmMonomial:
     def mu_shift(self):
         """Total mu'-index: base plus the word's gamma' entries."""
         return vsum((letter[1:] for letter in self.word), self.base)
-
-    def __eq__(self, other):
-        return isinstance(other, GvmMonomial) and self.n == other.n \
-            and self.word == other.word and self.base == other.base
-
-    def __hash__(self):
-        return self._hash
 
     def _sort_key(self):
         return [(-letter[0],) + letter[1:] for letter in self.word], self.base
@@ -118,34 +107,20 @@ class GvmMonomial:
         return "*".join([point_str("e", letter) for letter in self.word]
                         + [point_str("v", self.base)])
 
-    def __repr__(self):
-        return f"GvmMonomial({self.n}, {self})"
 
-
-class GvmVector(Combination):
+class GvmVector(ModuleVector):
     """Finite Scalar combination of GvmMonomials."""
 
     __slots__ = ()
-
-    def _key(self, mono):
-        if mono.n != self.n:
-            raise RankMismatchError(f"monomial {mono} in rank-{self.n} vector")
-        return mono
+    monomial = GvmMonomial
 
 
 def base_vector(n: int, kappa) -> GvmVector:
     return GvmVector(n, {GvmMonomial(n, (), kappa): ONE})
 
 
-# letters (-i, gamma'), i >= 1, are the points below (0,) in tuple order
-DEGREE_ZERO = (0,)
-
-
 def gvm_act(x: AlgebraElement, v: GvmVector, p: DensityParams) -> GvmVector:
     """Induced action: straighten negatives, act by degree zero, kill positives."""
-    if x.n != v.n:
-        raise RankMismatchError(f"rank {x.n} vs {v.n}")
-    n = x.n
 
     def act(alpha, word, base):
         # on the coefficient module: T(a, b) in degree zero, zero above it
@@ -157,19 +132,9 @@ def gvm_act(x: AlgebraElement, v: GvmVector, p: DensityParams) -> GvmVector:
         coef = act_coefficient(alpha, (0,) + base, p)
         return {((), vadd(base, alpha[1:])): coef} if coef else {}
 
-    acc = {}
-    memo = {}
-    for key, ce in x.terms.items():
-        if key == CENTRAL:
-            continue
-        for mono, cv in v.terms.items():
-            coef = ce * cv
-            # C acts by zero on the module
-            for wb, cw in straighten(key, mono.word, mono.base, DEGREE_ZERO, act,
-                                     ZERO, memo).items():
-                _acc(acc, wb, coef * cw)
-    return v._like({GvmMonomial(n, word, base): coef
-                    for (word, base), coef in acc.items()})
+    # C acts by zero on the module
+    return v._like({GvmMonomial._normal(v.n, word, base): coef for (word, base), coef
+                    in act_on_words(x, v, DEGREE_ZERO, act, ZERO).items()})
 
 
 def _check_kappa(n: int, kappa) -> tuple:

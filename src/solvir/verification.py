@@ -433,6 +433,19 @@ def suite_density(n: int, box: int, seed: int, trials: int = 100,
 # --------------------------------------------------------------------------
 
 
+def _module_axiom_check(check_id, rng, trials, vectors, act):
+    """Seeded trials of x.(y.v) - y.(x.v) == [x, y].v for basis elements x, y
+    of radius 2 and v drawn from vectors, under act(x, v)."""
+    n = vectors[0].n
+
+    def failing():
+        x = basis_element(n, _random_point(rng, n, 2))
+        y = basis_element(n, _random_point(rng, n, 2))
+        v = rng.choice(vectors)
+        return act(x, act(y, v)) - act(y, act(x, v)) != act(vir_bracket(x, y), v)
+    return _trials_check(check_id, trials, failing)
+
+
 def suite_verma(seed: int, kmax: int = 5, nmax: int = 4, trials: int = 25):
     """Fixed rank-1 and rank-2 checks; the command's --n and --box do not apply."""
     rng = random.Random(seed)
@@ -469,14 +482,9 @@ def suite_verma(seed: int, kmax: int = 5, nmax: int = 4, trials: int = 25):
 
     monos = pbw_enumerate(2, (-1, 0), TruncationBox(2, 3)) \
         + pbw_enumerate(2, (0, -2), TruncationBox(2, 2))
-    def axiom():
-        alpha = _random_point(rng, 2, 2)
-        beta = _random_point(rng, 2, 2)
-        x, y = basis_element(2, alpha), basis_element(2, beta)
-        v = VermaVector(2, {rng.choice(monos): ONE})
-        lhs = verma_act(x, verma_act(y, v)) - verma_act(y, verma_act(x, v))
-        return lhs != verma_act(vir_bracket(x, y), v)
-    checks.append(_trials_check("verma/module_axiom_random", trials, axiom))
+    checks.append(_module_axiom_check(
+        "verma/module_axiom_random", rng, trials,
+        [VermaVector(2, {mono: ONE}) for mono in monos], verma_act))
     return checks
 
 
@@ -492,28 +500,22 @@ def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25):
     checks = []
     p = formal_params(n - 1)
 
-    bad = 0
-    for _ in range(trials):
+    def off_grade():
         alpha = _random_point(rng, n, 2)
         beta = _random_point(rng, n, 2)
         br = vir_bracket(basis_element(n, alpha), basis_element(n, beta))
-        for degree, part in grade_of(br).items():
-            if part.support() and degree != alpha[0] + beta[0]:
-                bad += 1
-    checks.append(check(f"gvm/n={n}/grading_respects_bracket", bad == 0,
-                        trials=trials, failures=bad))
+        return any(part.support() and degree != alpha[0] + beta[0]
+                   for degree, part in grade_of(br).items())
+    checks.append(_trials_check(f"gvm/n={n}/grading_respects_bracket", trials,
+                                off_grade))
 
     monos = [GvmMonomial(n, ((-1,) + (0,) * (n - 1),), (0,) * (n - 1)),
              GvmMonomial(n, ((-1, -1) + (0,) * (n - 2),), (1,) + (0,) * (n - 2)),
              GvmMonomial(n, (), (0,) * (n - 1))]
-    def axiom():
-        alpha = _random_point(rng, n, 2)
-        beta = _random_point(rng, n, 2)
-        x, y = basis_element(n, alpha), basis_element(n, beta)
-        v = GvmVector(n, {rng.choice(monos): ONE})
-        lhs = gvm_act(x, gvm_act(y, v, p), p) - gvm_act(y, gvm_act(x, v, p), p)
-        return lhs != gvm_act(vir_bracket(x, y), v, p)
-    checks.append(_trials_check(f"gvm/n={n}/module_axiom_random", trials, axiom))
+    checks.append(_module_axiom_check(
+        f"gvm/n={n}/module_axiom_random", rng, trials,
+        [GvmVector(n, {mono: ONE}) for mono in monos],
+        lambda x, v: gvm_act(x, v, p)))
 
     tables = []
     ok_ranks = True

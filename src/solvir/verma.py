@@ -11,10 +11,12 @@ lattice points, so a stored word (g_1 <= g_2 <= ... <= g_k) denotes the
 operator product E(g_k) ... E(g_1) applied to the vacuum.
 
 Straightening rewrites an arbitrary product into this basis with the bracket
-relations.  straighten below is the one rewriting engine: the generalized
-Verma modules of gvm use it as well and differ only in the action of the
-zero part and on the base vector.  Weight homogeneity is preserved because
-brackets respect the lattice grading.
+relations.  straighten below is the one rewriting engine, act_on_words the
+one action loop, and Monomial and ModuleVector the one monomial and vector
+shape: the generalized Verma modules of gvm use them as well and differ only
+in the ceiling of their letters and the action of the zero part and on the
+base vector.  Weight homogeneity is preserved because brackets respect the
+lattice grading.
 
 Weight bookkeeping: a word with shift s = sum of its points spans a vector of
 d_mu eigenvalue lambda + mu.s; shifts are lex-nonpositive, and the level of a
@@ -41,7 +43,7 @@ from .algebra import (
     vsub,
     vsum,
 )
-from .errors import BoxOverflowError, NonHomogeneousError, RankMismatchError
+from .errors import NonHomogeneousError, RankMismatchError
 from .scalars import LAMBDA, CCHARGE, ONE, Scalar
 
 
@@ -56,50 +58,62 @@ class TruncationBox:
         if self.N < 1 or self.L < 1:
             raise ValueError("truncation box needs N >= 1 and L >= 1")
 
-    def contains_word(self, word) -> bool:
-        if len(word) > self.L:
-            return False
-        return all(abs(c) <= self.N for point in word for c in point)
 
+class Monomial:
+    """Word of letters, the rank-n points below ceiling(n) in tuple order,
+    stored ascending over a base vector (None if the module has none).
 
-class PBWMonomial:
-    """Normal-ordered word of lex-negative points applied to the vacuum."""
+    A subclass gives ceiling(n) and _not_below, the message for a letter
+    not below it; _normal takes a word already ascending, unchecked.
+    """
 
-    __slots__ = ("n", "word", "_hash")
+    __slots__ = ("n", "word", "base", "_hash")
 
-    def __init__(self, n: int, word=()):
-        word = tuple(sorted(tuple(p) for p in word))
-        for point in word:
-            if len(point) != n:
-                raise RankMismatchError(f"point {point} in rank-{n} monomial")
-            if lex_sign(point) >= 0:
-                raise ValueError(f"PBW word entry {point} is not lex-negative")
-        self.n = n
-        self.word = word
-        self._hash = hash((n, word))
+    def __init__(self, n: int, word=(), base=None):
+        base = self._check_base(n, base)
+        word = tuple(sorted(tuple(letter) for letter in word))
+        ceiling = self.ceiling(n)
+        for letter in word:
+            if len(letter) != n:
+                raise RankMismatchError(f"letter {letter} in rank-{n} monomial")
+            if not letter < ceiling:
+                raise ValueError(self._not_below.format(letter))
+        self.n, self.word, self.base, self._hash = n, word, base, hash((n, word, base))
 
     @classmethod
-    def _normal(cls, n: int, word: tuple):
-        """A word already ascending and lex-negative, taken unchecked; for
-        the words pbw_enumerate and verma_act build."""
+    def _normal(cls, n: int, word: tuple, base=None):
         self = object.__new__(cls)
-        self.n = n
-        self.word = word
-        self._hash = hash((n, word))
+        self.n, self.word, self.base, self._hash = n, word, base, hash((n, word, base))
         return self
 
-    def weight_shift(self):
-        return vsum(self.word, (0,) * self.n)
-
-    def __len__(self):
-        return len(self.word)
+    def _check_base(self, n: int, base):
+        if base is not None:
+            raise ValueError(f"{type(self).__name__} takes no base vector")
+        return None
 
     def __eq__(self, other):
-        return isinstance(other, PBWMonomial) and self.n == other.n \
-            and self.word == other.word
+        return other.__class__ is self.__class__ and self.n == other.n \
+            and self.word == other.word and self.base == other.base
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.n}, {self})"
+
+
+class PBWMonomial(Monomial):
+    """Normal-ordered word of lex-negative points applied to the vacuum."""
+
+    __slots__ = ()
+    _not_below = "PBW word entry {} is not lex-negative"
+
+    @staticmethod
+    def ceiling(n: int):
+        return (0,) * n  # lex-negative points are the points below it
+
+    def weight_shift(self):
+        return vsum(self.word, (0,) * self.n)
 
     def __lt__(self, other):
         return self.word < other.word
@@ -107,19 +121,25 @@ class PBWMonomial:
     def __str__(self):
         return "*".join([point_str("e", p) for p in reversed(self.word)] + ["vac"])
 
-    def __repr__(self):
-        return f"PBWMonomial({self.n}, {self})"
 
+class ModuleVector(Combination):
+    """Finite Scalar combination of the monomials of one module class."""
 
-class VermaVector(Combination):
-    """Finite Scalar combination of PBW monomials."""
-
-    __slots__ = ()
+    __slots__ = ()  # a subclass names its monomial class as monomial
 
     def _key(self, mono):
+        if mono.__class__ is not self.monomial:
+            raise TypeError(f"{type(mono).__name__} {mono} in a {type(self).__name__}")
         if mono.n != self.n:
             raise RankMismatchError(f"monomial {mono} in rank-{self.n} vector")
         return mono
+
+
+class VermaVector(ModuleVector):
+    """Finite Scalar combination of PBW monomials."""
+
+    __slots__ = ()
+    monomial = PBWMonomial
 
     def weight_shift(self):
         """Common shift of a homogeneous vector; NonHomogeneousError otherwise."""
@@ -179,17 +199,33 @@ def straighten(alpha, word, base, ceiling, act, c, memo):
     return out
 
 
-def verma_act(x: AlgebraElement, v: VermaVector, lam: Scalar = LAMBDA,
-              c: Scalar = CCHARGE, box: TruncationBox | None = None) -> VermaVector:
-    """Act by an algebra element, rewriting into the PBW basis.
+def act_on_words(x: AlgebraElement, v: ModuleVector, ceiling, act, c: Scalar):
+    """x applied to v by straighten: {(word, base): Scalar}.
 
-    Exact and unboxed by default; with a box, any straightened monomial
-    escaping it raises BoxOverflowError rather than being dropped.
+    The one action loop of verma_act and gvm_act, which give the ceiling of
+    their letters, their hook act and the scalar c that C acts by.  One memo
+    serves every straightening of the call.
     """
     if x.n != v.n:
         raise RankMismatchError(f"rank {x.n} vs {v.n}")
-    n = x.n
-    zero = (0,) * n
+    out = {}
+    memo = {}
+    for key, ce in x.terms.items():
+        for mono, cv in v.terms.items():
+            coef = ce * cv
+            if key == CENTRAL:
+                _acc(out, (mono.word, mono.base), coef * c)
+                continue
+            for wb, cw in straighten(key, mono.word, mono.base, ceiling, act, c,
+                                     memo).items():
+                _acc(out, wb, coef * cw)
+    return out
+
+
+def verma_act(x: AlgebraElement, v: VermaVector, lam: Scalar = LAMBDA,
+              c: Scalar = CCHARGE) -> VermaVector:
+    """Act by an algebra element, rewriting exactly into the PBW basis."""
+    zero = (0,) * v.n
 
     def act(alpha, word, base):
         # E(0) acts diagonally by lambda + mu.shift; positives kill the vacuum
@@ -198,24 +234,8 @@ def verma_act(x: AlgebraElement, v: VermaVector, lam: Scalar = LAMBDA,
             return {(word, base): eig} if eig else {}
         return None if word else {}
 
-    acc = {}
-    memo = {}
-    for key, ce in x.terms.items():
-        for mono, cv in v.terms.items():
-            coef = ce * cv
-            if key == CENTRAL:
-                _acc(acc, mono.word, coef * c)
-                continue
-            for (word, _), cw in straighten(key, mono.word, None, zero, act, c,
-                                            memo).items():
-                _acc(acc, word, coef * cw)
-    out = {}
-    for word, coef in acc.items():
-        mono = PBWMonomial._normal(n, word)
-        if box is not None and not box.contains_word(word):
-            raise BoxOverflowError(mono)
-        out[mono] = coef
-    return v._like(out)
+    return v._like({PBWMonomial._normal(v.n, word): coef for (word, _), coef
+                    in act_on_words(x, v, zero, act, c).items()})
 
 
 def pbw_enumerate(n: int, shift, box: TruncationBox):

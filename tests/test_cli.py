@@ -76,6 +76,9 @@ def test_bracket_rank_disagrees_with_flag(capsys):
 def test_parse_helpers():
     assert parse_boxes("1..4") == [1, 2, 3, 4]
     assert parse_boxes("2,5,9") == [2, 5, 9]
+    assert parse_boxes("3..3") == [3]
+    with pytest.raises(ValueError, match="names no radius"):
+        parse_boxes("3..1")
     assert parse_spec("mu1=2/3,mu2=5") == {"mu1": Fraction(2, 3),
                                            "mu2": Fraction(5)}
 
@@ -333,6 +336,76 @@ def test_usage_error_is_one_error_line(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert _one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["dims", "verma", "--n", "1", "--level", "2", "--mu1", "abc"],
+     "Invalid literal for Fraction: 'abc'"),
+    (["dims", "verma", "--n", "1", "--level", "2", "--mu1", "1/0"],
+     "zero denominator in '1/0'"),
+    (["dims", "verma", "--n", "1", "--level", "2", "--mu1", "1", "--spec", "mu2"],
+     "bad specialization entry 'mu2'"),
+    (["dims", "verma", "--n", "1", "--level", "2", "--spec", "mu1=1/0"],
+     "zero denominator in '1/0'"),
+    (["verify", "density", "--n", "1", "--box", "1", "--spec", "mu1=2,mu1=3"],
+     "specialization key 'mu1' listed twice"),
+])
+def test_bad_specialization_is_usage_error(capsys, argv, named):
+    """--mu1 and --spec are read inside main's error handling: bad text,
+    a zero denominator or a repeated key exits 2 with one error line."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and named in captured.err
+
+
+def test_config_key_listed_twice_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\nbox = 1\nn = 3\n")
+    code = main(["verify", "density", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err)
+    assert "config key 'n' listed twice" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "gvm", "--n", "2", "--boxes", "3..1"],
+    ["dims", "gvm", "--n", "2", "--kappa", "0", "--boxes", "3..1"],
+    ["dims", "verma", "--n", "2", "--shift", "-1,0", "--boxes", "3..1"],
+    ["dims", "verma", "--n", "2", "--shift", "-1,0", "--boxes", ","],
+])
+def test_empty_radius_list_is_usage_error(capsys, argv):
+    """A radius list naming no radius is an error, never the default radii."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and "names no radius" in captured.err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["dims", "verma", "--n", "2", "--level", "2", "--shift", "-1,0"],
+     "--level takes neither --shift nor --boxes"),
+    (["dims", "verma", "--n", "1", "--level", "2", "--boxes", "1..3"],
+     "--level takes neither --shift nor --boxes"),
+    (["dims", "verma", "--n", "2", "--shift", "-1,0", "--kappa", "1"],
+     "--kappa applies to dims gvm only"),
+    (["dims", "gvm", "--n", "2", "--kappa", "0", "--shift", "-1,0"],
+     "--shift and --level apply to dims verma only"),
+    (["dims", "gvm", "--n", "2", "--level", "1"],
+     "--shift and --level apply to dims verma only"),
+])
+def test_dims_flag_the_target_would_ignore_is_usage_error(capsys, argv, named):
+    """A dims flag that the chosen target does not read exits 2, so no
+    report echoes a setting it did not use."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and named in captured.err
 
 
 E61 = "e[" + ",".join(["1"] + ["0"] * 60) + "]"

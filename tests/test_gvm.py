@@ -140,6 +140,18 @@ def test_monomial_constructor_reads_letters():
     assert m.mu_shift() == (-1, 6)
 
 
+def test_unchecked_words_are_the_validated_ones():
+    """gvm_act builds its result monomials unchecked: each must be the
+    monomial the validating constructor makes from its word and base."""
+    v = GvmVector(2, {mono: ONE for mono in level_weight_basis(2, 2, (1,), 2)})
+    x = A2.e(1, -1) + A2.e(0, 2) + A2.e(-1, 1) + A2.e(-2, 0) + A2.d()
+    out = gvm_act(x, v, P)
+    assert len(out.terms) > len(v.terms)
+    for mono in out.terms:
+        checked = GvmMonomial(2, mono.word, mono.base)
+        assert checked == mono and hash(checked) == hash(mono)
+
+
 @pytest.mark.parametrize("kappa", [(0, 5), ()])
 def test_kappa_of_wrong_length_raises(kappa):
     with pytest.raises(RankMismatchError, match="kappa"):

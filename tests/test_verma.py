@@ -14,8 +14,8 @@ from solvir.algebra import (
     vsub,
 )
 from solvir.density import formal_params
-from solvir.errors import BoxOverflowError, NonHomogeneousError
-from solvir.gvm import DEGREE_ZERO, level_weight_basis
+from solvir.errors import NonHomogeneousError
+from solvir.gvm import DEGREE_ZERO, GvmMonomial, GvmVector, level_weight_basis
 from solvir.scalars import CCHARGE, LAMBDA, ONE, ZERO, Scalar, mu_poly
 from solvir.verma import (
     PBWMonomial,
@@ -270,6 +270,21 @@ def test_unchecked_words_are_the_validated_ones():
         PBWMonomial(2, [(-1, 0), (0, 1)])
 
 
+def test_each_vector_refuses_the_other_modules_monomial():
+    """A module vector takes only its own module's monomials, so no action
+    can drop a base vector or read one that is not there."""
+    gvm_mono = GvmMonomial(2, [(-1, 0)], (0,))
+    with pytest.raises(TypeError, match="GvmMonomial"):
+        VermaVector(2, {gvm_mono: ONE})
+    with pytest.raises(TypeError, match="PBWMonomial"):
+        GvmVector(2, {PBWMonomial(2, [(-1, 0)]): ONE})
+    with pytest.raises(TypeError):
+        VermaVector(2, {(-1, 0): ONE})
+    assert PBWMonomial(2, [(-1, 0)]) != gvm_mono
+    with pytest.raises(ValueError, match="takes no base"):
+        PBWMonomial(2, [(-1, 0)], (0,))
+
+
 def test_straightening_determinism_across_application_orders():
     # applying the generators of a fixed multiset in the two opposite orders
     # differs exactly by the bracket correction
@@ -297,14 +312,6 @@ def test_monotone_in_box_dimensions():
     base = weight_space_dim_truncated(2, (-2, 0), TruncationBox(2, 3))
     assert weight_space_dim_truncated(2, (-2, 0), TruncationBox(3, 3)) >= base
     assert weight_space_dim_truncated(2, (-2, 0), TruncationBox(2, 5)) >= base
-
-
-def test_box_overflow_reported():
-    v = verma_act(A1.e((-3,)), vacuum(1))
-    with pytest.raises(BoxOverflowError):
-        verma_act(A1.e((-3,)), v, box=TruncationBox(3, 1))
-    out = verma_act(A1.e((-3,)), v, box=TruncationBox(3, 2))
-    assert not out.is_zero()
 
 
 def test_vacuum_is_singular():
