@@ -15,7 +15,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,17 +31,19 @@ from .verma import TruncationBox, weight_space_dim_truncated
 SUITES = ("jacobi", "cocycle", "density", "verma", "gvm", "all")
 
 
-@dataclass
 class RunConfig:
-    n: int = 2
-    box: int = 3
-    boxes: list = field(default_factory=list)
-    seed: int = 0
-    spec: dict = field(default_factory=dict)
-    out: str | None = None
-    jobs: int = 1
-    # keys set by the config file or a flag, as against defaults
-    given: set = field(default_factory=set)
+    """Run settings; given holds the keys set by the config file or a flag,
+    as against defaults."""
+
+    __slots__ = ("n", "box", "boxes", "seed", "spec", "out", "jobs", "given")
+
+    def __init__(self, n: int = 2, box: int = 3, boxes: list | None = None,
+                 seed: int = 0, spec: dict | None = None, out: str | None = None,
+                 jobs: int = 1, given: set | None = None):
+        self.n, self.box, self.seed, self.out, self.jobs = n, box, seed, out, jobs
+        self.boxes = [] if boxes is None else boxes
+        self.spec = {} if spec is None else spec
+        self.given = set() if given is None else given
 
     def validate(self):
         check_rank(self.n)
@@ -145,6 +146,9 @@ def build_config(args) -> RunConfig:
             setattr(cfg, key, parse(getattr(args, key)))
             cfg.given.add(key)
     if getattr(args, "mu1", None):
+        if "mu1" in cfg.spec:
+            raise ValueError("specialization key 'mu1' listed twice "
+                             "(spec and --mu1)")
         cfg.spec["mu1"] = parse_fraction(args.mu1)
     cfg.validate()
     return cfg
@@ -220,6 +224,10 @@ def cmd_bracket(args) -> int:
 
 def cmd_dims(args) -> int:
     cfg = build_config(args)
+    for key in ("box", "seed"):
+        if key in cfg.given:
+            raise ValueError(f"--{key} (or config key {key!r}) does not "
+                             f"apply to dims")
     if args.target == "verma":
         if args.kappa is not None:
             raise ValueError("--kappa applies to dims gvm only")

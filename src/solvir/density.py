@@ -19,8 +19,8 @@ rational constant is a member exactly when it is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from functools import cache
 
 from .algebra import (
     CENTRAL,
@@ -39,26 +39,22 @@ from .algebra import (
     vir_bracket,
 )
 from .errors import RankMismatchError, WrongCaseError
-from .scalars import A, B, ONE, ZERO, Scalar
+from .scalars import A, B, ONE, ZERO, Polynomial, Scalar
 
 
-@dataclass(frozen=True)
-class DensityParams:
+class DensityParams(namedtuple("DensityParams", "n a b a_lattice_tag")):
     """Parameters (a, b); a may carry a lattice tag declaring a = mu.gamma."""
 
-    n: int
-    a: Scalar
-    b: Scalar
-    a_lattice_tag: Optional[tuple] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a_lattice_tag is not None:
-            tag = tuple(self.a_lattice_tag)
-            if len(tag) != self.n:
-                raise RankMismatchError(f"tag {tag} in rank-{self.n} params")
-            if _mu_scalar(tag) != self.a:
+    def __new__(cls, n: int, a: Scalar, b: Scalar, a_lattice_tag=None):
+        if a_lattice_tag is not None:
+            a_lattice_tag = tuple(a_lattice_tag)
+            if len(a_lattice_tag) != n:
+                raise RankMismatchError(f"tag {a_lattice_tag} in rank-{n} params")
+            if _mu_scalar(a_lattice_tag) != a:
                 raise ValueError("lattice tag does not match the a parameter")
-            object.__setattr__(self, "a_lattice_tag", tag)
+        return super().__new__(cls, n, a, b, a_lattice_tag)
 
 
 def formal_params(n: int) -> DensityParams:
@@ -113,15 +109,31 @@ def density_axiom_residual(x, y, v, p: DensityParams) -> DensityVector:
             + density_act(y, density_act(x, v, p), p))
 
 
+@cache
+def density_axiom_symbolic_identity() -> bool:
+    """(y-x)(z+a+(x+y)b) - (z+a+yb)(z+y+a+xb) + (z+a+xb)(z+x+a+yb) = 0,
+    expanded exactly.
+
+    This is the coefficient of v_{alpha+beta+kappa} in the axiom residual of
+    the basis triple (E(alpha), E(beta), v_kappa) at x = mu.alpha,
+    y = mu.beta, z = mu.kappa and formal (a, b).  The central part of
+    [E(alpha), E(-alpha)] acts by zero, so no zero-sum case is left over,
+    and with bilinearity the identity covers the residual of every x, y, v
+    at every rank, box and (a, b).  Proved once per process.
+    """
+    x, y, z, a, b = (Polynomial.var(i) for i in range(1, 6))
+    total = ((y - x) * (z + a + (x + y) * b)
+             - (z + a + y * b) * (z + y + a + x * b)
+             + (z + a + x * b) * (z + x + a + y * b))
+    return total.is_zero()
+
+
 IRREDUCIBLE = "irreducible"
 REDUCIBLE_TRIVIAL_SUB = "reducible_trivial_sub"
 REDUCIBLE_CODIM_ONE = "reducible_codim_one"
 
 
-@dataclass(frozen=True)
-class Classification:
-    case: str
-    witness: Optional[dict]
+Classification = namedtuple("Classification", "case witness")
 
 
 def _lattice_membership(p: DensityParams):
@@ -147,12 +159,7 @@ def classify_density(p: DensityParams) -> Classification:
     return Classification(case, {"shift": list(gamma), "b": b_val})
 
 
-@dataclass
-class SubmoduleReport:
-    case: str
-    box: int
-    checks: list
-    ok: bool
+SubmoduleReport = namedtuple("SubmoduleReport", "case box checks ok")
 
 
 def submodule_invariance_check(p: DensityParams, box: int) -> SubmoduleReport:

@@ -34,7 +34,7 @@ the flag is evidence, not proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import (
     CENTRAL,
@@ -168,12 +168,10 @@ def level_weight_basis(n: int, level: int, kappa, box: int):
     return sorted(out)
 
 
-@dataclass
-class QuotientRankReport:
-    n: int
-    kappa: tuple
-    boxes: list  # entries {radius, rows, cols, rank}
-    stabilized: bool
+class QuotientRankReport(namedtuple("QuotientRankReport", "n kappa boxes stabilized")):
+    """Ranks of the level-one pairing; boxes holds {radius, rows, cols, rank}."""
+
+    __slots__ = ()
 
     def bound_string(self):
         return "1*3"  # the level-one ceiling, the double factorial (2*0+1)*(2*1+1)

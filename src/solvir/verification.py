@@ -13,7 +13,9 @@ is out of reach the suites use an exact case split: for basis triples whose
 lattice sum is nonzero the residual is a universal polynomial identity in
 x = mu.alpha, y = mu.beta, z = mu.kappa, verified once by symbolic
 expansion; only the zero-sum triples are scanned, and seeded random triples
-re-check the rest through the residual.
+re-check the rest through the residual.  The density module axiom takes the
+case split at every size: one identity covers every basis triple, with no
+zero-sum case left over, and seeded basis triples re-check it.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .density import (
     basis_vector,
     classify_density,
     density_axiom_residual,
+    density_axiom_symbolic_identity,
     duality_check,
     formal_params,
     lattice_params,
@@ -110,6 +113,17 @@ def _random_element(rng, n, box):
     if rng.random() < 0.3:
         out = out + central_element(n).scale(rng.randint(-3, 3))
     return out
+
+
+def _sampled_triples_check(check_id, rng, n, box, trials, residual):
+    """The record of trials random box triples re-checked by residual(a, b, k);
+    a nonzero residual is a failure."""
+    failures = []
+    for _ in range(trials):
+        triple = [_random_point(rng, n, box) for _ in range(3)]
+        if residual(*triple):
+            failures.append([list(p) for p in triple])
+    return check(check_id, not failures, trials=trials, failures=failures[:5])
 
 
 # --------------------------------------------------------------------------
@@ -231,13 +245,9 @@ def suite_jacobi(n: int, box: int, seed: int, trials: int = 60):
                             covers=f"all {total} triples with nonzero lattice sum"))
         checks.append(_scan_check(f"jacobi/n={n}/zero_sum_exhaustive",
                                   jacobi_zero_sum_scan(n, box)))
-        sample_fail = []
-        for _ in range(trials):
-            triple = [_random_point(rng, n, box) for _ in range(3)]
-            if jacobi_residual(*(basis_element(n, p) for p in triple)):
-                sample_fail.append([list(p) for p in triple])
-        checks.append(check(f"jacobi/n={n}/sampled_cross_check", not sample_fail,
-                            trials=trials, failures=sample_fail[:5]))
+        checks.append(_sampled_triples_check(
+            f"jacobi/n={n}/sampled_cross_check", rng, n, box, trials,
+            lambda *triple: jacobi_residual(*(basis_element(n, p) for p in triple))))
 
     checks.append(_trials_check(
         f"jacobi/n={n}/random_general_elements", trials,
@@ -374,13 +384,18 @@ def suite_density(n: int, box: int, seed: int, trials: int = 100,
     p = formal_params(n)
     checks = []
 
-    pts = box_points(n, min(box, 2))
-    targets = [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,)]
-    bad = sum(1 for a, b, kappa in itertools.product(pts, pts, targets)
-              if density_axiom_residual(basis_element(n, a), basis_element(n, b),
-                                        basis_vector(n, kappa), p))
-    checks.append(check(f"density/n={n}/axiom_exhaustive_basis_pairs", bad == 0,
-                        pairs_checked=len(pts) ** 2 * len(targets), failures=bad))
+    checks.append(check(f"density/n={n}/axiom_basis_identity",
+                        density_axiom_symbolic_identity(),
+                        method="symbolic_expansion",
+                        covers="axiom residual of every basis triple "
+                               "(E(alpha), E(beta), v_kappa), every rank and (a, b)"))
+    # its own generator, so the trials below draw as they did without it
+    checks.append(_sampled_triples_check(
+        f"density/n={n}/axiom_sampled_cross_check",
+        random.Random(f"density:{n}:{box}:{seed}"), n, box, trials,
+        lambda alpha, beta, kappa: density_axiom_residual(
+            basis_element(n, alpha), basis_element(n, beta),
+            basis_vector(n, kappa), p)))
 
     def axiom():
         x = _random_element(rng, n, box)
@@ -391,7 +406,8 @@ def suite_density(n: int, box: int, seed: int, trials: int = 100,
     checks.append(_trials_check(f"density/n={n}/axiom_random_pairs", trials, axiom))
 
     ok = all(vir_bracket(euler_element(n), basis_element(n, beta))
-             == basis_element(n, beta).scale(_mu_scalar(beta)) for beta in pts)
+             == basis_element(n, beta).scale(_mu_scalar(beta))
+             for beta in box_points(n, min(box, 2)))
     checks.append(check(f"density/n={n}/weight_property", ok))
 
     cls_ok = (classify_density(p).case == IRREDUCIBLE

@@ -25,7 +25,7 @@ homogeneous vector at shift s is -s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .algebra import (
@@ -47,16 +47,15 @@ from .errors import NonHomogeneousError, RankMismatchError
 from .scalars import LAMBDA, CCHARGE, ONE, Scalar
 
 
-@dataclass(frozen=True)
-class TruncationBox:
+class TruncationBox(namedtuple("TruncationBox", "N L")):
     """Coordinate bound N and word-length bound L for finite slices."""
 
-    N: int
-    L: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 1 or self.L < 1:
+    def __new__(cls, N: int, L: int):
+        if N < 1 or L < 1:
             raise ValueError("truncation box needs N >= 1 and L >= 1")
+        return super().__new__(cls, N, L)
 
 
 class Monomial:

@@ -349,6 +349,8 @@ def test_usage_error_is_one_error_line(capsys, argv):
      "zero denominator in '1/0'"),
     (["verify", "density", "--n", "1", "--box", "1", "--spec", "mu1=2,mu1=3"],
      "specialization key 'mu1' listed twice"),
+    (["dims", "verma", "--n", "1", "--level", "2", "--spec", "mu1=2", "--mu1", "3"],
+     "specialization key 'mu1' listed twice (spec and --mu1)"),
 ])
 def test_bad_specialization_is_usage_error(capsys, argv, named):
     """--mu1 and --spec are read inside main's error handling: bad text,
@@ -397,6 +399,10 @@ def test_empty_radius_list_is_usage_error(capsys, argv):
      "--shift and --level apply to dims verma only"),
     (["dims", "gvm", "--n", "2", "--level", "1"],
      "--shift and --level apply to dims verma only"),
+    (["dims", "verma", "--n", "2", "--shift", "-1,0", "--boxes", "1..2",
+      "--box", "7"], "--box (or config key 'box') does not apply to dims"),
+    (["dims", "gvm", "--n", "2", "--kappa", "0", "--seed", "9"],
+     "--seed (or config key 'seed') does not apply to dims"),
 ])
 def test_dims_flag_the_target_would_ignore_is_usage_error(capsys, argv, named):
     """A dims flag that the chosen target does not read exits 2, so no
@@ -406,6 +412,16 @@ def test_dims_flag_the_target_would_ignore_is_usage_error(capsys, argv, named):
     assert code == 2
     assert captured.out == ""
     assert _one_error_line(captured.err) and named in captured.err
+
+
+def test_dims_refuses_a_seed_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\nseed = 5\n")
+    code = main(["dims", "gvm", "--config", str(cfg), "--kappa", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and "config key 'seed'" in captured.err
 
 
 E61 = "e[" + ",".join(["1"] + ["0"] * 60) + "]"

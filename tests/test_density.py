@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from solvir import density
 from solvir.algebra import SolenoidalAlgebra, basis_element, central_element
+from solvir.cli import main
 from solvir.cocycle import box_points
 from solvir.density import (
     IRREDUCIBLE,
@@ -16,6 +19,7 @@ from solvir.density import (
     classify_density,
     density_act,
     density_axiom_residual,
+    density_axiom_symbolic_identity,
     duality_check,
     formal_params,
     lattice_params,
@@ -24,6 +28,7 @@ from solvir.density import (
 )
 from solvir.errors import WrongCaseError
 from solvir.scalars import A, B, ONE, ZERO, Scalar, mu_poly
+from solvir.verification import suite_density
 
 A2 = SolenoidalAlgebra(2)
 P = formal_params(2)
@@ -57,6 +62,30 @@ def test_axiom_residual_exhaustive_basis_pairs():
         for kappa in targets:
             res = density_axiom_residual(x, y, basis_vector(2, kappa), P)
             assert res.is_zero(), (alpha, beta, kappa)
+
+
+def test_density_axiom_symbolic_identity():
+    assert density_axiom_symbolic_identity() is True
+
+
+def test_sampled_cross_check_fails_for_a_wrong_action(monkeypatch):
+    """The identity is a fixed polynomial; only the seeded basis re-check
+    goes through act_coefficient, so a wrong formula there fails it."""
+    monkeypatch.setattr(density, "act_coefficient",
+                        lambda alpha, beta, p: mu(alpha) * mu(alpha) * p.b)
+    records = {c["id"]: c for c in suite_density(2, 2, 42, trials=40)}
+    assert records["density/n=2/axiom_basis_identity"]["status"] == "pass"
+    cross_check = records["density/n=2/axiom_sampled_cross_check"]
+    assert cross_check["status"] == "fail"
+    assert cross_check["details"]["failures"]
+
+
+@pytest.mark.parametrize("n, box", [(1, 3), (3, 1)])
+def test_verify_density_passes_at_other_ranks(capsys, n, box):
+    code = main(["verify", "density", "--n", str(n), "--box", str(box)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["status"] == "pass"
+    assert f"density/n={n}/axiom_basis_identity" in {c["id"] for c in report["checks"]}
 
 
 def _random_element(rng, n=2, box=3):

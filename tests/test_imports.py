@@ -3,9 +3,13 @@
 No import is unused, in the sources or the tests, and no module reaches into
 the representation that scalars owns: the only underscore names imported
 from scalars are the grammar internals algebra drives to read elements.
+A cold `import solvir.cli` stays off the heavy stdlib modules.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,14 @@ def test_scalars_internals_stay_in_scalars(path):
                     if module.split(".")[-1] == "scalars" and name
                     and name.startswith("_") and name not in allowed)
     assert not leaked, f"{path.name} imports {leaked} from scalars"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """A cold `import solvir.cli` loads neither dataclasses nor inspect; -S
+    keeps site .pth files from preloading modules into the child."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = ("import sys, solvir.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
