@@ -33,7 +33,6 @@ from .errors import (
 from .scalars import (
     ONE,
     ZERO,
-    Polynomial,
     Scalar,
     _parse_point,
     _signed_terms,
@@ -65,6 +64,11 @@ def vsub(a, b):
 def vneg(a):
     return tuple(-x for x in a)
 
+
+# the unit vectors of Z^3.  Their forms mu.e_i = mu_i are independent
+# indeterminates, so a residual whose coefficients are one polynomial in
+# mu.alpha, mu.beta, mu.kappa is, at this triple, that polynomial itself
+GENERIC_TRIPLE = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 # the most points box_points lists, and the most (alpha, beta) pairs, or
 # pairing entries, one computation walks; more are refused before listing
@@ -371,20 +375,17 @@ def jacobi_residual(x, y, z) -> AlgebraElement:
 
 @cache
 def witt_jacobi_symbolic_identity() -> bool:
-    """(z-y)(y+z-x) + (x-z)(z+x-y) + (y-x)(x+y-z) = 0, expanded exactly.
+    """jacobi_residual of the rank-3 unit vectors is zero, expanded exactly.
 
-    Together with bilinearity and the lattice grading this covers the
-    residual of every basis triple with nonzero lattice sum: the coefficient
-    of e_{alpha+beta+kappa} is this polynomial at x = mu.alpha, y = mu.beta,
-    z = mu.kappa, and no central term can arise away from sum zero.  The
-    cocycle residual of a coboundary df at (alpha, beta, kappa) is
-    f(alpha+beta+kappa) times the same polynomial, so every df is a cocycle.
-    Proved once per process.
+    The coefficient of e_{alpha+beta+kappa} in the residual of any basis
+    triple with nonzero lattice sum is one polynomial P in x = mu.alpha,
+    y = mu.beta, z = mu.kappa, and no central term arises away from sum
+    zero.  At the units x, y, z are the independent mu_1, mu_2, mu_3, so the
+    residual there is P itself: its vanishing is P = 0, which with
+    bilinearity and the lattice grading covers every triple with nonzero
+    sum, at every rank.  Proved once per process.
     """
-    x, y, z = (Polynomial.var(i) for i in (1, 2, 3))
-    total = ((z - y) * (y + z - x) + (x - z) * (z + x - y)
-             + (y - x) * (x + y - z))
-    return total.is_zero()
+    return not jacobi_residual(*(basis_element(3, e) for e in GENERIC_TRIPLE))
 
 
 def triangular_split(x: AlgebraElement):

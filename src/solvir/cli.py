@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__
 from .algebra import element_str, parse_element, vir_bracket
@@ -118,7 +118,9 @@ def load_config_file(path: str) -> dict:
     cannot be silently ignored.
     """
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    with open(path) as f:
+        lines = f.read().splitlines()
+    for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -157,7 +159,8 @@ def build_config(args) -> RunConfig:
 def emit(report: dict, out_path: str | None) -> str:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        with open(out_path, "w") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
     return text
@@ -166,7 +169,9 @@ def emit(report: dict, out_path: str | None) -> str:
 def read_cochain(path: str, cfg: RunConfig) -> TwoCochain:
     """The two-cochain of a JSON file, whose rank becomes cfg.n; an n given
     by flag or config file must agree with it."""
-    theta = TwoCochain.from_records(json.loads(Path(path).read_text()))
+    with open(path) as f:
+        data = json.load(f)
+    theta = TwoCochain.from_records(data)
     if "n" in cfg.given and cfg.n != theta.n:
         raise ValueError(f"cochain points of rank {theta.n} do not match "
                          f"--n {cfg.n}")
@@ -298,8 +303,8 @@ def cmd_normalize(args) -> int:
     return 0 if report["status"] == "pass" else 1
 
 
-def schema_path() -> Path:
-    return Path(__file__).parent / "schema" / "report.schema.json"
+def schema_path() -> str:
+    return os.path.join(os.path.dirname(__file__), "schema", "report.schema.json")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import (
+    GENERIC_TRIPLE,
     Combination,
     _acc,
     _mu_scalar,
@@ -40,7 +41,6 @@ from .algebra import (
     vadd,
     vneg,
     vsub,
-    witt_jacobi_symbolic_identity,
 )
 from .errors import (
     BoxTooSmallError,
@@ -51,7 +51,7 @@ from .errors import (
     RankMismatchError,
 )
 from .linalg import RationalEchelon
-from .scalars import ONE, ZERO, Polynomial, Scalar, mu_poly, parse_scalar
+from .scalars import ONE, ZERO, Scalar, mu_poly, parse_scalar
 
 
 def canonical_cocycle(alpha, beta) -> Scalar:
@@ -75,12 +75,33 @@ def triples_with_sum(pts, total):
                 yield alpha, beta, kappa
 
 
-def _record_point(n: int, point):
-    """A lattice point read from a cochain record; ParseError unless rank n."""
-    point = tuple(point)
+def _record_items(records, width: int, field: str):
+    """The records of a cochain field; ParseError naming the field unless
+    they are a list of lists of width items."""
+    if type(records) is not list:
+        raise ParseError(f"{field} is {records!r}, not a list of records")
+    for record in records:
+        if type(record) is not list or len(record) != width:
+            raise ParseError(f"{field} record {record!r} is not a list "
+                             f"of {width} items")
+    return records
+
+
+def _record_point(n: int, point, field: str):
+    """A lattice point read from a cochain record; ParseError unless a list
+    of n ints."""
+    if type(point) is not list or any(type(c) is not int for c in point):
+        raise ParseError(f"{field} point {point!r} is not a list of integers")
     if len(point) != n:
-        raise ParseError(f"point {list(point)} in a rank-{n} cochain record")
-    return point
+        raise ParseError(f"point {point} in a rank-{n} cochain record")
+    return tuple(point)
+
+
+def _record_value(text, field: str) -> Scalar:
+    """A scalar read from a cochain record; ParseError unless a string."""
+    if type(text) is not str:
+        raise ParseError(f"{field} value {text!r} is not a string")
+    return parse_scalar(text)
 
 
 class OneCochain(Combination):
@@ -101,11 +122,11 @@ class OneCochain(Combination):
     @classmethod
     def from_records(cls, n, records):
         values = {}
-        for alpha, text in records:
-            alpha = _record_point(n, alpha)
+        for alpha, text in _record_items(records, 2, "coboundary"):
+            alpha = _record_point(n, alpha, "coboundary")
             if alpha in values:
                 raise ParseError(f"point {list(alpha)} listed twice in a cochain record")
-            values[alpha] = parse_scalar(text)
+            values[alpha] = _record_value(text, "coboundary")
         return cls(n, values)
 
 
@@ -181,15 +202,26 @@ class TwoCochain:
 
     @classmethod
     def from_records(cls, data):
-        n = int(data["n"])
-        cm = parse_scalar(data.get("canonical_multiple", "0"))
+        """The cochain of a records object; ParseError naming the field
+        that is not of the shape to_records writes."""
+        if type(data) is not dict:
+            raise ParseError(f"a cochain is a JSON object, not {data!r}")
+        unknown = sorted(set(data) - {"n", "canonical_multiple", "coboundary", "extra"})
+        if unknown:
+            raise ParseError(f"unknown cochain field {unknown[0]!r}")
+        if "n" not in data:
+            raise ParseError("the cochain has no field n")
+        n = data["n"]
+        if type(n) is not int:
+            raise ParseError(f"n is {n!r}, not an integer")
+        cm = _record_value(data.get("canonical_multiple", "0"), "canonical_multiple")
         cob = OneCochain.from_records(n, data.get("coboundary", []))
         extra = {}
-        for a, b, text in data.get("extra", []):
-            a, b = _record_point(n, a), _record_point(n, b)
+        for a, b, text in _record_items(data.get("extra", []), 3, "extra"):
+            a, b = _record_point(n, a, "extra"), _record_point(n, b, "extra")
             if (a, b) in extra or (b, a) in extra:
                 raise ParseError(f"pair {list(a)}, {list(b)} listed twice in extra")
-            extra[(a, b)] = parse_scalar(text)
+            extra[(a, b)] = _record_value(text, "extra")
         return cls(n, cm, cob, extra)
 
 
@@ -218,21 +250,31 @@ def cocycle_residual(theta: TwoCochain, alpha, beta, kappa) -> Scalar:
 
 @cache
 def canonical_cocycle_identity() -> bool:
-    """(y-z)eta(x) + (z-x)eta(y) + (x-y)eta(z) = 0 at z = -x-y, expanded exactly.
+    """cocycle_residual of C0 at (e_1, e_2, -e_1-e_2) is zero, expanded exactly.
 
-    Here eta(t) = (t^3 - t)/12.  At a zero-sum triple (alpha, beta, kappa) the
-    cocycle residual of C0 is this polynomial at x = mu.alpha, y = mu.beta;
-    at any other triple every term of it vanishes, so C0 is a cocycle.
-    Proved once per process.
+    At a zero-sum triple (alpha, beta, kappa) the cocycle residual of C0 is
+    one polynomial in x = mu.alpha, y = mu.beta (mu.kappa is -x-y); at any
+    other triple every term of it vanishes.  At this rank-2 triple x and y
+    are the independent mu_1, mu_2, so the residual there is the polynomial
+    itself, and its vanishing makes C0 a cocycle.  Proved once per process.
     """
-    x, y = Polynomial.var(1), Polynomial.var(2)
-    z = -x - y
+    return not cocycle_residual(canonical_cochain(2), (1, 0), (0, 1), (-1, -1))
 
-    def eta(t):
-        return (t * t * t - t).scale(Fraction(1, 12))
 
-    total = (y - z) * eta(x) + (z - x) * eta(y) + (x - y) * eta(z)
-    return total.is_zero()
+@cache
+def coboundary_cocycle_identity() -> bool:
+    """cocycle_residual of d(delta_{(1,1,1)}) at the rank-3 units is zero,
+    expanded exactly.
+
+    The cocycle residual of a coboundary df at (alpha, beta, kappa) is
+    f(alpha+beta+kappa) times one polynomial in x = mu.alpha, y = mu.beta,
+    z = mu.kappa.  At GENERIC_TRIPLE, whose sum (1,1,1) carries the value 1
+    of the indicator, x, y, z are independent, so the residual there is the
+    polynomial itself, and its vanishing makes every df a cocycle.  Proved
+    once per process.
+    """
+    f = OneCochain(3, {(1, 1, 1): ONE})
+    return not cocycle_residual(coboundary(f), *GENERIC_TRIPLE)
 
 
 # skipped triples re-checked through cocycle_residual per check_cocycle_on_box
@@ -264,7 +306,7 @@ def check_cocycle_on_box(theta: TwoCochain, box: int):
     """Raise NotACocycleError if some triple inside the box has residual != 0.
 
     The residual is linear in theta = cm*C0 + df + extra.  C0 is a cocycle
-    (canonical_cocycle_identity) and so is df (witt_jacobi_symbolic_identity),
+    (canonical_cocycle_identity) and so is df (coboundary_cocycle_identity),
     so at every triple the residual of theta equals that of extra, which is
     zero wherever no residual term reads an extra pair.  The triples where
     one does, O(|extra| * |box|) of them, are evaluated one by one through
@@ -275,7 +317,7 @@ def check_cocycle_on_box(theta: TwoCochain, box: int):
     with total in the pair-sum support goes through cocycle_residual too, a
     cross-check of TwoCochain.value against the two identities.
     """
-    if not (canonical_cocycle_identity() and witt_jacobi_symbolic_identity()):
+    if not (canonical_cocycle_identity() and coboundary_cocycle_identity()):
         raise RuntimeError("a cocycle identity failed its symbolic expansion")
     pts = box_points(theta.n, box)
     touched = _extra_triples(theta, pts)

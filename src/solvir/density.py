@@ -24,6 +24,7 @@ from functools import cache
 
 from .algebra import (
     CENTRAL,
+    GENERIC_TRIPLE,
     AlgebraElement,
     Combination,
     _acc,
@@ -39,7 +40,7 @@ from .algebra import (
     vir_bracket,
 )
 from .errors import RankMismatchError, WrongCaseError
-from .scalars import A, B, ONE, ZERO, Polynomial, Scalar
+from .scalars import A, B, ONE, ZERO, Scalar
 
 
 class DensityParams(namedtuple("DensityParams", "n a b a_lattice_tag")):
@@ -111,21 +112,21 @@ def density_axiom_residual(x, y, v, p: DensityParams) -> DensityVector:
 
 @cache
 def density_axiom_symbolic_identity() -> bool:
-    """(y-x)(z+a+(x+y)b) - (z+a+yb)(z+y+a+xb) + (z+a+xb)(z+x+a+yb) = 0,
-    expanded exactly.
+    """density_axiom_residual of (E(e_1), E(e_2), v_{e_3}) in formal T(a, b)
+    is zero, expanded exactly.
 
-    This is the coefficient of v_{alpha+beta+kappa} in the axiom residual of
-    the basis triple (E(alpha), E(beta), v_kappa) at x = mu.alpha,
-    y = mu.beta, z = mu.kappa and formal (a, b).  The central part of
-    [E(alpha), E(-alpha)] acts by zero, so no zero-sum case is left over,
-    and with bilinearity the identity covers the residual of every x, y, v
-    at every rank, box and (a, b).  Proved once per process.
+    The coefficient of v_{alpha+beta+kappa} in the axiom residual of a basis
+    triple (E(alpha), E(beta), v_kappa) is one polynomial in x = mu.alpha,
+    y = mu.beta, z = mu.kappa, a and b; the central part of
+    [E(alpha), E(-alpha)] acts by zero, so no zero-sum case is left over.
+    At GENERIC_TRIPLE with formal (a, b) all five are independent, so the
+    residual there is the polynomial itself, and with bilinearity its
+    vanishing covers the residual of every x, y, v at every rank, box and
+    (a, b).  Proved once per process.
     """
-    x, y, z, a, b = (Polynomial.var(i) for i in range(1, 6))
-    total = ((y - x) * (z + a + (x + y) * b)
-             - (z + a + y * b) * (z + y + a + x * b)
-             + (z + a + x * b) * (z + x + a + y * b))
-    return total.is_zero()
+    e1, e2, e3 = GENERIC_TRIPLE
+    return not density_axiom_residual(basis_element(3, e1), basis_element(3, e2),
+                                      basis_vector(3, e3), formal_params(3))
 
 
 IRREDUCIBLE = "irreducible"

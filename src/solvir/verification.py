@@ -11,11 +11,12 @@ residual once per rotation orbit (both residuals are cyclic sums) and
 re-checks a seeded sample of the other triples.  When the raw triple count
 is out of reach the suites use an exact case split: for basis triples whose
 lattice sum is nonzero the residual is a universal polynomial identity in
-x = mu.alpha, y = mu.beta, z = mu.kappa, verified once by symbolic
-expansion; only the zero-sum triples are scanned, and seeded random triples
-re-check the rest through the residual.  The density module axiom takes the
-case split at every size: one identity covers every basis triple, with no
-zero-sum case left over, and seeded basis triples re-check it.
+x = mu.alpha, y = mu.beta, z = mu.kappa, verified once by expanding the
+residual itself exactly at algebra.GENERIC_TRIPLE, where x, y, z are
+independent; only the zero-sum triples are scanned, and seeded random
+triples re-check the rest through the residual.  The density module axiom
+takes the case split at every size: one identity covers every basis triple,
+with no zero-sum case left over, and seeded basis triples re-check it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .cocycle import (
     canonical_cocycle,
     canonical_cocycle_identity,
     coboundary,
+    coboundary_cocycle_identity,
     cocycle_residual,
     h2_rank_experiment,
     normalize_cocycle,
@@ -341,7 +343,7 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
                         canonical_cocycle_identity(), method="symbolic_expansion",
                         covers="cocycle residual of C0 at every triple"))
     checks.append(check("cocycle/witt_jacobi_symbolic_identity",
-                        witt_jacobi_symbolic_identity(),
+                        coboundary_cocycle_identity(),
                         method="symbolic_expansion",
                         covers="cocycle residual of every df at every triple"))
     results = []

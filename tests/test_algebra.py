@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from solvir import algebra
 from solvir.algebra import (
     CENTRAL,
     MAX_BOX_POINTS,
@@ -21,10 +22,12 @@ from solvir.algebra import (
     lex_sign,
     parse_element,
     triangular_split,
+    vadd,
     vir_bracket,
     vir_i_cocycle_coefficients,
     vir_i_element,
     witt_bracket,
+    witt_jacobi_symbolic_identity,
 )
 from solvir.cocycle import OneCochain
 from solvir.density import DensityVector
@@ -115,6 +118,21 @@ def _random_element(rng, n=2, box=3, central=True):
     if central and rng.random() < 0.3:
         out = out + central_element(n).scale(rng.randint(-3, 3))
     return out
+
+
+def test_jacobi_identity_reads_a_wrong_bracket(fresh_identities, monkeypatch):
+    # the Witt coefficient (mu.(beta-alpha))^2 in place of mu.(beta-alpha)
+    right = algebra._basis_bracket_terms
+
+    def squared(ka, kb):
+        out = dict(right(ka, kb))
+        key = vadd(ka, kb)
+        if key in out:
+            out[key] = out[key] ** 2
+        return out
+
+    monkeypatch.setattr(algebra, "_basis_bracket_terms", squared)
+    assert witt_jacobi_symbolic_identity() is False
 
 
 def test_jacobi_randomized_general_elements():

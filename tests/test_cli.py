@@ -197,6 +197,38 @@ def test_cochain_repeated_entry_rejected(tmp_path, capsys, command, field,
     assert named in captured.err
 
 
+@pytest.mark.parametrize("command", [["normalize"], ["verify", "cocycle"]])
+@pytest.mark.parametrize("doc, named", [
+    ([1, 2], "a cochain is a JSON object, not [1, 2]"),
+    ({"canonical_multiple": "1"}, "the cochain has no field n"),
+    ({"n": True}, "n is True, not an integer"),
+    ({"n": 2.5}, "n is 2.5, not an integer"),
+    ({"n": 2, "coboundary": [[["a", 0], "2"]]},
+     "coboundary point ['a', 0] is not a list of integers"),
+    ({"n": 2, "extra": [[[1.5, 0], [0, 1], "2"]]},
+     "extra point [1.5, 0] is not a list of integers"),
+    ({"n": 2, "coboundary": [[[1, 0], 3]]}, "coboundary value 3 is not a string"),
+    ({"n": 2, "extra": [[[1, 0], [0, 1], 3]]}, "extra value 3 is not a string"),
+    ({"n": 2, "canonical_multiple": 1}, "canonical_multiple value 1 is not a string"),
+    ({"n": 2, "coboundary": [[[1, 0]]]},
+     "coboundary record [[1, 0]] is not a list of 2 items"),
+    ({"n": 2, "extra": [[[1, 0], [0, 1]]]},
+     "extra record [[1, 0], [0, 1]] is not a list of 3 items"),
+    ({"n": 2, "extra": {"a": 1}}, "extra is {'a': 1}, not a list of records"),
+    ({"n": 2, "coboundry": [[[1, 0], "5"]]}, "unknown cochain field 'coboundry'"),
+])
+def test_malformed_cochain_file_is_usage_error(tmp_path, capsys, command, doc, named):
+    """A cochain file not of the shape to_records writes is bad input: one
+    error line naming the field, never a traceback or a silent rewrite."""
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(doc))
+    code = main(command + ["--input", str(path), "--box", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and named in captured.err
+
+
 @pytest.mark.parametrize("value, named", [
     ("mu61", "mu61 has no exponent slot (at most mu60)"),
     ("1/mu(0,0)", "zero form mu(0,0) in a denominator"),
@@ -481,7 +513,8 @@ def test_walk_past_the_pair_limit_is_usage_error(tmp_path, capsys, argv, named):
 
 def test_reports_validate_against_schema(tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
-    schema = json.loads(schema_path().read_text())
+    with open(schema_path()) as f:
+        schema = json.load(f)
     outputs = []
     for args in (["verify", "density", "--n", "2", "--box", "2", "--seed", "1"],
                  ["dims", "verma", "--n", "2", "--shift", "-1,0", "--boxes", "1..2"],

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from solvir.algebra import vadd, vneg
+import solvir.cocycle as cocycle
+from solvir.algebra import vadd, vneg, vsub
 from solvir.cocycle import (
     EtaTable,
     OneCochain,
@@ -13,8 +14,10 @@ from solvir.cocycle import (
     box_points,
     canonical_cochain,
     canonical_cocycle,
+    canonical_cocycle_identity,
     check_cocycle_on_box,
     coboundary,
+    coboundary_cocycle_identity,
     cocycle_residual,
     full_equation_residual,
     h2_rank_experiment,
@@ -388,17 +391,35 @@ def test_check_cocycle_on_box_matches_exhaustive_scan():
     assert {(0, True), (1, False), (2, False), (3, True)} <= seen
 
 
-def test_check_cocycle_sample_catches_wrong_canonical(monkeypatch):
-    # C0's identity fails for the even eta(t) = t^2; with it in
-    # TwoCochain.value, the seeded honest sample must raise
-    import solvir.cocycle as cocycle
+def _even_canonical(alpha, beta):
+    """C0 with the even eta(t) = t^2, which fails the cocycle condition."""
+    if any(a + b for a, b in zip(alpha, beta)):
+        return ZERO
+    return mu(alpha) ** 2
 
-    def even(alpha, beta):
-        if any(a + b for a, b in zip(alpha, beta)):
-            return ZERO
-        return mu(alpha) ** 2
 
-    monkeypatch.setattr(cocycle, "canonical_cocycle", even)
+def test_canonical_identity_reads_a_wrong_canonical(fresh_identities, monkeypatch):
+    monkeypatch.setattr(cocycle, "canonical_cocycle", _even_canonical)
+    assert canonical_cocycle_identity() is False
+
+
+def test_coboundary_identity_reads_a_wrong_coboundary(fresh_identities, monkeypatch):
+    # the coboundary term (mu.(beta-alpha))^2 f(alpha+beta) in TwoCochain.value
+    right = TwoCochain.value
+
+    def squared(self, alpha, beta):
+        w = mu(vsub(beta, alpha))
+        return right(self, alpha, beta) + (w * w - w) * self.cob.value(vadd(alpha, beta))
+
+    monkeypatch.setattr(TwoCochain, "value", squared)
+    assert coboundary_cocycle_identity() is False
+
+
+def test_check_cocycle_sample_catches_wrong_canonical(fresh_identities, monkeypatch):
+    # the identities, computed by the true code first, let check_cocycle_on_box
+    # through; with the even C0 in TwoCochain.value its seeded sample must raise
+    assert canonical_cocycle_identity() and coboundary_cocycle_identity()
+    monkeypatch.setattr(cocycle, "canonical_cocycle", _even_canonical)
     with pytest.raises(NotACocycleError):
         check_cocycle_on_box(canonical_cochain(2), 2)
 

@@ -68,13 +68,23 @@ def test_density_axiom_symbolic_identity():
     assert density_axiom_symbolic_identity() is True
 
 
-def test_sampled_cross_check_fails_for_a_wrong_action(monkeypatch):
-    """The identity is a fixed polynomial; only the seeded basis re-check
-    goes through act_coefficient, so a wrong formula there fails it."""
+def _wrong_action(monkeypatch):
+    """act_coefficient as (mu.alpha)^2 b."""
     monkeypatch.setattr(density, "act_coefficient",
                         lambda alpha, beta, p: mu(alpha) * mu(alpha) * p.b)
+
+
+def test_axiom_identity_reads_a_wrong_action(fresh_identities, monkeypatch):
+    _wrong_action(monkeypatch)
+    assert density_axiom_symbolic_identity() is False
+
+
+def test_sampled_cross_check_fails_for_a_wrong_action(fresh_identities, monkeypatch):
+    """The identity and the seeded basis re-check both go through
+    act_coefficient, so a wrong formula there fails both records."""
+    _wrong_action(monkeypatch)
     records = {c["id"]: c for c in suite_density(2, 2, 42, trials=40)}
-    assert records["density/n=2/axiom_basis_identity"]["status"] == "pass"
+    assert records["density/n=2/axiom_basis_identity"]["status"] == "fail"
     cross_check = records["density/n=2/axiom_sampled_cross_check"]
     assert cross_check["status"] == "fail"
     assert cross_check["details"]["failures"]

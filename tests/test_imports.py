@@ -2,8 +2,9 @@
 
 No import is unused, in the sources or the tests, and no module reaches into
 the representation that scalars owns: the only underscore names imported
-from scalars are the grammar internals algebra drives to read elements.
-A cold `import solvir.cli` stays off the heavy stdlib modules.
+from scalars are the grammar internals algebra drives to read elements, and
+only linalg uses Polynomial.  A cold `import solvir.cli` stays off the heavy
+stdlib modules.
 """
 
 import ast
@@ -52,12 +53,26 @@ def test_scalars_internals_stay_in_scalars(path):
     assert not leaked, f"{path.name} imports {leaked} from scalars"
 
 
+def test_polynomial_stays_in_scalars_and_linalg():
+    """Only linalg's fraction-free elimination reaches Polynomial, besides
+    the package namespace that re-exports it; an identity elsewhere is the
+    library's own residual, never a polynomial copied beside the code."""
+    users = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        if any(name == "Polynomial" for _, _, name in _imports(tree)) or any(
+                isinstance(node, ast.Attribute) and node.attr == "Polynomial"
+                for node in ast.walk(tree)):
+            users.append(path.stem)
+    assert users == ["__init__", "linalg"]
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    """A cold `import solvir.cli` loads neither dataclasses nor inspect; -S
-    keeps site .pth files from preloading modules into the child."""
+    """A cold `import solvir.cli` loads none of dataclasses, inspect and
+    pathlib; -S keeps site .pth files from preloading modules into the child."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     probe = ("import sys, solvir.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"

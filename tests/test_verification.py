@@ -55,7 +55,7 @@ def _honest_cocycle(n, box, zero_sum):
 
 
 @pytest.fixture
-def wrong_bracket(monkeypatch):
+def wrong_bracket(fresh_identities, monkeypatch):
     """Central term eta(t) = t^5: skew, but not a cocycle."""
     right = algebra._basis_bracket_terms
 
@@ -69,7 +69,7 @@ def wrong_bracket(monkeypatch):
 
 
 @pytest.fixture
-def wrong_canonical(monkeypatch):
+def wrong_canonical(fresh_identities, monkeypatch):
     """C0 with the even eta(t) = t^2, which fails the cocycle condition."""
     def even(alpha, beta):
         if any(a + b for a, b in zip(alpha, beta)):
