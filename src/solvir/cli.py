@@ -6,6 +6,9 @@ byte-identical output across runs and across --jobs settings; --jobs is an
 execution hint and is deliberately not echoed into reports.  Randomized
 suites use Python's random.Random (Mersenne Twister) seeded from --seed.
 
+Each command imports the layers it runs when it runs, so `solvir bracket`
+loads scalars and algebra and no other layer.
+
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error.
 """
 
@@ -16,19 +19,19 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .algebra import element_str, parse_element, vir_bracket
-from .cocycle import TwoCochain, normalize_cocycle, recognize_eta
-from .density import formal_params
 from .errors import BoxTooSmallError, NotACocycleError, ParseError, SolvirError
-from .gvm import quotient_dim_level1
-from .scalars import MAX_RANK
-from .verification import run_suite
-from .verma import TruncationBox, weight_space_dim_truncated
 
-SUITES = ("jacobi", "cocycle", "density", "verma", "gvm", "all")
+# suite -> the config keys run_suite passes to it; out and jobs apply to all
+SUITE_KEYS = {
+    "jacobi": {"n", "box", "seed"},
+    "cocycle": {"n", "box", "seed"},
+    "density": {"n", "box", "seed", "spec"},
+    "verma": {"seed"},
+    "gvm": {"n", "seed", "boxes"},
+    "all": {"n", "box", "seed", "spec"},
+}
 
 
 class RunConfig:
@@ -66,12 +69,18 @@ class RunConfig:
 def check_rank(n: int) -> int:
     """n, when the scalar kernel has a mu slot for each coordinate of rank n;
     ValueError otherwise."""
+    from .scalars import MAX_RANK
+
     if not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank n must be in 1..{MAX_RANK}")
     return n
 
 
-def parse_fraction(text: str) -> Fraction:
+def parse_fraction(text: str):
+    """The Fraction that a p/q or decimal text names."""
+    # fractions loads decimal; only the commands that read a number pay for it
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -166,9 +175,11 @@ def emit(report: dict, out_path: str | None) -> str:
     return text
 
 
-def read_cochain(path: str, cfg: RunConfig) -> TwoCochain:
-    """The two-cochain of a JSON file, whose rank becomes cfg.n; an n given
+def read_cochain(path: str, cfg: RunConfig):
+    """The TwoCochain of a JSON file, whose rank becomes cfg.n; an n given
     by flag or config file must agree with it."""
+    from .cocycle import TwoCochain
+
     with open(path) as f:
         data = json.load(f)
     theta = TwoCochain.from_records(data)
@@ -180,7 +191,13 @@ def read_cochain(path: str, cfg: RunConfig) -> TwoCochain:
 
 
 def cmd_verify(args) -> int:
+    from .verification import run_suite
+
     cfg = build_config(args)
+    unread = sorted(cfg.given - SUITE_KEYS[args.suite] - {"out", "jobs"})
+    if unread:
+        raise ValueError(f"--{unread[0]} (or config key {unread[0]!r}) does "
+                         f"not apply to verify {args.suite}")
     theta_input = None
     if getattr(args, "input", None):
         if args.suite != "cocycle":
@@ -220,6 +237,8 @@ def _infer_rank(texts, explicit):
 
 
 def cmd_bracket(args) -> int:
+    from .algebra import element_str, parse_element, vir_bracket
+
     n = _infer_rank([args.left, args.right], args.n)
     x = parse_element(args.left, n)
     y = parse_element(args.right, n)
@@ -228,6 +247,8 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    from .verma import TruncationBox, weight_space_dim_truncated
+
     cfg = build_config(args)
     for key in ("box", "seed"):
         if key in cfg.given:
@@ -264,6 +285,9 @@ def cmd_dims(args) -> int:
         emit(report, cfg.out)
         return 0
     # argparse admits only the targets "verma" and "gvm"
+    from .density import formal_params
+    from .gvm import quotient_dim_level1
+
     if args.shift is not None or args.level is not None:
         raise ValueError("--shift and --level apply to dims verma only")
     if cfg.n < 2:
@@ -284,6 +308,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .cocycle import normalize_cocycle, recognize_eta
+
     cfg = build_config(args)
     theta = read_cochain(args.input, cfg)
     report = {"command": "normalize", "version": __version__, "config": cfg.echo()}
@@ -329,7 +355,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="worker hint; never changes output bytes")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("suite", choices=SUITE_KEYS)
     p_verify.add_argument("--input", type=str, default=None,
                           help="two-cochain JSON file (cocycle suite)")
     common(p_verify)

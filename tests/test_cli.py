@@ -456,6 +456,38 @@ def test_dims_refuses_a_seed_from_the_config_file(tmp_path, capsys):
     assert _one_error_line(captured.err) and "config key 'seed'" in captured.err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["verify", "verma", "--n", "5"], "n"),
+    (["verify", "verma", "--box", "9"], "box"),
+    (["verify", "verma", "--spec", "mu1=3"], "spec"),
+    (["verify", "jacobi", "--boxes", "1..3"], "boxes"),
+    (["verify", "jacobi", "--spec", "mu1=3"], "spec"),
+    (["verify", "cocycle", "--spec", "mu1=3"], "spec"),
+    (["verify", "density", "--boxes", "1..3"], "boxes"),
+    (["verify", "gvm", "--box", "9"], "box"),
+    (["verify", "gvm", "--spec", "mu1=3"], "spec"),
+    (["verify", "all", "--boxes", "1..2"], "boxes"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_flag_the_suite_would_ignore_is_usage_error(tmp_path, capsys,
+                                                           argv, key, source):
+    """A verify flag or config key that run_suite does not pass to the suite
+    exits 2 and writes no report, so no report echoes a setting it did not
+    use."""
+    out_file = tmp_path / "r.json"
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {argv[3]}\n")
+        argv = argv[:2] + ["--config", str(cfg)]
+    code = main(argv + ["--out", str(out_file), "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and not out_file.exists()
+    assert _one_error_line(captured.err)
+    assert f"--{key} (or config key '{key}') does not apply to verify " \
+           f"{argv[1]}" in captured.err
+
+
 E61 = "e[" + ",".join(["1"] + ["0"] * 60) + "]"
 
 
