@@ -551,6 +551,17 @@ def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25):
     return checks
 
 
+# suite -> the config keys run_suite passes to it
+SUITE_KEYS = {
+    "jacobi": {"n", "box", "seed"},
+    "cocycle": {"n", "box", "seed"},
+    "density": {"n", "box", "seed", "spec"},
+    "verma": {"seed"},
+    "gvm": {"n", "seed", "boxes"},
+    "all": {"n", "box", "seed", "spec"},
+}
+
+
 def run_suite(name: str, n: int, box: int, seed: int, boxes=None, spec=None,
               theta_input=None):
     """Dispatch a named suite; 'all' concatenates every suite."""

@@ -469,11 +469,16 @@ def test_dims_refuses_a_seed_from_the_config_file(tmp_path, capsys):
     (["verify", "all", "--boxes", "1..2"], "boxes"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_verify_flag_the_suite_would_ignore_is_usage_error(tmp_path, capsys,
-                                                           argv, key, source):
+def test_verify_flag_the_suite_does_not_read_is_warned(tmp_path, capsys,
+                                                       monkeypatch, argv, key,
+                                                       source):
     """A verify flag or config key that run_suite does not pass to the suite
-    exits 2 and writes no report, so no report echoes a setting it did not
-    use."""
+    gets one warning line on stderr; the run, its exit code and the report's
+    config echo are as without the warning."""
+    import solvir.verification
+
+    monkeypatch.setattr(solvir.verification, "run_suite",
+                        lambda *a, **k: [{"id": "stub", "status": "pass"}])
     out_file = tmp_path / "r.json"
     if source == "config":
         cfg = tmp_path / "run.cfg"
@@ -481,11 +486,29 @@ def test_verify_flag_the_suite_would_ignore_is_usage_error(tmp_path, capsys,
         argv = argv[:2] + ["--config", str(cfg)]
     code = main(argv + ["--out", str(out_file), "--jobs", "2"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == "" and not out_file.exists()
-    assert _one_error_line(captured.err)
-    assert f"--{key} (or config key '{key}') does not apply to verify " \
-           f"{argv[1]}" in captured.err
+    assert code == 0 and captured.out == ""
+    assert captured.err == (f"warning: --{key} (or config key '{key}') does "
+                            f"not apply to verify {argv[1]}; the report "
+                            f"echoes it unused\n")
+    assert json.loads(out_file.read_text())["status"] == "pass"
+
+
+def test_verify_warns_once_per_unread_flag_and_still_runs(capsys):
+    code = main(["verify", "verma", "--n", "5", "--box", "9",
+                 "--spec", "mu1=3", "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert [line.split(" (")[0] for line in captured.err.splitlines()] == \
+        ["warning: --box", "warning: --n", "warning: --spec"]
+    report = json.loads(captured.out)
+    assert report["status"] == "pass"
+    assert report["config"] == {"n": 5, "box": 9, "boxes": [], "seed": 7,
+                                "spec": {"mu1": "3"}}
+
+
+def test_verify_with_only_the_flags_its_suite_reads_is_silent(capsys):
+    code = main(["verify", "verma", "--seed", "7", "--jobs", "2"])
+    assert code == 0 and capsys.readouterr().err == ""
 
 
 E61 = "e[" + ",".join(["1"] + ["0"] * 60) + "]"
