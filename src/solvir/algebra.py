@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
+from operator import add, sub
 
 from .errors import (
     AxisOutOfRangeError,
@@ -54,11 +55,11 @@ CENTRAL = "c"
 
 
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vneg(a):
@@ -90,6 +91,20 @@ def box_points(n: int, radius: int):
     in lex order; ValueError past MAX_BOX_POINTS points."""
     box_size(n, radius)
     return list(product(range(-radius, radius + 1), repeat=n))
+
+
+def triples_with_sum(pts, total):
+    """Triples (alpha, beta, kappa) of points of pts with sum total.
+
+    alpha runs over pts in order, then beta; kappa is determined.
+    """
+    idx = set(pts)
+    for alpha in pts:
+        rest = vsub(total, alpha)
+        for beta in pts:
+            kappa = vsub(rest, beta)
+            if kappa in idx:
+                yield alpha, beta, kappa
 
 
 def check_pairs(count: int, what: str):
@@ -325,14 +340,28 @@ class SolenoidalAlgebra:
 def _basis_bracket_terms(ka, kb):
     """Bracket of two basis symbols as a terms dict; cached for scan reuse."""
     out = {}
+    total = vadd(ka, kb)
     w = _mu_scalar(vsub(kb, ka))
     if w:
-        out[vadd(ka, kb)] = w
-    if all(a + b == 0 for a, b in zip(ka, kb)):
+        out[total] = w
+    if not any(total):
         cterm = eta0(ka)
         if cterm:
             out[CENTRAL] = cterm
     return out
+
+
+def _bracket_into(out, x, y):
+    """Add [x, y] into the terms dict out; C brackets to zero with everything."""
+    for ka, ca in x.terms.items():
+        if ka == CENTRAL:
+            continue
+        for kb, cb in y.terms.items():
+            if kb == CENTRAL:
+                continue
+            coef = ca * cb
+            for key, base in _basis_bracket_terms(ka, kb).items():
+                _acc(out, key, coef * base)
 
 
 def vir_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -340,20 +369,7 @@ def vir_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     if x.n != y.n:
         raise RankMismatchError(f"rank {x.n} vs {y.n}")
     out = {}
-    for ka, ca in x.terms.items():
-        if ka == CENTRAL:
-            continue
-        for kb, cb in y.terms.items():
-            if kb == CENTRAL:
-                continue
-            if cb is ONE:
-                coef = ca
-            elif ca is ONE:
-                coef = cb
-            else:
-                coef = ca * cb
-            for key, base in _basis_bracket_terms(ka, kb).items():
-                _acc(out, key, base if coef is ONE else coef * base)
+    _bracket_into(out, x, y)
     return x._like(out)
 
 
@@ -367,10 +383,15 @@ def witt_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def jacobi_residual(x, y, z) -> AlgebraElement:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero for a Lie bracket."""
-    return (vir_bracket(x, vir_bracket(y, z))
-            + vir_bracket(y, vir_bracket(z, x))
-            + vir_bracket(z, vir_bracket(x, y)))
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero for a Lie bracket.
+
+    The inner brackets check the ranks; the outer ones add into one dict.
+    """
+    out = {}
+    _bracket_into(out, x, vir_bracket(y, z))
+    _bracket_into(out, y, vir_bracket(z, x))
+    _bracket_into(out, z, vir_bracket(x, y))
+    return x._like(out)
 
 
 @cache

@@ -38,6 +38,7 @@ from .algebra import (
     box_points,
     eta0,
     point_str,
+    triples_with_sum,
     vadd,
     vneg,
     vsub,
@@ -59,20 +60,6 @@ def canonical_cocycle(alpha, beta) -> Scalar:
     if any(a + b for a, b in zip(alpha, beta)):
         return ZERO
     return eta0(tuple(alpha))
-
-
-def triples_with_sum(pts, total):
-    """Triples (alpha, beta, kappa) of points of pts with sum total.
-
-    alpha runs over pts in order, then beta; kappa is determined.
-    """
-    idx = set(pts)
-    for alpha in pts:
-        rest = vsub(total, alpha)
-        for beta in pts:
-            kappa = vsub(rest, beta)
-            if kappa in idx:
-                yield alpha, beta, kappa
 
 
 def _record_items(records, width: int, field: str):
@@ -239,12 +226,11 @@ def cocycle_residual(theta: TwoCochain, alpha, beta, kappa) -> Scalar:
     alpha, beta, kappa = tuple(alpha), tuple(beta), tuple(kappa)
     out = ZERO
     for x, y, z in ((alpha, kappa, beta), (beta, alpha, kappa), (kappa, beta, alpha)):
-        # [e_y, e_z] = mu.(z - y) e_{y+z}
-        coef = _mu_scalar(vsub(z, y))
-        if coef:
+        # [e_y, e_z] = mu.(z - y) e_{y+z}, and mu.(z - y) is zero iff y = z
+        if y != z:
             val = theta.value(x, vadd(y, z))
             if val:
-                out = out + coef * val
+                out = out + _mu_scalar(vsub(z, y)) * val
     return out
 
 

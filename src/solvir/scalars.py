@@ -506,6 +506,11 @@ class Scalar:
                 return NotImplemented
         if not self.num.t or not other.num.t:
             return ZERO
+        # the unit rule: a product by the ONE object is the other factor
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         return Scalar(self.num * other.num, self.forms + other.forms)
 
     __rmul__ = __mul__

@@ -25,6 +25,7 @@ import itertools
 import random
 from fractions import Fraction
 
+# each suite imports the layers it runs, so `verify <suite>` loads only those
 from .algebra import (
     _mu_scalar,
     basis_element,
@@ -34,50 +35,12 @@ from .algebra import (
     check_pairs,
     euler_element,
     jacobi_residual,
+    triples_with_sum,
     vir_bracket,
     vir_i_cocycle_coefficients,
     witt_jacobi_symbolic_identity,
 )
-from .cocycle import (
-    canonical_cochain,
-    canonical_cocycle,
-    canonical_cocycle_identity,
-    coboundary,
-    coboundary_cocycle_identity,
-    cocycle_residual,
-    h2_rank_experiment,
-    normalize_cocycle,
-    recognize_eta,
-    solve_functional_equation,
-    triples_with_sum,
-    OneCochain,
-    TwoCochain,
-)
-from .density import (
-    DensityParams,
-    basis_vector,
-    classify_density,
-    density_axiom_residual,
-    density_axiom_symbolic_identity,
-    duality_check,
-    formal_params,
-    lattice_params,
-    submodule_invariance_check,
-    IRREDUCIBLE,
-    REDUCIBLE_CODIM_ONE,
-    REDUCIBLE_TRIVIAL_SUB,
-)
-from .gvm import grade_of, gvm_act, quotient_dim_level1, GvmMonomial, GvmVector
 from .scalars import ONE, ZERO, Scalar
-from .verma import (
-    TruncationBox,
-    VermaVector,
-    is_singular_within_box,
-    pbw_enumerate,
-    vacuum,
-    verma_act,
-    weight_space_dim_truncated,
-)
 
 FULL_SCAN_LIMIT = 200_000
 
@@ -196,6 +159,8 @@ def _jacobi_residual(n, pts):
 
 
 def _cocycle_residual(n, pts):
+    from .cocycle import canonical_cochain, cocycle_residual
+
     theta = canonical_cochain(n)
     return lambda a, b, k: cocycle_residual(theta, a, b, k)
 
@@ -278,6 +243,8 @@ def suite_jacobi(n: int, box: int, seed: int, trials: int = 60):
 
 
 def _random_cochain(rng, n, box, size=4):
+    from .cocycle import OneCochain
+
     support = {}
     for _ in range(size):
         point = _random_point(rng, n, box)
@@ -287,7 +254,22 @@ def _random_cochain(rng, n, box, size=4):
 
 
 def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
-                  normalize_trials: int = 5, theta_input: TwoCochain | None = None):
+                  normalize_trials: int = 5, theta_input=None):
+    """The cocycle checks; with theta_input, a cocycle.TwoCochain, only the
+    honest scan of its residual."""
+    from .cocycle import (
+        canonical_cochain,
+        canonical_cocycle,
+        canonical_cocycle_identity,
+        coboundary,
+        coboundary_cocycle_identity,
+        cocycle_residual,
+        h2_rank_experiment,
+        normalize_cocycle,
+        recognize_eta,
+        solve_functional_equation,
+    )
+
     rng = random.Random(seed)
     checks = []
 
@@ -381,6 +363,21 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
 
 def suite_density(n: int, box: int, seed: int, trials: int = 100,
                   spec=None):
+    from .density import (
+        DensityParams,
+        basis_vector,
+        classify_density,
+        density_axiom_residual,
+        density_axiom_symbolic_identity,
+        duality_check,
+        formal_params,
+        lattice_params,
+        submodule_invariance_check,
+        IRREDUCIBLE,
+        REDUCIBLE_CODIM_ONE,
+        REDUCIBLE_TRIVIAL_SUB,
+    )
+
     check_pairs(box_size(n, box) ** 2, f"the rank-{n} density suite of radius {box}")
     rng = random.Random(seed)
     p = formal_params(n)
@@ -466,6 +463,16 @@ def _module_axiom_check(check_id, rng, trials, vectors, act):
 
 def suite_verma(seed: int, kmax: int = 5, nmax: int = 4, trials: int = 25):
     """Fixed rank-1 and rank-2 checks; the command's --n and --box do not apply."""
+    from .verma import (
+        TruncationBox,
+        VermaVector,
+        is_singular_within_box,
+        pbw_enumerate,
+        vacuum,
+        verma_act,
+        weight_space_dim_truncated,
+    )
+
     rng = random.Random(seed)
     checks = []
 
@@ -512,6 +519,9 @@ def suite_verma(seed: int, kmax: int = 5, nmax: int = 4, trials: int = 25):
 
 
 def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25):
+    from .density import formal_params
+    from .gvm import grade_of, gvm_act, quotient_dim_level1, GvmMonomial, GvmVector
+
     if n < 2:
         raise ValueError("the gvm suite needs --n >= 2")
     rng = random.Random(seed)

@@ -187,7 +187,7 @@ def straighten(alpha, word, base, ceiling, act, c, memo):
     out = {}
     for (w2, b2), c2 in straighten(alpha, rest, base, ceiling, act, c, memo).items():
         for key, c3 in straighten(top, w2, b2, ceiling, act, c, memo).items():
-            _acc(out, key, c2 if c3 is ONE else c2 * c3)
+            _acc(out, key, c2 * c3)
     for merged, bracket in _basis_bracket_terms(alpha, top).items():
         if merged == CENTRAL:
             _acc(out, (rest, base), bracket * c)

@@ -142,6 +142,51 @@ def test_jacobi_randomized_general_elements():
         assert jacobi_residual(x, y, z).is_zero()
 
 
+def _nested_sum(x, y, z):
+    """The residual by its definition: three nested brackets, added."""
+    return (vir_bracket(x, vir_bracket(y, z)) + vir_bracket(y, vir_bracket(z, x))
+            + vir_bracket(z, vir_bracket(x, y)))
+
+
+def _general_element(rng, n=2):
+    """A random element with central terms, non-unit rational coefficients
+    and, through the axis basis vectors of Vir_i, form denominators."""
+    out = _random_element(rng, n).scale(Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+    for _ in range(rng.randint(1, 2)):
+        out = out + vir_i_element(n, rng.randint(1, n), rng.randint(-3, 3)).scale(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    return out
+
+
+@pytest.mark.parametrize("wrong", [False, True], ids=["bracket", "squared_bracket"])
+def test_jacobi_residual_is_its_nested_sum(monkeypatch, wrong):
+    """The accumulating kernel gives the nested-bracket sum term for term,
+    also under a wrong bracket, where that sum is not zero."""
+    if wrong:
+        right = algebra._basis_bracket_terms
+
+        def squared(ka, kb):
+            return {key: base ** 2 if key != CENTRAL else base
+                    for key, base in right(ka, kb).items()}
+
+        monkeypatch.setattr(algebra, "_basis_bracket_terms", squared)
+    rng = random.Random(1919)
+    nonzero = 0
+    for _ in range(30):
+        x, y, z = (_general_element(rng) for _ in range(3))
+        residual = jacobi_residual(x, y, z)
+        assert residual.terms == _nested_sum(x, y, z).terms
+        nonzero += bool(residual)
+    assert nonzero > 0 if wrong else nonzero == 0
+
+
+def test_jacobi_residual_rejects_mixed_ranks():
+    x, y, z = A2.e(1, 0), A2.e(0, 1), basis_element(3, (1, 0, 0))
+    for triple in ((x, y, z), (x, z, y), (z, x, y)):
+        with pytest.raises(RankMismatchError):
+            jacobi_residual(*triple)
+
+
 def test_antisymmetry_randomized():
     rng = random.Random(55)
     for _ in range(40):

@@ -72,6 +72,54 @@ def _random_cochain(rng, n=2, box=3, size=4):
     return OneCochain(n, support)
 
 
+def _extra_cochain(rng, n=2, radius=2, pairs=6):
+    """canonical multiple + coboundary + random extra table: no cocycle."""
+    pts = box_points(n, radius)
+    f = OneCochain(n, {rng.choice(pts): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                       for _ in range(3)})
+    extra = {}
+    for _ in range(pairs):
+        a, b = rng.sample(pts, 2)
+        if (b, a) not in extra:
+            extra[(a, b)] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    return TwoCochain(n, Fraction(1, 3), f, extra)
+
+
+def test_residual_with_extra_vanishes_at_repeated_points():
+    """At (a, a, k) and its rotations the terms cancel by antisymmetry of
+    the bracket alone, whatever theta is, and [e_a, e_a] = 0 drops out."""
+    theta = _extra_cochain(random.Random(7))
+    pts = box_points(2, 2)
+    for a, k in itertools.product(pts, repeat=2):
+        for triple in ((a, a, k), (a, k, a), (k, a, a)):
+            assert cocycle_residual(theta, *triple).is_zero(), triple
+
+
+def _reference_residual(theta, alpha, beta, kappa):
+    """cocycle_residual as written before it skipped the y = z terms."""
+    out = ZERO
+    for x, y, z in ((alpha, kappa, beta), (beta, alpha, kappa), (kappa, beta, alpha)):
+        coef = mu(vsub(z, y))
+        if coef:
+            val = theta.value(x, vadd(y, z))
+            if val:
+                out = out + coef * val
+    return out
+
+
+def test_residual_matches_its_reference_on_seeded_triples():
+    rng = random.Random(2026)
+    theta = _extra_cochain(rng)
+    pts = box_points(2, 2)
+    nonzero = 0
+    for _ in range(400):
+        triple = [rng.choice(pts) for _ in range(3)]
+        residual = cocycle_residual(theta, *triple)
+        assert residual == _reference_residual(theta, *triple), triple
+        nonzero += bool(residual)
+    assert nonzero > 0
+
+
 def test_coboundary_values():
     # f = 1/2 on the origin gives df(alpha, beta) = mu.beta on alpha+beta=0
     f = OneCochain(2, {(0, 0): Fraction(1, 2)})

@@ -102,6 +102,20 @@ def test_bracket_command_loads_only_its_layers():
                                         "verma", "gvm", "linalg")} & set(loaded)
 
 
+@pytest.mark.parametrize("argv, layers", [
+    (["jacobi", "--box", "1"], {"algebra", "errors", "scalars"}),
+    (["verma"], {"algebra", "errors", "scalars", "verma"}),
+], ids=["jacobi", "verma"])
+def test_verify_suite_loads_only_its_layers(argv, layers):
+    """verification imports each suite's layers inside that suite, and the
+    Jacobi scans read triples_with_sum from algebra, not cocycle."""
+    loaded = _child_modules(
+        "import os, solvir.cli\n"
+        f"solvir.cli.main(['verify', *{argv!r}, '--seed', '3', '--out', os.devnull])")
+    assert set(loaded) == {"solvir", "solvir.cli", "solvir.verification",
+                           "fractions"} | {"solvir." + m for m in layers}
+
+
 def test_namespace_table_names_each_submodule_object():
     """Each public name of the package is its submodule's own object and is
     listed by dir() and __all__; a name outside the table is an error."""

@@ -146,6 +146,18 @@ def test_ring_axioms_randomized():
         assert x * (y + z) == x * y + x * z
 
 
+def test_product_by_the_unit_is_the_other_factor():
+    s = mu((1, 2)).div_form((0, 1)) + A
+    assert ONE * s is s and s * ONE is s and ONE * ONE is ONE
+    assert (ZERO * ONE).is_zero() and (ONE * ZERO).is_zero()
+    assert (ZERO * s).is_zero() and (s * ZERO).is_zero()
+    # scalars equal to 1 that are not the ONE object still multiply exactly
+    for one in (Scalar.from_rational(1), mu((1, 2)).div_form((1, 2)),
+                Scalar(Polynomial.const(1))):
+        assert one is not ONE and one == ONE
+        assert one * s == s and s * one == s and one * one == ONE
+
+
 def test_divide_then_multiply_roundtrip():
     rng = random.Random(7)
     for _ in range(40):

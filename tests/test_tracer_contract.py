@@ -4,7 +4,7 @@ benchmarks/tracer.py rebinds solvir's functions and methods by name and
 reads the lru caches of algebra through cache_info(); a name it cannot
 resolve would break only the benchmark's traced run.  The first tests read
 the tracer's tables and resolve each name with the tracer's own lookup,
-which takes methods from the class __dict__; only the last installs the
+which takes methods from the class __dict__; only the last two install the
 tracer, and in a child interpreter.
 """
 
@@ -46,13 +46,36 @@ def test_every_cache_has_cache_info(tracer):
         assert callable(getattr(algebra, name).cache_info), name
 
 
+def _run_traced(solvir_env, code):
+    """code run in a child interpreter that can import the tracer."""
+    env = dict(solvir_env)
+    env["PYTHONPATH"] = os.pathsep.join([str(TRACER.parent), env["PYTHONPATH"]])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_install_leaves_no_unwrapped_reference(solvir_env):
     """install() ends in check_coverage, which raises when a solvir module
     still holds an unwrapped original, such as a traced method aliased as a
     module function.  It runs in a child, since it rebinds solvir's names."""
-    env = dict(solvir_env)
-    env["PYTHONPATH"] = os.pathsep.join([str(TRACER.parent), env["PYTHONPATH"]])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import tracer; tracer.Tracer('install').install()"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_traced(solvir_env, "import tracer; tracer.Tracer('install').install()")
+
+
+def test_residuals_reach_the_traced_names(solvir_env):
+    """One basis-triple Jacobi residual and one cocycle residual, run under
+    the tracer, reach vir_bracket and TwoCochain.value.  The benchmark
+    predicts algebra.bracket_calls and cocycle.value_calls from these names,
+    so a kernel that bypasses them fails here and not only in a traced run."""
+    out = _run_traced(solvir_env, (
+        "import tracer\n"
+        "t = tracer.Tracer('contract'); t.install()\n"
+        "from solvir import algebra, cocycle\n"
+        "e = lambda p: algebra.basis_element(2, p)\n"
+        "algebra.jacobi_residual(e((1, 0)), e((0, 1)), e((-1, -1)))\n"
+        "cocycle.cocycle_residual(cocycle.canonical_cochain(2), (1, 0), (0, 1), (-1, -1))\n"
+        "calls = t.report()['calls']\n"
+        "print(calls.get('vir_bracket', 0), calls.get('TwoCochain.value', 0))\n"))
+    brackets, values = map(int, out.split())
+    assert brackets > 0 and values > 0

@@ -15,14 +15,14 @@ import pytest
 import solvir.algebra as algebra
 import solvir.cocycle as cocycle
 import solvir.verification as ver
-from solvir.algebra import CENTRAL, basis_element, jacobi_residual
-from solvir.cocycle import (
-    TwoCochain,
+from solvir.algebra import (
+    CENTRAL,
+    basis_element,
     box_points,
-    canonical_cochain,
-    cocycle_residual,
+    jacobi_residual,
     triples_with_sum,
 )
+from solvir.cocycle import TwoCochain, canonical_cochain, cocycle_residual
 from solvir.scalars import ZERO, Scalar
 from solvir.verification import run_suite, scan_triples, suite_cocycle, suite_jacobi
 
