@@ -437,6 +437,12 @@ def vir_i_element(n: int, axis: int, m: int) -> AlgebraElement:
     return AlgebraElement(n, {alpha: coef})
 
 
+def cubic_odd_fit(f1: Scalar, f2: Scalar):
+    """(a, b) of the f(m) = a*m^3 + b*m through f(1) = f1 and f(2) = f2."""
+    a = (f2 - f1 - f1) * Scalar.from_rational(Fraction(1, 6))
+    return a, f1 - a
+
+
 def vir_i_cocycle_coefficients(n: int, axis: int):
     """Certify the restricted central extension on the axis subalgebra.
 
@@ -444,14 +450,10 @@ def vir_i_cocycle_coefficients(n: int, axis: int):
     fits eta_i(m) = a*m^3 + b*m exactly and checks the third sample against
     the fit.  The extension class is nontrivial precisely when a != 0.
     """
-    samples = []
-    for m in (1, 2, 3):
-        br = vir_bracket(vir_i_element(n, axis, m), vir_i_element(n, axis, -m))
-        samples.append(br.coefficient(CENTRAL))
-    eta1, eta2, eta3 = samples
-    sixth = Scalar.from_rational(Fraction(1, 6))
-    a = (eta2 - eta1 - eta1) * sixth
-    b = eta1 - a
+    eta1, eta2, eta3 = (
+        vir_bracket(vir_i_element(n, axis, m), vir_i_element(n, axis, -m))
+        .coefficient(CENTRAL) for m in (1, 2, 3))
+    a, b = cubic_odd_fit(eta1, eta2)
     if a * 27 + b * 3 != eta3:
         raise FitFailedError("central samples are not cubic-odd in m")
     return a, b
@@ -476,12 +478,22 @@ def parse_element(text: str, n: int) -> AlgebraElement:
     return parse_combination(text, AlgebraElement(n), "e", central=True)
 
 
-def parse_combination(text: str, zero: Combination, symbol: str, central=False):
+def point_ranks(text: str) -> set:
+    """Ranks of the e[...] points that parse_element reads in text, agreeing or not."""
+    ranks = set()
+    parse_combination(text, AlgebraElement(0), "e", central=True,
+                      point_key=lambda point: ranks.add(len(point)) or point)
+    return ranks
+
+
+def parse_combination(text: str, zero: Combination, symbol: str, central=False,
+                      point_key=None):
     """Sum of terms 'coef*symbol[...]' (and 'coef*c' when central) in zero's
     type, read by the scalar grammar with the basis symbol as one factor.
 
     c is the central symbol where it ends a product, and the central charge
-    where '*' or '^' follows it.
+    where '*' or '^' follows it.  point_key, zero._key by default, takes each
+    symbol's point to its dict key.
     """
     ts = _TokenStream(tokenize(text))
 
@@ -489,7 +501,7 @@ def parse_combination(text: str, zero: Combination, symbol: str, central=False):
         tok = ts.peek()
         if tok == ("name", symbol):
             ts.next()
-            return zero._key(_parse_point(ts, "[", "]"))
+            return (point_key or zero._key)(_parse_point(ts, "[", "]"))
         if central and tok == ("name", "c") \
                 and ts.tokens[ts.i + 1:ts.i + 2] not in ([("sym", "*")], [("sym", "^")]):
             ts.next()

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from . import __version__
@@ -27,18 +26,14 @@ SUITES = ("jacobi", "cocycle", "density", "verma", "gvm", "all")
 
 
 class RunConfig:
-    """Run settings; given holds the keys set by the config file or a flag,
-    as against defaults."""
+    """Run settings, at their defaults until build_config sets them; given
+    holds the keys set by the config file or a flag."""
 
     __slots__ = ("n", "box", "boxes", "seed", "spec", "out", "jobs", "given")
 
-    def __init__(self, n: int = 2, box: int = 3, boxes: list | None = None,
-                 seed: int = 0, spec: dict | None = None, out: str | None = None,
-                 jobs: int = 1, given: set | None = None):
-        self.n, self.box, self.seed, self.out, self.jobs = n, box, seed, out, jobs
-        self.boxes = [] if boxes is None else boxes
-        self.spec = {} if spec is None else spec
-        self.given = set() if given is None else given
+    def __init__(self):
+        self.n, self.box, self.boxes, self.seed = 2, 3, [], 0
+        self.spec, self.out, self.jobs, self.given = {}, None, 1, set()
 
     def validate(self):
         check_rank(self.n)
@@ -111,6 +106,10 @@ def parse_boxes(text: str) -> list:
 CONFIG_KEYS = {"n": int, "box": int, "boxes": parse_boxes, "seed": int,
                "spec": parse_spec, "out": str, "jobs": int}
 
+# command -> the config keys it reads besides out and jobs; any other key
+# given to it is refused.  verify warns instead (verification.SUITE_KEYS)
+COMMAND_KEYS = {"dims": {"n", "boxes", "spec"}, "normalize": {"n", "box"}}
+
 
 def load_config_file(path: str) -> dict:
     """Flat key = value lines mirroring the flags; '#' starts a comment.
@@ -153,6 +152,11 @@ def build_config(args) -> RunConfig:
             raise ValueError("specialization key 'mu1' listed twice "
                              "(spec and --mu1)")
         cfg.spec["mu1"] = parse_fraction(args.mu1)
+    if args.cmd in COMMAND_KEYS:
+        unread = sorted(cfg.given - COMMAND_KEYS[args.cmd] - {"out", "jobs"})
+        if unread:
+            raise ValueError(f"--{unread[0]} (or config key {unread[0]!r}) "
+                             f"does not apply to {args.cmd}")
     cfg.validate()
     return cfg
 
@@ -186,14 +190,13 @@ def cmd_verify(args) -> int:
     from .verification import SUITE_KEYS, run_suite
 
     cfg = build_config(args)
-    for key in sorted(cfg.given - SUITE_KEYS[args.suite] - {"out", "jobs"}):
+    if args.input and args.suite != "cocycle":
+        raise ValueError("--input is only meaningful for the cocycle suite")
+    suite = "cocycle --input" if args.input else args.suite
+    for key in sorted(cfg.given - SUITE_KEYS[suite] - {"out", "jobs"}):
         print(f"warning: --{key} (or config key {key!r}) does not apply to "
-              f"verify {args.suite}; the report echoes it unused", file=sys.stderr)
-    theta_input = None
-    if getattr(args, "input", None):
-        if args.suite != "cocycle":
-            raise ValueError("--input is only meaningful for the cocycle suite")
-        theta_input = read_cochain(args.input, cfg)
+              f"verify {suite}; the report echoes it unused", file=sys.stderr)
+    theta_input = read_cochain(args.input, cfg) if args.input else None
     checks = run_suite(args.suite, cfg.n, cfg.box, cfg.seed,
                        boxes=cfg.boxes or None, spec=cfg.spec,
                        theta_input=theta_input)
@@ -211,10 +214,8 @@ def cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
-def _infer_rank(texts, explicit):
-    """The rank shared by every e[...] point in the texts; --n must agree."""
-    ranks = sorted({inner.count(",") + 1
-                    for text in texts for inner in re.findall(r"e\[([^\]]*)\]", text)})
+def _infer_rank(ranks, explicit):
+    """The one rank in the sorted ranks of the e[...] points; --n must agree."""
     if len(ranks) > 1:
         raise ValueError("elements mix points of ranks "
                          + " and ".join(map(str, ranks)))
@@ -228,9 +229,9 @@ def _infer_rank(texts, explicit):
 
 
 def cmd_bracket(args) -> int:
-    from .algebra import element_str, parse_element, vir_bracket
+    from .algebra import element_str, parse_element, point_ranks, vir_bracket
 
-    n = _infer_rank([args.left, args.right], args.n)
+    n = _infer_rank(sorted(point_ranks(args.left) | point_ranks(args.right)), args.n)
     x = parse_element(args.left, n)
     y = parse_element(args.right, n)
     print(element_str(vir_bracket(x, y)))
@@ -241,10 +242,6 @@ def cmd_dims(args) -> int:
     from .verma import TruncationBox, weight_space_dim_truncated
 
     cfg = build_config(args)
-    for key in ("box", "seed"):
-        if key in cfg.given:
-            raise ValueError(f"--{key} (or config key {key!r}) does not "
-                             f"apply to dims")
     if args.target == "verma":
         if args.kappa is not None:
             raise ValueError("--kappa applies to dims gvm only")

@@ -26,7 +26,7 @@ coboundaries.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from collections import namedtuple
 from functools import cache
 
 from .algebra import (
@@ -36,6 +36,7 @@ from .algebra import (
     _mu_scalar,
     as_scalar,
     box_points,
+    cubic_odd_fit,
     eta0,
     point_str,
     triples_with_sum,
@@ -52,7 +53,7 @@ from .errors import (
     RankMismatchError,
 )
 from .linalg import RationalEchelon
-from .scalars import ONE, ZERO, Scalar, mu_poly, parse_scalar
+from .scalars import ONE, ZERO, Scalar, parse_scalar
 
 
 def canonical_cocycle(alpha, beta) -> Scalar:
@@ -394,12 +395,9 @@ def recognize_eta(eta: EtaTable):
     if eta.box < 2:
         raise BoxTooSmallError("recognize_eta needs box >= 2")
     eps = (1,) + (0,) * (eta.n - 1)
-    two_eps = (2,) + (0,) * (eta.n - 1)
-    eta1 = eta.value(eps)
-    eta2 = eta.value(two_eps)
-    sixth = Scalar.from_rational(Fraction(1, 6))
-    a = ((eta2 - eta1 - eta1) * sixth).div_form(eps).div_form(eps).div_form(eps)
-    b = (eta1 - a * (_mu_scalar(eps) ** 3)).div_form(eps)
+    a, b = cubic_odd_fit(eta.value(eps), eta.value((2,) + eps[1:]))
+    # the fit in m of eta(m*eps) is (a*mu_1^3)*m^3 + (b*mu_1)*m
+    a, b = a.div_form(eps).div_form(eps).div_form(eps), b.div_form(eps)
     for alpha in box_points(eta.n, eta.box):
         x = _mu_scalar(alpha)
         if eta.value(alpha) != a * x * x * x + b * x:
@@ -416,15 +414,9 @@ def full_equation_residual(eta: EtaTable, alpha, beta) -> Scalar:
             - (x + y) * eta.value(vsub(alpha, beta)))
 
 
-class FunctionalEquationSolution:
-    """Kernel of the diagonal system a_k*(5 - 2^(k+2) + 3^k) = 0, k <= bound."""
-
-    def __init__(self, degree_bound: int):
-        self.degree_bound = degree_bound
-        self.diagonal = {k: 5 - 2 ** (k + 2) + 3 ** k
-                         for k in range(degree_bound + 1)}
-        self.kernel_exponents = [k for k, c in self.diagonal.items() if c == 0]
-        self.dimension = len(self.kernel_exponents)
+# kernel of the diagonal system a_k*(5 - 2^(k+2) + 3^k) = 0, k <= degree_bound
+FunctionalEquationSolution = namedtuple(
+    "FunctionalEquationSolution", "degree_bound diagonal kernel_exponents dimension")
 
 
 def solve_functional_equation(degree_bound: int) -> FunctionalEquationSolution:
@@ -436,14 +428,12 @@ def solve_functional_equation(degree_bound: int) -> FunctionalEquationSolution:
     """
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
-    return FunctionalEquationSolution(degree_bound)
+    diagonal = {k: 5 - 2 ** (k + 2) + 3 ** k for k in range(degree_bound + 1)}
+    kernel = [k for k, c in diagonal.items() if c == 0]
+    return FunctionalEquationSolution(degree_bound, diagonal, kernel, len(kernel))
 
 
-class H2Report:
-    def __init__(self, cocycle_space_dim, coboundary_space_dim):
-        self.cocycle_space_dim = cocycle_space_dim
-        self.coboundary_space_dim = coboundary_space_dim
-        self.quotient_dim = cocycle_space_dim - coboundary_space_dim
+H2Report = namedtuple("H2Report", "cocycle_space_dim coboundary_space_dim quotient_dim")
 
 
 def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
@@ -453,7 +443,8 @@ def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
     theta(alpha, beta) = delta_{alpha,-beta} * eta(mu.alpha), and skewness
     makes eta odd, so eta = sum_k a_k x^k over the odd k <= degree_bound.
     The linear system on these a_k is the cocycle condition on every
-    zero-sum triple inside the box, expanded into one rational equation per
+    zero-sum triple inside the box: column k holds cocycle_residual of the
+    diagonal cochain of x^k, expanded into one rational equation per
     mu-monomial.  Its kernel dimension is the cocycle space dimension.  Two
     solutions are known: x, which spans the coboundaries inside the ansatz
     (shifts reach exactly its multiples), and x^3, the canonical cocycle.
@@ -465,21 +456,16 @@ def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
         raise BoxTooSmallError("h2_rank_experiment needs box >= 2")
     ks = range(1, degree_bound + 1, 2)
     known = [[int(k == j) for k in ks] for j in (1, 3) if j in ks]
+    pts, zero = box_points(n, box), (0,) * n
+    # theta(gamma, -gamma) = (mu.gamma)^k; skewness gives the other orientation
+    cochains = [TwoCochain(n, extra={(g, vneg(g)): _mu_scalar(g) ** k
+                                     for g in pts if g > zero}) for k in ks]
     ech = RationalEchelon(len(ks))
-    powers = {}
-    for alpha, beta, kappa in triples_with_sum(box_points(n, box), (0,) * n):
-        u = [mu_poly(vsub(beta, kappa)), mu_poly(vsub(kappa, alpha)),
-             mu_poly(vsub(alpha, beta))]
-        xs = []
-        for point in (alpha, beta, kappa):
-            if point not in powers:
-                base = mu_poly(point)
-                powers[point] = [base ** k for k in ks]
-            xs.append(powers[point])
+    for alpha, beta, kappa in triples_with_sum(pts, zero):
         per_mon = {}
-        for j in range(len(ks)):
-            col = u[0] * xs[0][j] + u[1] * xs[1][j] + u[2] * xs[2][j]
-            for mon, coef in col.terms():
+        for j, theta in enumerate(cochains):
+            # no denominator form arises, so num is the whole residual
+            for mon, coef in cocycle_residual(theta, alpha, beta, kappa).num.terms():
                 per_mon.setdefault(mon, [0] * len(ks))[j] += coef
         for row in per_mon.values():
             ech.add_row(row)
@@ -487,4 +473,5 @@ def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
             break
     if not all(ech.in_row_space_kernel(v) for v in known):
         raise RuntimeError("a known solution fails the cocycle equations")
-    return H2Report(len(ks) - ech.rank, 1 if ks else 0)
+    cocycles, coboundaries = len(ks) - ech.rank, 1 if ks else 0
+    return H2Report(cocycles, coboundaries, cocycles - coboundaries)

@@ -561,10 +561,11 @@ def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25):
     return checks
 
 
-# suite -> the config keys run_suite passes to it
+# suite -> the config keys run_suite passes to it; an --input scan reads no seed
 SUITE_KEYS = {
     "jacobi": {"n", "box", "seed"},
     "cocycle": {"n", "box", "seed"},
+    "cocycle --input": {"n", "box"},
     "density": {"n", "box", "seed", "spec"},
     "verma": {"seed"},
     "gvm": {"n", "seed", "boxes"},

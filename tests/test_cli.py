@@ -25,6 +25,10 @@ def test_bracket_examples(capsys):
     code, out = run_cli(["bracket", "e[0,0]", "e[2,-1]"], capsys)
     assert code == 0
     assert out.strip() == "(2*mu1-mu2)*e[2,-1]"
+    # the rank is read from the points the grammar reads, spaces and all
+    code, out = run_cli(["bracket", "e [1,0]", "e [0, 1]"], capsys)
+    assert code == 0
+    assert out.strip() == "(-mu1+mu2)*e[1,1]"
 
 
 def test_bracket_parse_error(capsys):
@@ -62,6 +66,9 @@ def test_bracket_mixed_ranks_is_usage_error(capsys):
     assert "ranks 1 and 2" in err
     # the second point of one side is read too
     assert main(["bracket", "e[1,0] + e[2]", "e[0,1]"]) == 2
+    assert "ranks 1 and 2" in capsys.readouterr().err
+    assert main(["bracket", "e [1,0]", "e [1]"]) == 2
+    assert "ranks 1 and 2" in capsys.readouterr().err
 
 
 def test_bracket_rank_disagrees_with_flag(capsys):
@@ -446,6 +453,28 @@ def test_dims_flag_the_target_would_ignore_is_usage_error(capsys, argv, named):
     assert _one_error_line(captured.err) and named in captured.err
 
 
+@pytest.mark.parametrize("key, value", [("seed", "9"), ("boxes", "1..3"),
+                                        ("spec", "mu1=2")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_normalize_refuses_a_key_it_does_not_read(tmp_path, capsys, key, value,
+                                                  source):
+    """normalize reads n and box only; any other key exits 2 with no report."""
+    theta = str(Path(__file__).parent / "golden" / "theta_normalize.json")
+    argv = ["normalize", "--input", theta, "--box", "2"]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 2\n{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [f"--{key}", value]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and \
+        f"--{key} (or config key '{key}') does not apply to normalize" in captured.err
+
+
 def test_dims_refuses_a_seed_from_the_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 2\nseed = 5\n")
@@ -504,6 +533,28 @@ def test_verify_warns_once_per_unread_flag_and_still_runs(capsys):
     assert report["status"] == "pass"
     assert report["config"] == {"n": 5, "box": 9, "boxes": [], "seed": 7,
                                 "spec": {"mu1": "3"}}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_cocycle_input_warns_on_seed(tmp_path, capsys, source):
+    """The cocycle suite scans an --input cochain honestly and reads no
+    seed, so a seed gets the warning line; without --input it is read."""
+    theta = str(Path(__file__).parent / "golden" / "theta_normalize.json")
+    seed = ["--seed", "5"]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\n")
+        seed = ["--config", str(cfg)]
+    code = main(["verify", "cocycle", "--input", theta, "--box", "2"] + seed)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ("warning: --seed (or config key 'seed') does not "
+                            "apply to verify cocycle --input; the report "
+                            "echoes it unused\n")
+    assert json.loads(captured.out)["config"]["seed"] == 5
+    code = main(["verify", "cocycle", "--input", theta, "--box", "2",
+                 "--n", "2"])
+    assert code == 0 and capsys.readouterr().err == ""
 
 
 def test_verify_with_only_the_flags_its_suite_reads_is_silent(capsys):

@@ -339,6 +339,26 @@ def test_h2_dimensions_by_degree_bound(n, radius, degree_bound):
             report.quotient_dim) == H2_DIMS[degree_bound]
 
 
+def _first_term_flipped(theta, alpha, beta, kappa):
+    """cocycle_residual with its first term's bracket [e_k, e_b] taken the
+    wrong way round."""
+    first = mu(vsub(beta, kappa)) * theta.value(alpha, vadd(kappa, beta))
+    return cocycle_residual(theta, alpha, beta, kappa) - first - first
+
+
+@pytest.mark.parametrize("n, radius", [(2, 3), (3, 2)])
+def test_h2_rows_read_cocycle_residual(monkeypatch, n, radius):
+    """The H^2 rows are cocycle_residual's own expansion, so under a wrong
+    residual the experiment fails its known-solution check or reports
+    another quotient."""
+    monkeypatch.setattr(cocycle, "cocycle_residual", _first_term_flipped)
+    try:
+        report = h2_rank_experiment(n, radius, degree_bound=10)
+    except RuntimeError:
+        return
+    assert report.quotient_dim != 1
+
+
 def test_check_cocycle_skip_is_sound():
     # check_cocycle_on_box evaluates only the triples where a residual term
     # reads an extra pair, and theta here has none; honest residuals on
