@@ -4,10 +4,10 @@ A 2-cochain here is a skew function on pairs of lattice points.  Arbitrary
 functions on Z^n x Z^n cannot be stored, so TwoCochain keeps a finite
 parameterization with three parts, each exactly evaluable at every pair:
 
-* a Scalar multiple of the canonical cocycle
-      C0(alpha, beta) = ((mu.alpha)^3 - mu.alpha)/12 * delta_{alpha,-beta},
+* a Scalar multiple of the canonical cocycle C0, the bracket's central
+  coefficient ((mu.alpha)^3 - mu.alpha)/12 * delta_{alpha,-beta},
 * the coboundary of a finitely supported 1-cochain f, i.e.
-      (df)(alpha, beta) = mu.(beta - alpha) * f(alpha + beta),
+      (df)(alpha, beta) = f([e_alpha, e_beta]) = mu.(beta - alpha) * f(alpha + beta),
 * a finitely supported skew "extra" table, which stores each pair in both
   orientations: (alpha, beta) -> v and (beta, alpha) -> -v.
 
@@ -30,14 +30,15 @@ from collections import namedtuple
 from functools import cache
 
 from .algebra import (
+    CENTRAL,
     GENERIC_TRIPLE,
     Combination,
     _acc,
+    _basis_bracket_terms,
     _mu_scalar,
     as_scalar,
     box_points,
     cubic_odd_fit,
-    eta0,
     point_str,
     triples_with_sum,
     vadd,
@@ -57,10 +58,9 @@ from .scalars import ONE, ZERO, Scalar, parse_scalar
 
 
 def canonical_cocycle(alpha, beta) -> Scalar:
-    """((mu.alpha)^3 - mu.alpha)/12 when beta = -alpha, else 0."""
-    if any(a + b for a, b in zip(alpha, beta)):
-        return ZERO
-    return eta0(tuple(alpha))
+    """C0(alpha, beta), the coefficient of c in the bracket [e_alpha, e_beta]:
+    ((mu.alpha)^3 - mu.alpha)/12 when beta = -alpha, else 0."""
+    return _basis_bracket_terms(alpha, beta).get(CENTRAL, ZERO)
 
 
 def _record_items(records, width: int, field: str):
@@ -145,20 +145,18 @@ class TwoCochain:
         _acc(self.extra, (beta, alpha), -value)
 
     def value(self, alpha, beta) -> Scalar:
+        """extra + canonical_multiple * C0 + f([e_alpha, e_beta]) at the pair,
+        f the coboundary part, read term by term from the bracket (f(c) = 0)."""
         alpha, beta = tuple(alpha), tuple(beta)
-        out = ZERO
-        if self.canonical_multiple:
-            c0 = canonical_cocycle(alpha, beta)
-            if c0:
-                out = out + self.canonical_multiple * c0
+        out = self.extra.get((alpha, beta), ZERO)
+        c0 = self.canonical_multiple and canonical_cocycle(alpha, beta)
+        if c0:
+            out = out + self.canonical_multiple * c0
         if self.cob.terms:
-            f = self.cob.value(vadd(alpha, beta))
-            if f:
-                out = out + _mu_scalar(vsub(beta, alpha)) * f
-        if self.extra:
-            v = self.extra.get((alpha, beta))
-            if v is not None:
-                out = out + v
+            for key, w in _basis_bracket_terms(alpha, beta).items():
+                f = self.cob.terms.get(key)
+                if f is not None:
+                    out = out + w * f
         return out
 
     def __add__(self, other):
@@ -227,11 +225,12 @@ def cocycle_residual(theta: TwoCochain, alpha, beta, kappa) -> Scalar:
     alpha, beta, kappa = tuple(alpha), tuple(beta), tuple(kappa)
     out = ZERO
     for x, y, z in ((alpha, kappa, beta), (beta, alpha, kappa), (kappa, beta, alpha)):
-        # [e_y, e_z] = mu.(z - y) e_{y+z}, and mu.(z - y) is zero iff y = z
-        if y != z:
-            val = theta.value(x, vadd(y, z))
-            if val:
-                out = out + _mu_scalar(vsub(z, y)) * val
+        # theta is a cochain on the Witt part: the c term of [e_y, e_z] drops
+        for key, w in _basis_bracket_terms(y, z).items():
+            if key != CENTRAL:
+                val = theta.value(x, key)
+                if val:
+                    out = out + w * val
     return out
 
 

@@ -3,9 +3,9 @@
 No import is unused, in the sources or the tests, and no module reaches into
 the representation that scalars owns: the only underscore names imported
 from scalars are the grammar internals algebra drives to read elements, and
-only linalg uses Polynomial.  A cold `import solvir` or `import solvir.cli`
-loads no layer and stays off the heavy stdlib modules, and each CLI command
-loads only the layers it runs.
+only linalg uses Polynomial.  Only algebra imports eta0.  A cold `import
+solvir` or `import solvir.cli` loads no layer and stays off the heavy stdlib
+modules, and each CLI command loads only the layers it runs.
 """
 
 import ast
@@ -70,6 +70,15 @@ def test_polynomial_stays_in_scalars_and_linalg():
             users.append(path.stem)
     assert users == ["linalg"]
     assert solvir._MODULE_OF["Polynomial"] == "scalars"
+
+
+def test_eta0_stays_in_algebra():
+    """The bracket is the one source of the central coefficient: no other
+    module imports eta0, at module level or inside a function."""
+    users = [path.stem for path in MODULES if path.stem != "algebra" and any(
+        isinstance(node, ast.ImportFrom) and "eta0" in {a.name for a in node.names}
+        for node in ast.walk(ast.parse(path.read_text())))]
+    assert users == []
 
 
 def _child_modules(code):

@@ -246,6 +246,25 @@ def test_cocycle_case_split_fails_on_wrong_canonical(wrong_canonical):
     assert scan["status"] == "fail" and scan["details"]["failures"]
 
 
+def test_cocycle_case_split_lemma_reads_the_bracket(fresh_identities, monkeypatch):
+    """The pair-support lemma reads C0 from the bracket, in algebra and in
+    cocycle, which imports it: a skew central term at (e_1, e_2), whose sum
+    is nonzero, fails it."""
+    right = algebra._basis_bracket_terms
+    e1, e2 = (1, 0, 0), (0, 1, 0)
+
+    def terms(ka, kb):
+        out = dict(right(ka, kb))
+        if (ka, kb) in ((e1, e2), (e2, e1)):
+            out[CENTRAL] = Scalar.from_rational(1 if ka == e1 else -1)
+        return out
+
+    for module in (algebra, cocycle):
+        monkeypatch.setattr(module, "_basis_bracket_terms", terms)
+    lemma, _ = _case_split_records(3, 2)
+    assert lemma["status"] == "fail"
+
+
 def test_cocycle_suite_passes_at_rank_one_radius_two():
     """At rank 1 the H^2 rank experiment needs radius 3 to pin the kernel;
     the suite runs it there, so a radius-2 run has no false failure."""
