@@ -345,7 +345,8 @@ def _basis_bracket_terms(ka, kb):
     if w:
         out[total] = w
     if not any(total):
-        cterm = eta0(ka)
+        # skew: one eta0 per {alpha, -alpha}, at its lex-positive point
+        cterm = eta0(ka) if lex_sign(ka) > 0 else -eta0(kb)
         if cterm:
             out[CENTRAL] = cterm
     return out

@@ -58,8 +58,7 @@ from .scalars import ONE, ZERO, Scalar, parse_scalar
 
 
 def canonical_cocycle(alpha, beta) -> Scalar:
-    """C0(alpha, beta), the coefficient of c in the bracket [e_alpha, e_beta]:
-    ((mu.alpha)^3 - mu.alpha)/12 when beta = -alpha, else 0."""
+    """C0(alpha, beta), the coefficient of c in the bracket [e_alpha, e_beta]."""
     return _basis_bracket_terms(alpha, beta).get(CENTRAL, ZERO)
 
 

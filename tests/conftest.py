@@ -5,6 +5,8 @@ import pytest
 
 import solvir
 from solvir import algebra, cocycle, density
+from solvir.algebra import CENTRAL
+from solvir.scalars import Scalar
 
 
 @pytest.fixture
@@ -32,3 +34,37 @@ def fresh_identities():
     yield
     for identity in identities:
         identity.cache_clear()
+
+
+@pytest.fixture
+def patch_bracket(fresh_identities, monkeypatch):
+    """patch(wrong) makes the basis bracket wrong(terms, ka, kb) of a copy of
+    the true terms, in algebra and in cocycle, the two modules that read it."""
+    right = algebra._basis_bracket_terms
+
+    def patch(wrong):
+        def terms(ka, kb):
+            return wrong(dict(right(ka, kb)), ka, kb)
+
+        for module in (algebra, cocycle):
+            monkeypatch.setattr(module, "_basis_bracket_terms", terms)
+
+    return patch
+
+
+@pytest.fixture
+def wrong_bracket(patch_bracket):
+    """Central term eta(t) = t^5: skew, but not a cocycle."""
+    def quintic(terms, ka, kb):
+        if not any(a + b for a, b in zip(ka, kb)) and any(ka):
+            terms[CENTRAL] = Scalar.mu_form(ka) ** 5
+        return terms
+
+    patch_bracket(quintic)
+
+
+@pytest.fixture
+def squared_bracket(patch_bracket):
+    """The Witt coefficient (mu.(beta - alpha))^2 in place of mu.(beta - alpha)."""
+    patch_bracket(lambda terms, ka, kb: {
+        key: base if key == CENTRAL else base ** 2 for key, base in terms.items()})

@@ -159,17 +159,11 @@ def _general_element(rng, n=2):
 
 
 @pytest.mark.parametrize("wrong", [False, True], ids=["bracket", "squared_bracket"])
-def test_jacobi_residual_is_its_nested_sum(monkeypatch, wrong):
+def test_jacobi_residual_is_its_nested_sum(request, wrong):
     """The accumulating kernel gives the nested-bracket sum term for term,
     also under a wrong bracket, where that sum is not zero."""
     if wrong:
-        right = algebra._basis_bracket_terms
-
-        def squared(ka, kb):
-            return {key: base ** 2 if key != CENTRAL else base
-                    for key, base in right(ka, kb).items()}
-
-        monkeypatch.setattr(algebra, "_basis_bracket_terms", squared)
+        request.getfixturevalue("squared_bracket")
     rng = random.Random(1919)
     nonzero = 0
     for _ in range(30):

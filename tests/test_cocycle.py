@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-import solvir.algebra as algebra
 import solvir.cocycle as cocycle
-from solvir.algebra import CENTRAL, vadd, vneg, vsub
+from solvir.algebra import vadd, vneg, vsub
 from solvir.cocycle import (
     EtaTable,
     OneCochain,
@@ -35,7 +34,6 @@ from solvir.errors import (
     RankMismatchError,
 )
 from solvir.scalars import ONE, ZERO, Scalar, mu_poly
-from solvir.verification import cocycle_full_scan
 
 
 def mu(alpha):
@@ -494,47 +492,17 @@ def test_check_cocycle_sample_catches_wrong_canonical(fresh_identities, monkeypa
         check_cocycle_on_box(canonical_cochain(2), 2)
 
 
-def _patch_bracket(monkeypatch, wrong):
-    """The basis bracket, in algebra and in cocycle, which imports it, becomes
-    wrong(terms, ka, kb) of the true terms."""
-    right = algebra._basis_bracket_terms
-
-    def terms(ka, kb):
-        return wrong(right(ka, kb), ka, kb)
-
-    for module in (algebra, cocycle):
-        monkeypatch.setattr(module, "_basis_bracket_terms", terms)
-
-
-def _quintic_central(terms, ka, kb):
-    """Central term eta(t) = t^5: skew, but not a cocycle."""
-    out = dict(terms)
-    if not any(vadd(ka, kb)) and any(ka):
-        out[CENTRAL] = mu(ka) ** 5
-    return out
-
-
-def _squared_witt(terms, ka, kb):
-    """The Witt coefficient (mu.(beta-alpha))^2 in place of mu.(beta-alpha)."""
-    return {key: base if key == CENTRAL else base ** 2
-            for key, base in terms.items()}
-
-
-def test_cocycle_checks_read_the_bracket_central_term(fresh_identities, monkeypatch):
+def test_cocycle_checks_read_the_bracket_central_term(wrong_bracket):
     # C0 is the bracket's central coefficient, so a wrong one fails the
-    # identity, the exhaustive scan and the box check that rests on it
-    _patch_bracket(monkeypatch, _quintic_central)
+    # identity and the box check that rests on it
     assert canonical_cocycle_identity() is False
-    count, failures = cocycle_full_scan(2, 2)
-    assert count == 25 ** 3 and failures
     with pytest.raises(RuntimeError, match="symbolic expansion"):
         check_cocycle_on_box(canonical_cochain(2), 2)
 
 
-def test_coboundary_identity_reads_the_bracket_witt_part(fresh_identities, monkeypatch):
+def test_coboundary_identity_reads_the_bracket_witt_part(squared_bracket):
     # df = f([e_alpha, e_beta]) and the residual take the Witt coefficient
     # from the bracket, so a wrong one fails the coboundary identity
-    _patch_bracket(monkeypatch, _squared_witt)
     assert coboundary_cocycle_identity() is False
 
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-import solvir.algebra as algebra
 import solvir.cocycle as cocycle
 import solvir.verification as ver
 from solvir.algebra import (
@@ -55,20 +54,6 @@ def _honest_cocycle(n, box, zero_sum):
 
 
 @pytest.fixture
-def wrong_bracket(fresh_identities, monkeypatch):
-    """Central term eta(t) = t^5: skew, but not a cocycle."""
-    right = algebra._basis_bracket_terms
-
-    def terms(ka, kb):
-        out = dict(right(ka, kb))
-        if not any(a + b for a, b in zip(ka, kb)) and any(ka):
-            out[CENTRAL] = Scalar.mu_form(ka) ** 5
-        return out
-
-    monkeypatch.setattr(algebra, "_basis_bracket_terms", terms)
-
-
-@pytest.fixture
 def wrong_canonical(fresh_identities, monkeypatch):
     """C0 with the even eta(t) = t^2, which fails the cocycle condition."""
     def even(alpha, beta):
@@ -101,6 +86,20 @@ def test_jacobi_scans_match_honest_loop_on_wrong_bracket(wrong_bracket, scan, n,
 ])
 def test_cocycle_scans_match_honest_loop_on_wrong_canonical(wrong_canonical, scan,
                                                             n, box, zero_sum):
+    _check_cocycle_scan(scan, n, box, zero_sum)
+
+
+@pytest.mark.parametrize("scan, n, box, zero_sum", [
+    ("cocycle_full_scan", 2, 2, False),
+    ("cocycle_zero_sum_scan", 3, 1, True),
+])
+def test_cocycle_scans_match_honest_loop_on_wrong_bracket(wrong_bracket, scan,
+                                                          n, box, zero_sum):
+    # C0 is the bracket's central coefficient, so a wrong one fails the scans
+    _check_cocycle_scan(scan, n, box, zero_sum)
+
+
+def _check_cocycle_scan(scan, n, box, zero_sum):
     result = getattr(ver, scan)(n, box)
     count, failures = result
     assert (count, failures) == _honest_cocycle(n, box, zero_sum)
@@ -246,21 +245,17 @@ def test_cocycle_case_split_fails_on_wrong_canonical(wrong_canonical):
     assert scan["status"] == "fail" and scan["details"]["failures"]
 
 
-def test_cocycle_case_split_lemma_reads_the_bracket(fresh_identities, monkeypatch):
-    """The pair-support lemma reads C0 from the bracket, in algebra and in
-    cocycle, which imports it: a skew central term at (e_1, e_2), whose sum
-    is nonzero, fails it."""
-    right = algebra._basis_bracket_terms
+def test_cocycle_case_split_lemma_reads_the_bracket(patch_bracket):
+    """The pair-support lemma reads C0 from the bracket: a skew central term
+    at (e_1, e_2), whose sum is nonzero, fails it."""
     e1, e2 = (1, 0, 0), (0, 1, 0)
 
-    def terms(ka, kb):
-        out = dict(right(ka, kb))
+    def skew_at_e1_e2(terms, ka, kb):
         if (ka, kb) in ((e1, e2), (e2, e1)):
-            out[CENTRAL] = Scalar.from_rational(1 if ka == e1 else -1)
-        return out
+            terms[CENTRAL] = Scalar.from_rational(1 if ka == e1 else -1)
+        return terms
 
-    for module in (algebra, cocycle):
-        monkeypatch.setattr(module, "_basis_bracket_terms", terms)
+    patch_bracket(skew_at_e1_e2)
     lemma, _ = _case_split_records(3, 2)
     assert lemma["status"] == "fail"
 
