@@ -456,8 +456,16 @@ def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
     known = [[int(k == j) for k in ks] for j in (1, 3) if j in ks]
     pts, zero = box_points(n, box), (0,) * n
     # theta(gamma, -gamma) = (mu.gamma)^k; skewness gives the other orientation
-    cochains = [TwoCochain(n, extra={(g, vneg(g)): _mu_scalar(g) ** k
-                                     for g in pts if g > zero}) for k in ks]
+    extras = [{} for _ in ks]
+    for g in pts:
+        if g > zero:
+            x = _mu_scalar(g)
+            x2, power = x * x, x
+            for j, extra in enumerate(extras):
+                if j:
+                    power = power * x2  # x^(k+2) = x^k * x^2
+                extra[g, vneg(g)] = power
+    cochains = [TwoCochain(n, extra=extra) for extra in extras]
     ech = RationalEchelon(len(ks))
     for alpha, beta, kappa in triples_with_sum(pts, zero):
         per_mon = {}

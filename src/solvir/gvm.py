@@ -132,9 +132,8 @@ def gvm_act(x: AlgebraElement, v: GvmVector, p: DensityParams) -> GvmVector:
         coef = act_coefficient(alpha, (0,) + base, p)
         return {((), vadd(base, alpha[1:])): coef} if coef else {}
 
-    # C acts by zero on the module
-    return v._like({GvmMonomial._normal(v.n, word, base): coef for (word, base), coef
-                    in act_on_words(x, v, DEGREE_ZERO, act, ZERO).items()})
+    # C acts by zero on the module, so p names it
+    return act_on_words(x, v, DEGREE_ZERO, act, ZERO, p)
 
 
 def _check_kappa(n: int, kappa) -> tuple:

@@ -18,6 +18,13 @@ in the ceiling of their letters and the action of the zero part and on the
 base vector.  Weight homogeneity is preserved because brackets respect the
 lattice grading.
 
+Straightening memo lifetime: the vector an action first acts on owns the
+memo of its module, and every vector verma_act or gvm_act returns refers to
+that memo weakly.  Acting on either reuses the memo while its owner is alive
+and the module matches, so a module-axiom check x.(y.v) - y.(x.v) = [x, y].v
+rewrites each generator past each word once.  No memo outlives its owner, so
+results kept after the owner is gone hold no memo.
+
 Weight bookkeeping: a word with shift s = sum of its points spans a vector of
 d_mu eigenvalue lambda + mu.s; shifts are lex-nonpositive, and the level of a
 homogeneous vector at shift s is -s.
@@ -25,6 +32,7 @@ homogeneous vector at shift s is -s.
 
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
 from functools import cache
 
@@ -122,9 +130,13 @@ class PBWMonomial(Monomial):
 
 
 class ModuleVector(Combination):
-    """Finite Scalar combination of the monomials of one module class."""
+    """Finite Scalar combination of the monomials of one module class.
 
-    __slots__ = ()  # a subclass names its monomial class as monomial
+    _memo is unset, the straightening memo this vector owns, or a weak
+    reference to the memo of the vector it was computed from (act_on_words).
+    """
+
+    __slots__ = ("_memo",)  # a subclass names its monomial class as monomial
 
     def _key(self, mono):
         if mono.__class__ is not self.monomial:
@@ -169,9 +181,9 @@ def straighten(alpha, word, base, ceiling, act, c, memo):
     merges two generators into one, so the rewriting terminates.
 
     memo maps (alpha, word, base) to the rewritings already made; it is valid
-    for one (ceiling, act, c), so the module's action builds a fresh one per
-    call and shares it among all the straightenings of that call.  The
-    returned dicts may sit in the memo: treat them as read-only.
+    for one (ceiling, act, c), that is for one module, and act_on_words keeps
+    one per module on the vectors it acts on.  The returned dicts may sit in
+    the memo: treat them as read-only.
     """
     if alpha < ceiling:
         if not word or alpha >= word[-1]:
@@ -198,17 +210,35 @@ def straighten(alpha, word, base, ceiling, act, c, memo):
     return out
 
 
-def act_on_words(x: AlgebraElement, v: ModuleVector, ceiling, act, c: Scalar):
-    """x applied to v by straighten: {(word, base): Scalar}.
+class _Memo(dict):
+    """straighten's memo for the module it names; weakly referable."""
+
+    __slots__ = ("module", "__weakref__")
+
+    def __init__(self, module):
+        super().__init__()
+        self.module = module
+
+
+def act_on_words(x: AlgebraElement, v: ModuleVector, ceiling, act, c: Scalar, module):
+    """x applied to v by straighten, as a vector of v's type.
 
     The one action loop of verma_act and gvm_act, which give the ceiling of
-    their letters, their hook act and the scalar c that C acts by.  One memo
-    serves every straightening of the call.
+    their letters, their hook act, the scalar c that C acts by and a value
+    naming the module, equal only between modules with the same (ceiling,
+    act, c).  The memo comes from v: the one v owns or refers to if it is
+    alive and for this module, else a new one that v then owns.  The result refers to that memo weakly, so
+    acting on it reuses the memo while its owner lives, and keeping results
+    keeps no memo alive.
     """
     if x.n != v.n:
         raise RankMismatchError(f"rank {x.n} vs {v.n}")
+    memo = getattr(v, "_memo", None)
+    if memo.__class__ is weakref.ref:
+        memo = memo()
+    if memo is None or memo.module != module:
+        memo = v._memo = _Memo(module)
     out = {}
-    memo = {}
     for key, ce in x.terms.items():
         for mono, cv in v.terms.items():
             coef = ce * cv
@@ -218,7 +248,10 @@ def act_on_words(x: AlgebraElement, v: ModuleVector, ceiling, act, c: Scalar):
             for wb, cw in straighten(key, mono.word, mono.base, ceiling, act, c,
                                      memo).items():
                 _acc(out, wb, coef * cw)
-    return out
+    normal = v.monomial._normal
+    res = v._like({normal(v.n, word, base): coef for (word, base), coef in out.items()})
+    res._memo = weakref.ref(memo)
+    return res
 
 
 def verma_act(x: AlgebraElement, v: VermaVector, lam: Scalar = LAMBDA,
@@ -233,8 +266,8 @@ def verma_act(x: AlgebraElement, v: VermaVector, lam: Scalar = LAMBDA,
             return {(word, base): eig} if eig else {}
         return None if word else {}
 
-    return v._like({PBWMonomial._normal(v.n, word): coef for (word, _), coef
-                    in act_on_words(x, v, zero, act, c).items()})
+    # (lam, c) names M(lam, c); a pair never equals gvm's DensityParams
+    return act_on_words(x, v, zero, act, c, (lam, c))
 
 
 def pbw_enumerate(n: int, shift, box: TruncationBox):

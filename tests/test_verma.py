@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,9 +15,9 @@ from solvir.algebra import (
     vir_bracket,
     vsub,
 )
-from solvir.density import formal_params
+from solvir.density import DensityParams, formal_params
 from solvir.errors import NonHomogeneousError
-from solvir.gvm import DEGREE_ZERO, GvmMonomial, GvmVector, level_weight_basis
+from solvir.gvm import DEGREE_ZERO, GvmMonomial, GvmVector, gvm_act, level_weight_basis
 from solvir.scalars import CCHARGE, LAMBDA, ONE, ZERO, Scalar, mu_poly
 from solvir.verma import (
     PBWMonomial,
@@ -451,3 +453,88 @@ def test_repeated_action_leaves_earlier_results_intact():
     assert second == first
     assert first.terms == snapshot
     assert v.terms == {word: ONE, PBWMonomial(2, word.word[1:]): ONE}
+
+
+# --- the straightening memo lives as long as the vector acted on ----------
+
+P1 = formal_params(1)
+P1_RATIONAL = DensityParams(1, Scalar.from_rational(2), Scalar.from_rational(-1))
+
+
+def fresh(v):
+    """A copy of v that owns and refers to no memo."""
+    return v.__class__(v.n, dict(v.terms))
+
+
+def verma_start():
+    rng = random.Random(77)
+    letters = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (-2, 1)]
+    return VermaVector(2, {PBWMonomial(2, [rng.choice(letters) for _ in range(k)]):
+                           Scalar.from_rational(k) for k in (3, 4, 5)})
+
+
+def gvm_start():
+    return GvmVector(2, {mono: Scalar.from_rational(k + 1) for k, mono
+                         in enumerate(level_weight_basis(2, 2, (1,), 1))})
+
+
+VERMA_XS = [A2.e(1, 0), A2.e(0, 1) + A2.d(), A2.e(1, -1).scale(2) + A2.e(-1, 1),
+            central_element(2) + A2.e(2, 0)]
+GVM_XS = [A2.e(1, 1), A2.e(0, 2) + A2.e(-1, 0), A2.e(2, -1).scale(3),
+          central_element(2) + A2.e(1, 0)]
+
+
+@pytest.mark.parametrize("start, xs, act", [
+    (verma_start, VERMA_XS, verma_act),
+    (gvm_start, GVM_XS, lambda x, v: gvm_act(x, v, P1)),
+], ids=["verma", "gvm"])
+def test_shared_memo_gives_the_fresh_results(start, xs, act):
+    """A vector owning a memo after several actions, and the vectors computed
+    from it, act as fresh copies do: x.v, y.(x.v) and [x, y].v."""
+    v = start()
+    for x in xs:
+        xv = act(x, v)
+        assert xv == act(x, fresh(v))
+        assert xv._memo() is v._memo
+        for y in xs:
+            assert act(y, xv) == act(y, fresh(xv)), (x, y)
+            assert act(vir_bracket(x, y), v) == act(vir_bracket(x, y), fresh(v))
+
+
+@pytest.mark.parametrize("start, xs, modules", [
+    (verma_start, VERMA_XS, [lambda x, v: verma_act(x, v, LAMBDA, CCHARGE),
+                             lambda x, v: verma_act(x, v, ZERO, ZERO)]),
+    (gvm_start, GVM_XS, [lambda x, v: gvm_act(x, v, P1),
+                         lambda x, v: gvm_act(x, v, P1_RATIONAL)]),
+], ids=["verma", "gvm"])
+def test_memo_is_keyed_by_its_module(start, xs, modules):
+    """Negative control: one vector acted on in one module and then in
+    another must not reuse the first module's rewritings."""
+    v = start()
+    for x in xs:
+        for act in modules + modules[::-1]:
+            assert act(x, v) == act(x, fresh(v)), x
+            xv = act(x, v)
+            for other in modules:
+                assert other(x, xv) == other(x, fresh(xv)), x
+
+
+@pytest.mark.parametrize("start, x, act", [
+    (verma_start, A2.e(1, 0), verma_act),
+    (gvm_start, A2.e(1, 1), lambda x, v: gvm_act(x, v, P1)),
+], ids=["verma", "gvm"])
+def test_memo_dies_with_its_owner(start, x, act):
+    """Returned vectors refer to the memo weakly: once the vector that owns
+    it is gone, the memo is freed although results computed from it live."""
+    v = start()
+    xv = act(x, v)
+    xxv = act(x, xv)
+    memo = weakref.ref(v._memo)
+    assert xxv._memo is xv._memo
+    del v
+    gc.collect()
+    assert memo() is None
+    assert xv._memo() is None and not xv.is_zero()
+    # the orphan starts a memo of its own
+    assert act(x, xv) == xxv
+    assert xv._memo is not None and xv._memo.__class__ is not weakref.ref
