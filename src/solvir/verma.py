@@ -227,9 +227,9 @@ def act_on_words(x: AlgebraElement, v: ModuleVector, ceiling, act, c: Scalar, mo
     their letters, their hook act, the scalar c that C acts by and a value
     naming the module, equal only between modules with the same (ceiling,
     act, c).  The memo comes from v: the one v owns or refers to if it is
-    alive and for this module, else a new one that v then owns.  The result refers to that memo weakly, so
-    acting on it reuses the memo while its owner lives, and keeping results
-    keeps no memo alive.
+    alive and for this module, else a new one that v then owns.  The result
+    refers to that memo weakly, so acting on it reuses the memo while its
+    owner lives, and keeping results keeps no memo alive.
     """
     if x.n != v.n:
         raise RankMismatchError(f"rank {x.n} vs {v.n}")
