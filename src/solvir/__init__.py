@@ -25,9 +25,8 @@ _EXPORTS = {
     "algebra": (
         "CENTRAL", "AlgebraElement", "SolenoidalAlgebra", "basis_element",
         "central_element", "element_str", "euler_element", "jacobi_residual",
-        "lex_compare", "lex_sign", "parse_element", "triangular_split",
-        "vir_bracket", "vir_i_cocycle_coefficients", "vir_i_element",
-        "witt_bracket",
+        "parse_element", "triangular_split", "vir_bracket",
+        "vir_i_cocycle_coefficients", "vir_i_element", "witt_bracket",
     ),
     "cocycle": (
         "EtaTable", "OneCochain", "TwoCochain", "canonical_cochain",

@@ -10,7 +10,9 @@ central symbol C.  The bracket is
 with the customary 1/12 normalization of the central term hard-coded; other
 cocycle representatives are reachable through the cocycle toolkit, not here.
 E(0) is the Euler field d_mu itself.  The lexicographic order on Z^n gives the
-triangular decomposition whose zero part is spanned by E(0) and C.
+triangular decomposition whose zero part is spanned by E(0) and C.  That order
+is Python's tuple order on points of one rank: alpha is lex-positive when
+alpha > (0,) * n.
 
 Elements are finite Scalar-linear combinations of basis symbols.  Rank n is
 fixed per element at construction; mixing ranks raises RankMismatchError.
@@ -118,25 +120,6 @@ def vsum(points, start):
     for p in points:
         start = vadd(start, p)
     return start
-
-
-def lex_compare(alpha, beta) -> int:
-    """Total order on Z^n: -1, 0 or 1.  Compatible with addition."""
-    if len(alpha) != len(beta):
-        raise RankMismatchError(f"rank {len(alpha)} vs {len(beta)}")
-    if alpha == beta:
-        return 0
-    return -1 if alpha < beta else 1
-
-
-def lex_sign(alpha) -> int:
-    """Sign of alpha against 0 in the lexicographic order."""
-    for coord in alpha:
-        if coord > 0:
-            return 1
-        if coord < 0:
-            return -1
-    return 0
 
 
 @lru_cache(maxsize=None)
@@ -345,8 +328,9 @@ def _basis_bracket_terms(ka, kb):
     if w:
         out[total] = w
     if not any(total):
-        # skew: one eta0 per {alpha, -alpha}, at its lex-positive point
-        cterm = eta0(ka) if lex_sign(ka) > 0 else -eta0(kb)
+        # skew: one eta0 per {alpha, -alpha}, at its lex-positive point;
+        # kb = -ka, so ka is lex-positive exactly when ka > kb
+        cterm = eta0(ka) if ka > kb else -eta0(kb)
         if cterm:
             out[CENTRAL] = cterm
     return out
@@ -411,16 +395,16 @@ def witt_jacobi_symbolic_identity() -> bool:
 
 
 def triangular_split(x: AlgebraElement):
-    """Partition terms by the lex sign of their lattice point.
+    """Partition terms by the lex order of their lattice point against 0.
 
     Returns (plus, zero, minus); C and E(0) both belong to the zero part.
     """
-    parts = {1: {}, 0: {}, -1: {}}
+    zero = (0,) * x.n
+    plus, mid, minus = {}, {}, {}
     for key, coef in x.terms.items():
-        sign = 0 if key == CENTRAL else lex_sign(key)
-        parts[sign][key] = coef
-    mk = lambda t: AlgebraElement(x.n, t)
-    return mk(parts[1]), mk(parts[0]), mk(parts[-1])
+        part = mid if key == CENTRAL or key == zero else plus if key > zero else minus
+        part[key] = coef
+    return tuple(AlgebraElement(x.n, t) for t in (plus, mid, minus))
 
 
 # --------------------------------------------------------------------------

@@ -210,8 +210,8 @@ class TwoCochain:
         return cls(n, cm, cob, extra)
 
 
-def canonical_cochain(n: int, multiple=ONE) -> TwoCochain:
-    return TwoCochain(n, multiple)
+def canonical_cochain(n: int) -> TwoCochain:
+    return TwoCochain(n, ONE)
 
 
 def coboundary(f: OneCochain) -> TwoCochain:
@@ -404,12 +404,22 @@ def recognize_eta(eta: EtaTable):
 
 
 def full_equation_residual(eta: EtaTable, alpha, beta) -> Scalar:
-    """2x*eta(x) - 2y*eta(y) - (x-y)*eta(x+y) - (x+y)*eta(x-y) at lattice points."""
+    """2x*eta(x) - 2y*eta(y) - (x-y)*eta(x+y) - (x+y)*eta(x-y) at lattice points.
+
+    It is the sum of cocycle_residual at (alpha, beta, -alpha-beta) and at
+    (alpha, -beta, beta-alpha) of the diagonal cochain
+    theta(gamma, -gamma) = eta(gamma), which there reads eta at alpha, beta,
+    alpha+beta and alpha-beta only; each is stored at its lex-positive point.
+    """
     alpha, beta = tuple(alpha), tuple(beta)
-    x, y = _mu_scalar(alpha), _mu_scalar(beta)
-    return (x * eta.value(alpha) * 2 - y * eta.value(beta) * 2
-            - (x - y) * eta.value(vadd(alpha, beta))
-            - (x + y) * eta.value(vsub(alpha, beta)))
+    zero = (0,) * eta.n
+    extra = {}
+    for p in (alpha, beta, vadd(alpha, beta), vsub(alpha, beta)):
+        p = p if p > zero else vneg(p)
+        extra[p, vneg(p)] = eta.value(p)
+    theta = TwoCochain(eta.n, extra=extra)
+    return (cocycle_residual(theta, alpha, beta, vneg(vadd(alpha, beta)))
+            + cocycle_residual(theta, alpha, vneg(beta), vsub(beta, alpha)))
 
 
 # kernel of the diagonal system a_k*(5 - 2^(k+2) + 3^k) = 0, k <= degree_bound

@@ -419,7 +419,7 @@ def normalize_form(alpha):
         g = gcd(g, abs(coord))
     if g == 0:
         raise ZeroFormError(f"form requested for zero lattice point {alpha}")
-    if next(coord for coord in alpha if coord) < 0:
+    if alpha < (0,) * len(alpha):
         g = -g
     return tuple(coord // g for coord in alpha), g
 

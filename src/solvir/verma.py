@@ -45,7 +45,6 @@ from .algebra import (
     _mu_scalar,
     basis_element,
     box_points,
-    lex_sign,
     point_str,
     vadd,
     vsub,
@@ -267,7 +266,7 @@ def verma_act(x: AlgebraElement, v: VermaVector, lam: Scalar = LAMBDA,
         return None if word else {}
 
     # (lam, c) names M(lam, c); a pair never equals gvm's DensityParams
-    return act_on_words(x, v, zero, act, c, (lam, c))
+    return act_on_words(x, v, PBWMonomial.ceiling(v.n), act, c, (lam, c))
 
 
 def pbw_enumerate(n: int, shift, box: TruncationBox):
@@ -285,9 +284,10 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
     shift = tuple(shift)
     if len(shift) != n:
         raise RankMismatchError(f"shift {shift} in rank {n}")
-    if lex_sign(shift) > 0:
+    ceiling = PBWMonomial.ceiling(n)
+    if shift > ceiling:
         raise ValueError("shift must be lex-nonpositive")
-    gens = [g for g in box_points(n, box.N) if lex_sign(g) < 0]
+    gens = [g for g in box_points(n, box.N) if g < ceiling]
 
     def branches(start, remaining):
         for idx in range(start, len(gens)):
@@ -303,7 +303,7 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
         """Words from gens[start:] of at most left letters summing to remaining."""
         if not any(remaining):
             return 1
-        if left == 0 or lex_sign(remaining) > 0:
+        if left == 0 or remaining > ceiling:
             return 0
         if any(abs(c) > left * box.N for c in remaining):
             return 0
@@ -334,18 +334,17 @@ def singular_residuals(v: VermaVector, box: TruncationBox, lam: Scalar = LAMBDA,
                        c: Scalar = CCHARGE):
     """Raising residuals E(gamma).v for lex-positive gamma in the box.
 
-    Only raisings keeping the target shift lex-nonpositive are tested; an
-    all-zero result certifies singularity relative to the tested raising set
-    (a box certificate, never a global claim).
+    Lex-positive points are those above PBWMonomial.ceiling(n).  Only
+    raisings keeping the target shift lex-nonpositive are tested; an all-zero
+    result certifies singularity relative to the tested raising set (a box
+    certificate, never a global claim).
     """
     if v.is_zero():
         raise NonHomogeneousError("zero vector has no weight")
-    beta = v.weight_shift()
+    beta, ceiling = v.weight_shift(), PBWMonomial.ceiling(v.n)
     residuals = {}
     for gamma in box_points(v.n, box.N):
-        if lex_sign(gamma) <= 0:
-            continue
-        if lex_sign(vadd(beta, gamma)) > 0:
+        if gamma <= ceiling or vadd(beta, gamma) > ceiling:
             continue
         residuals[gamma] = verma_act(basis_element(v.n, gamma), v, lam, c)
     return residuals

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import solvir
-from solvir import algebra, cocycle, density
+from solvir import algebra, cocycle, density, verma
 from solvir.algebra import CENTRAL
 from solvir.scalars import Scalar
 
@@ -39,14 +39,14 @@ def fresh_identities():
 @pytest.fixture
 def patch_bracket(fresh_identities, monkeypatch):
     """patch(wrong) makes the basis bracket wrong(terms, ka, kb) of a copy of
-    the true terms, in algebra and in cocycle, the two modules that read it."""
+    the true terms, in algebra, cocycle and verma, the modules that read it."""
     right = algebra._basis_bracket_terms
 
     def patch(wrong):
         def terms(ka, kb):
             return wrong(dict(right(ka, kb)), ka, kb)
 
-        for module in (algebra, cocycle):
+        for module in (algebra, cocycle, verma):
             monkeypatch.setattr(module, "_basis_bracket_terms", terms)
 
     return patch

@@ -18,8 +18,6 @@ from solvir.algebra import (
     element_str,
     euler_element,
     jacobi_residual,
-    lex_compare,
-    lex_sign,
     parse_element,
     triangular_split,
     vadd,
@@ -200,24 +198,14 @@ def test_bracket_grading():
             assert target == (0, 0)
 
 
-def test_lex_compare():
-    assert lex_compare((0, -5), (1, -100)) == -1
-    assert lex_compare((2, 3), (2, 3)) == 0
-    assert lex_compare((0, 1), (0, -1)) == 1
-    with pytest.raises(RankMismatchError):
-        lex_compare((1, 0), (1, 0, 0))
-
-
 def test_lex_is_group_order():
+    # the lex order is tuple order on points of one rank
     rng = random.Random(303)
     for _ in range(200):
         a = tuple(rng.randint(-5, 5) for _ in range(3))
         b = tuple(rng.randint(-5, 5) for _ in range(3))
         g = tuple(rng.randint(-5, 5) for _ in range(3))
-        c = lex_compare(a, b)
-        shifted = lex_compare(tuple(x + y for x, y in zip(a, g)),
-                              tuple(x + y for x, y in zip(b, g)))
-        assert c == shifted
+        assert (a < b) == (vadd(a, g) < vadd(b, g))
 
 
 def test_triangular_split():
@@ -236,10 +224,10 @@ def test_triangular_parts_closed_under_bracket():
         x, y = _random_element(rng, central=False), _random_element(rng, central=False)
         xp, _, xm = triangular_split(x)
         yp, _, ym = triangular_split(y)
-        for part_x, part_y, sign in ((xp, yp, 1), (xm, ym, -1)):
-            br = vir_bracket(part_x, part_y)
-            assert not br.has_central()
-            assert all(lex_sign(k) == sign for k in br.support())
+        plus, minus = vir_bracket(xp, yp), vir_bracket(xm, ym)
+        assert not plus.has_central() and not minus.has_central()
+        assert all(k > (0, 0) for k in plus.support())
+        assert all(k < (0, 0) for k in minus.support())
 
 
 def test_vir_i_element():

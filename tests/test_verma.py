@@ -10,7 +10,6 @@ from solvir.algebra import (
     SolenoidalAlgebra,
     central_element,
     eta0,
-    lex_sign,
     vadd,
     vir_bracket,
     vsub,
@@ -54,10 +53,8 @@ def partition_count(k, max_part=None):
 
 def brute_enumerate(n, shift, box):
     """Independent oracle: filter all multisets from the in-box generator set."""
-    from solvir.algebra import lex_sign
-
     gens = [p for p in itertools.product(range(-box.N, box.N + 1), repeat=n)
-            if lex_sign(p) < 0]
+            if p < (0,) * n]
     found = set()
     for length in range(box.L + 1):
         for combo in itertools.combinations_with_replacement(gens, length):
@@ -69,7 +66,7 @@ def brute_enumerate(n, shift, box):
 def unpruned_enumerate(n, shift, box):
     """Reference: the depth-first search with its dead-branch tests inline."""
     gens = sorted(p for p in itertools.product(range(-box.N, box.N + 1), repeat=n)
-                  if lex_sign(p) < 0)
+                  if p < (0,) * n)
     out = []
 
     def dfs(start, remaining, word):
@@ -78,7 +75,7 @@ def unpruned_enumerate(n, shift, box):
             return
         if len(word) >= box.L:
             return
-        if lex_sign(remaining) > 0:
+        if remaining > (0,) * n:
             return
         rem = box.L - len(word)
         if any(abs(c) > rem * box.N for c in remaining):
@@ -101,7 +98,7 @@ def rank2_dim_by_table(shift, N, L):
     coordinate <= 0, so every partial sum of a word of the shift has first
     coordinate in [shift[0], 0]."""
     gens = [g for g in itertools.product(range(-N, N + 1), repeat=2)
-            if lex_sign(g) < 0 and g[0] >= shift[0]]
+            if g < (0, 0) and g[0] >= shift[0]]
     tables = [{} for _ in range(L + 1)]
     tables[0][0, 0] = 1
     for g in gens:
@@ -163,7 +160,7 @@ def test_pruned_enumeration_matches_unpruned_search():
             head = rng.randint(-deepest, 0)
             rest = [rng.randint(-2 * N, 2 * N) for _ in range(n - 1)]
             shift = (head, *rest)
-            if lex_sign(shift) <= 0:
+            if shift <= (0,) * n:
                 cases.append((n, shift, TruncationBox(N, L)))
     empty = 0
     for n, shift, box in cases:
@@ -221,6 +218,18 @@ def test_rank1_bracket_consistency():
     # eigenvalue matches 2h under h = -lambda
     val = expected_coef.evaluate({"mu1": 1, "lambda": -3, "c": 7})
     assert val == 6
+
+
+def test_verma_act_reads_the_bracket(request):
+    # straighten takes [E(1,0), E(-1,0)] from the bracket table, so a wrong
+    # Witt coefficient changes E(1,0).E(-1,0).vac
+    def raised():
+        return verma_act(A2.e(1, 0), verma_act(A2.e(-1, 0), vacuum(2)))
+
+    x, central = mu((1, 0)), eta0((1, 0)) * CCHARGE
+    assert raised() == vacuum(2).scale(central + LAMBDA * x * -2)
+    request.getfixturevalue("squared_bracket")
+    assert raised() == vacuum(2).scale(central + LAMBDA * x * x * 4)
 
 
 def test_module_axiom_randomized():
