@@ -43,6 +43,7 @@ from .scalars import (
     is_simple_product,
     mu_poly,
     scalar_str,
+    sum_of_products,
     tokenize,
 )
 
@@ -337,7 +338,9 @@ def _basis_bracket_terms(ka, kb):
 
 
 def _bracket_into(out, x, y):
-    """Add [x, y] into the terms dict out; C brackets to zero with everything."""
+    """Collect the products of [x, y] into out, a dict key -> list of
+    (ca * cb, structure constant) pairs that _summed adds; C brackets to
+    zero with everything."""
     for ka, ca in x.terms.items():
         if ka == CENTRAL:
             continue
@@ -346,7 +349,18 @@ def _bracket_into(out, x, y):
                 continue
             coef = ca * cb
             for key, base in _basis_bracket_terms(ka, kb).items():
-                _acc(out, key, coef * base)
+                pairs = out.get(key)
+                if pairs is None:
+                    out[key] = [(coef, base)]
+                else:
+                    pairs.append((coef, base))
+
+
+def _summed(x, out):
+    """x's type and rank over the pairs collected in out, each key's summed
+    by sum_of_products, zero sums dropped."""
+    return x._like({key: s for key, pairs in out.items()
+                    if (s := sum_of_products(pairs))})
 
 
 def vir_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -355,7 +369,7 @@ def vir_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         raise RankMismatchError(f"rank {x.n} vs {y.n}")
     out = {}
     _bracket_into(out, x, y)
-    return x._like(out)
+    return _summed(x, out)
 
 
 def witt_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -370,13 +384,14 @@ def witt_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 def jacobi_residual(x, y, z) -> AlgebraElement:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero for a Lie bracket.
 
-    The inner brackets check the ranks; the outer ones add into one dict.
+    The inner brackets check the ranks; the outer ones collect their
+    products into one dict, summed once per key.
     """
     out = {}
     _bracket_into(out, x, vir_bracket(y, z))
     _bracket_into(out, y, vir_bracket(z, x))
     _bracket_into(out, z, vir_bracket(x, y))
-    return x._like(out)
+    return _summed(x, out)
 
 
 @cache

@@ -54,7 +54,7 @@ from .errors import (
     RankMismatchError,
 )
 from .linalg import RationalEchelon
-from .scalars import ONE, ZERO, Scalar, parse_scalar
+from .scalars import ONE, ZERO, Scalar, parse_scalar, sum_of_products
 
 
 def canonical_cocycle(alpha, beta) -> Scalar:
@@ -222,15 +222,15 @@ def coboundary(f: OneCochain) -> TwoCochain:
 def cocycle_residual(theta: TwoCochain, alpha, beta, kappa) -> Scalar:
     """theta(e_a,[e_k,e_b]) + theta(e_b,[e_a,e_k]) + theta(e_k,[e_b,e_a])."""
     alpha, beta, kappa = tuple(alpha), tuple(beta), tuple(kappa)
-    out = ZERO
+    pairs = []
     for x, y, z in ((alpha, kappa, beta), (beta, alpha, kappa), (kappa, beta, alpha)):
         # theta is a cochain on the Witt part: the c term of [e_y, e_z] drops
         for key, w in _basis_bracket_terms(y, z).items():
             if key != CENTRAL:
                 val = theta.value(x, key)
                 if val:
-                    out = out + w * val
-    return out
+                    pairs.append((w, val))
+    return sum_of_products(pairs)
 
 
 @cache
@@ -331,7 +331,11 @@ def check_cocycle_on_box(theta: TwoCochain, box: int):
 
 
 class EtaTable:
-    """Diagonal values eta(mu.alpha) of a normalized cocycle, within a box."""
+    """Diagonal values eta(mu.alpha) of a normalized cocycle, within a box.
+
+    eta is odd: a value given at alpha only is stored at -alpha negated too,
+    and values given at both that are not negatives raise ValueError.
+    """
 
     __slots__ = ("n", "box", "values")
 
@@ -339,9 +343,8 @@ class EtaTable:
         self.n = n
         self.box = box
         self.values = OneCochain(n, values).terms
-        for alpha, value in self.values.items():
-            neg = vneg(alpha)
-            if neg in self.values and self.values[neg] != -value:
+        for alpha, value in list(self.values.items()):
+            if self.values.setdefault(vneg(alpha), -value) != -value:
                 raise ValueError(f"eta table is not odd at {alpha}")
 
     def value(self, alpha) -> Scalar:

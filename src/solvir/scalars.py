@@ -648,6 +648,49 @@ ZERO = Scalar(Polynomial())
 ONE = Scalar(Polynomial.const(1))
 
 
+def sum_of_products(pairs):
+    """The sum of a * b over a list of Scalar pairs, equal to the left fold
+    of a * b under +.
+
+    One pair is a * b, so the unit rule stays in Scalar.__mul__.  For more,
+    the int coefficients of every product go straight into one terms dict
+    per multiset of denominator forms, over the lcm of the products' int
+    denominators; each such group is cancelled into one canonical Scalar,
+    and the groups, rare in practice, are added.  The exponent guard reads
+    the terms that survive.
+    """
+    if len(pairs) == 1:
+        (a, b), = pairs
+        return a * b
+    groups = {}
+    for a, b in pairs:
+        if a.num.t and b.num.t:
+            fa, fb = a.forms, b.forms
+            forms = tuple(sorted(fa + fb)) if fa and fb else fa or fb
+            groups.setdefault(forms, []).append((a.num, b.num))
+    out = ZERO
+    for forms, products in groups.items():
+        d = 1
+        for p, q in products:
+            pd = p.d * q.d
+            d = d * pd // gcd(d, pd)
+        terms = {}
+        get = terms.get
+        for p, q in products:
+            f = d // (p.d * q.d)
+            for m2, c2 in q.t.items():
+                c2 *= f
+                for m1, c1 in p.t.items():
+                    m = m1 + m2
+                    terms[m] = get(m, 0) + c1 * c2
+        terms = {m: c for m, c in terms.items() if c}
+        if terms:
+            if reduce(or_, terms, 0) & _GUARD:
+                raise OverflowError(f"monomial exponent above {MAX_EXPONENT}")
+            out = out + Scalar(_poly(terms, d), forms)
+    return out
+
+
 # --------------------------------------------------------------------------
 # canonical strings
 # --------------------------------------------------------------------------

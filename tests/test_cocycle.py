@@ -272,6 +272,19 @@ def test_recognize_eta_rejects_corrupt_table():
         recognize_eta(EtaTable(2, 2, values))
 
 
+def test_eta_table_stores_the_odd_extension():
+    one_sided = EtaTable(2, 4, {(1, 0): mu((1, 0)) ** 2})
+    assert one_sided.value((-1, 0)) == -mu((1, 0)) ** 2
+    assert one_sided.value((1, 0)) == mu((1, 0)) ** 2
+    both = EtaTable(2, 4, {(1, 0): ONE, (-1, 0): -ONE, (0, 1): mu((0, 1))})
+    assert both.values == {(1, 0): ONE, (-1, 0): -ONE,
+                           (0, 1): mu((0, 1)), (0, -1): -mu((0, 1))}
+    with pytest.raises(ValueError, match="not odd"):
+        EtaTable(2, 4, {(1, 0): ONE, (-1, 0): ONE})
+    with pytest.raises(ValueError, match="not odd"):
+        EtaTable(2, 4, {(0, 0): ONE})
+
+
 def test_full_equation_residual():
     eta, _ = normalize_cocycle(canonical_cochain(2), 4)
     for alpha in box_points(2, 2):
@@ -280,10 +293,12 @@ def test_full_equation_residual():
     linear = EtaTable(2, 4, {alpha: mu(alpha)
                              for alpha in box_points(2, 4) if any(alpha)})
     assert full_equation_residual(linear, (1, 0), (0, 1)).is_zero()
-    # an even table violates oddness; store it on lex-positive points only
+    # (mu.alpha)^2 given on the lex-positive points only is stored with
+    # its odd extension, a table that is odd but not cubic-odd
     quad = EtaTable(2, 4, {alpha: mu(alpha) ** 2
                            for alpha in box_points(2, 4)
                            if alpha > (0, 0)})
+    assert quad.value((-1, -2)) == -mu((1, 2)) ** 2
     assert not full_equation_residual(quad, (1, 0), (0, 1)).is_zero()
     with pytest.raises(OutsideBoxError):
         full_equation_residual(eta, (4, 0), (1, 0))

@@ -6,8 +6,11 @@ coefficients as Fractions, the textbook representation; the sympy oracle
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import add, or_
 
 import pytest
 
@@ -18,11 +21,14 @@ from solvir.scalars import (
     LAMBDA_ID,
     MAX_EXPONENT,
     ONE,
+    ZERO,
     Polynomial,
     Scalar,
     indet_name,
     mu_poly,
     parse_scalar,
+    scalar_str,
+    sum_of_products,
 )
 
 IDS = (1, 2, 3, A_ID, B_ID, LAMBDA_ID, CCHARGE_ID)
@@ -254,6 +260,107 @@ def test_parse_roundtrip_integer_and_form_denominators():
                 s = s.div_form(alpha)
         assert parse_scalar(str(s)) == s
         assert str(parse_scalar(str(s))) == str(s)
+
+
+# --------------------------------------------------------------------------
+# sum_of_products against the fold and the reference
+# --------------------------------------------------------------------------
+
+# primitive lex-positive rank-3 forms; mu.(1,1,0) - mu.(1,0,0) is mu.(0,1,0),
+# so sums over different denominators can cancel a form
+FORMS = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 2))
+
+
+def random_scalar(rng):
+    """A Scalar with zero, int-denominator and denominator-form cases."""
+    if rng.random() < 0.1:
+        return ZERO
+    s = Scalar(to_kernel(random_ref(rng, max_exp=2)))
+    for _ in range(rng.randint(0, 2)):
+        # a non-primitive multiple puts an int into the denominator
+        s = s.div_form(tuple(rng.choice((1, 1, 2, -3)) * c for c in rng.choice(FORMS)))
+    return s
+
+
+def random_pairs(rng):
+    """A list of Scalar pairs, some of whose products cancel one another
+    within one denominator or across two."""
+    pairs = []
+    for _ in range(rng.randint(0, 5)):
+        a, b = random_scalar(rng), random_scalar(rng)
+        pairs.append((a, b))
+        if rng.random() < 0.2:
+            pairs.append((b, -a))
+        if rng.random() < 0.2:
+            form = rng.choice(FORMS)
+            pairs.append((-a.div_form(form), b * Scalar.mu_form(form)))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def ref_mu(alpha):
+    return {((i, 1),): Fraction(c) for i, c in enumerate(alpha, start=1) if c}
+
+
+def ref_over(num, forms, lcm):
+    """The Fraction numerator of num / prod(forms) over prod(lcm)."""
+    for alpha in (lcm - Counter(forms)).elements():
+        num = ref_mul(num, ref_mu(alpha))
+    return num
+
+
+def ref_sum_of_products(pairs):
+    """(numerator, form Counter) of the sum, each product over the lcm of
+    the products' forms, in the textbook representation."""
+    products = [(ref_mul(from_kernel(a.num), from_kernel(b.num)), a.forms + b.forms)
+                for a, b in pairs]
+    lcm = reduce(or_, (Counter(f) for _, f in products), Counter())
+    total = {}
+    for num, forms in products:
+        total = ref_add(total, ref_over(num, forms, lcm))
+    return total, lcm
+
+
+def test_sum_of_products_matches_fold_and_reference():
+    rng = random.Random(2501)
+    kinds = Counter()
+    for _ in range(120):
+        pairs = random_pairs(rng)
+        got = sum_of_products(pairs)
+        fold = reduce(add, (a * b for a, b in pairs), ZERO)
+        assert got == fold and scalar_str(got) == scalar_str(fold)
+        assert got.num.d > 0 and all(type(c) is int and c for c in got.num.t.values())
+        total, lcm = ref_sum_of_products(pairs)
+        assert ref_over(from_kernel(got.num), got.forms, lcm) == total
+        kinds.update(forms=any(a.forms or b.forms for a, b in pairs),
+                     int_den=any(a.num.d > 1 or b.num.d > 1 for a, b in pairs),
+                     zero=any(not (a and b) for a, b in pairs),
+                     cancels=bool(pairs) and not got)
+    # every kind of list was drawn
+    assert min(kinds.values()) >= 10 and len(kinds) == 4
+
+
+def test_sum_of_products_edges():
+    x, y = Scalar.mu_form((1, 0)), Scalar.mu_form((0, 1))
+    half = Scalar.from_rational(Fraction(1, 2))
+    assert sum_of_products([]) == ZERO
+    # one pair is the product itself, so the unit rule applies
+    assert sum_of_products([(ONE, x)]) is x
+    assert sum_of_products([(x, y), (y, -x)]) == ZERO
+    # cancels across two denominators
+    assert sum_of_products([(x.div_form((1, 1)), y), (-x, y.div_form((1, 1)))]) == ZERO
+    # x/(x+y) + y/(x+y) = 1: the denominator form cancels
+    total = sum_of_products([(x, ONE.div_form((1, 1))), (y, ONE.div_form((1, 1)))])
+    assert total == ONE and total.forms == ()
+    assert sum_of_products([(half, x), (half, x), (ZERO, y)]) == x
+
+
+def test_sum_of_products_guards_surviving_exponents():
+    x = Scalar(Polynomial.var(2))
+    big = x ** (MAX_EXPONENT - 1)
+    with pytest.raises(OverflowError):
+        sum_of_products([(big, x * x), (ONE, ONE)])
+    assert sum_of_products([(big, x), (ONE, ONE)]) == x ** MAX_EXPONENT + ONE
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Property tests over generated scalar trees; skipped without hypothesis."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -9,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from solvir.errors import DenominatorVanishesError  # noqa: E402
-from solvir.scalars import Scalar, parse_scalar  # noqa: E402
+from solvir.scalars import ZERO, Scalar, parse_scalar, scalar_str, sum_of_products  # noqa: E402
 
 NAMES = ("mu1", "mu2", "mu3", "a", "b")
 small = st.integers(-3, 3)
@@ -42,3 +44,11 @@ scalars = st.recursive(
 @given(scalars)
 def test_parse_scalar_inverts_str(s):
     assert parse_scalar(str(s)) == s
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(scalars, scalars), max_size=4))
+def test_sum_of_products_is_the_fold(pairs):
+    fold = reduce(add, (a * b for a, b in pairs), ZERO)
+    got = sum_of_products(pairs)
+    assert got == fold and scalar_str(got) == scalar_str(fold)

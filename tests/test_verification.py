@@ -99,6 +99,14 @@ def test_cocycle_scans_match_honest_loop_on_wrong_bracket(wrong_bracket, scan,
     _check_cocycle_scan(scan, n, box, zero_sum)
 
 
+@pytest.mark.parametrize("scan", ["jacobi_full_scan", "cocycle_full_scan"])
+def test_full_scans_read_the_bracket(squared_bracket, scan):
+    # negative control: each scanned residual is summed from the bracket's
+    # products, so a squared Witt coefficient fails both scans
+    count, failures = getattr(ver, scan)(2, 1)
+    assert count == 9 ** 3 and failures
+
+
 def _check_cocycle_scan(scan, n, box, zero_sum):
     result = getattr(ver, scan)(n, box)
     count, failures = result
