@@ -3,8 +3,10 @@
 Matrices with Scalar entries are reduced to Polynomial matrices by clearing
 each row's denominators (row scaling by nonzero field elements preserves
 the rank of every block of rows), then eliminated with the Bareiss
-fraction-free scheme.  Every division in Bareiss is an exact polynomial
-division; a failed division would signal a bug, not data, and raises
+fraction-free scheme.  Each Bareiss update piv * a - e * b is one
+scalars.poly_sum_of_products, which builds no product or difference
+polynomial, followed by one exact polynomial division by the previous
+pivot; a failed division would signal a bug, not data, and raises
 RuntimeError at once.
 
 One elimination serves a chain of nested leading blocks: a caller whose
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Polynomial, common_denominator
+from .scalars import Polynomial, common_denominator, poly_sum_of_products
 
 
 def rank_scalar_matrix(rows, corners=None):
@@ -53,6 +55,11 @@ def rank_polynomial_matrix(rows, corners=None):
     a smaller corner lie in every larger one, so they stay valid there.
     Within a corner, a column found zero on its remaining rows stays zero on
     them, so one left-to-right pass over its columns finds every pivot.
+
+    Each update of an entry (i, j) is the sum of the products
+    piv * M[i, j] and (-M[i, col]) * M[top, j], taken in one pass by
+    poly_sum_of_products, then divided by the previous pivot; the first
+    pivot's divisor is the constant 1, which exact_div scales by in one pass.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -77,11 +84,12 @@ def rank_polynomial_matrix(rows, corners=None):
             live.remove(col)
             for i in range(rank + 1, nrows):
                 row = m[i]
-                entry_i_col = row[col]
+                neg = -row[col]
                 for j in live:
                     if not row[j] and not top[j]:
                         continue  # both products are zero, and so is q
-                    q = (piv * row[j] - entry_i_col * top[j]).exact_div(prev)
+                    q = poly_sum_of_products(
+                        ((piv, row[j]), (neg, top[j]))).exact_div(prev)
                     if q is None:
                         raise RuntimeError("Bareiss division failed")
                     row[j] = q

@@ -306,7 +306,8 @@ class Polynomial:
     def exact_div(self, other: "Polynomial"):
         """Exact polynomial quotient self/other, or None if not divisible.
 
-        Fraction-free long division in the packed lex order: whenever the
+        A constant divisor scales self in one pass.  Any other takes
+        fraction-free long division in the packed lex order: whenever the
         divisor's leading coefficient does not divide the remainder's, the
         remainder and the partial quotient are scaled by the missing factor,
         and the accumulated scale goes into the quotient's denominator.
@@ -316,6 +317,9 @@ class Polynomial:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.t:
             return Polynomial()
+        if len(divisor) == 1 and 0 in divisor:
+            lc = divisor[0]
+            return self._scaled(other.d if lc > 0 else -other.d, abs(lc))
         lead = max(divisor)
         # guard bits up to the leading monomial's top slot: m | guard minus
         # lead borrows across no slot, and leaves a slot's guard bit set
@@ -398,6 +402,31 @@ def _power(base, k: int, one):
         if k:
             base = base * base
     return out
+
+
+def poly_sum_of_products(pairs):
+    """The sum of p * q over a list of Polynomial pairs, multiplied into one
+    int terms dict over the lcm of their int denominators; the exponent
+    guard reads the terms that survive."""
+    d = 1
+    for p, q in pairs:
+        pd = p.d * q.d
+        d = d * pd // gcd(d, pd)
+    terms = {}
+    get = terms.get
+    for p, q in pairs:
+        f = d // (p.d * q.d)
+        for m2, c2 in q.t.items():
+            c2 *= f
+            for m1, c1 in p.t.items():
+                m = m1 + m2
+                terms[m] = get(m, 0) + c1 * c2
+    terms = {m: c for m, c in terms.items() if c}
+    if not terms:
+        return ZERO.num  # most residual sums cancel; build nothing
+    if reduce(or_, terms, 0) & _GUARD:
+        raise OverflowError(f"monomial exponent above {MAX_EXPONENT}")
+    return _poly(terms, d)
 
 
 def mu_poly(alpha) -> Polynomial:
@@ -653,11 +682,9 @@ def sum_of_products(pairs):
     of a * b under +.
 
     One pair is a * b, so the unit rule stays in Scalar.__mul__.  For more,
-    the int coefficients of every product go straight into one terms dict
-    per multiset of denominator forms, over the lcm of the products' int
-    denominators; each such group is cancelled into one canonical Scalar,
-    and the groups, rare in practice, are added.  The exponent guard reads
-    the terms that survive.
+    the numerators of each multiset of denominator forms are summed by one
+    poly_sum_of_products into one canonical Scalar, and the groups, rare in
+    practice, are added.
     """
     if len(pairs) == 1:
         (a, b), = pairs
@@ -670,24 +697,9 @@ def sum_of_products(pairs):
             groups.setdefault(forms, []).append((a.num, b.num))
     out = ZERO
     for forms, products in groups.items():
-        d = 1
-        for p, q in products:
-            pd = p.d * q.d
-            d = d * pd // gcd(d, pd)
-        terms = {}
-        get = terms.get
-        for p, q in products:
-            f = d // (p.d * q.d)
-            for m2, c2 in q.t.items():
-                c2 *= f
-                for m1, c1 in p.t.items():
-                    m = m1 + m2
-                    terms[m] = get(m, 0) + c1 * c2
-        terms = {m: c for m, c in terms.items() if c}
-        if terms:
-            if reduce(or_, terms, 0) & _GUARD:
-                raise OverflowError(f"monomial exponent above {MAX_EXPONENT}")
-            out = out + Scalar(_poly(terms, d), forms)
+        num = poly_sum_of_products(products)
+        if num.t:
+            out = out + Scalar(num, forms)
     return out
 
 

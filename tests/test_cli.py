@@ -80,6 +80,16 @@ def test_bracket_rank_disagrees_with_flag(capsys):
     assert main(["bracket", "c", "e[1,2]", "--n", "2"]) == 0
 
 
+def test_bracket_product_past_the_exponent_guard_is_usage_error(capsys):
+    """Each factor is inside the exponent guard, their product is not."""
+    code = main(["bracket", "mu1^20000*e[1,0]", "mu1^20000*e[0,1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err)
+    assert "monomial exponent above 32767" in captured.err
+
+
 def test_parse_helpers():
     assert parse_boxes("1..4") == [1, 2, 3, 4]
     assert parse_boxes("2,5,9") == [2, 5, 9]

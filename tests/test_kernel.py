@@ -27,6 +27,7 @@ from solvir.scalars import (
     indet_name,
     mu_poly,
     parse_scalar,
+    poly_sum_of_products,
     scalar_str,
     sum_of_products,
 )
@@ -361,6 +362,76 @@ def test_sum_of_products_guards_surviving_exponents():
     with pytest.raises(OverflowError):
         sum_of_products([(big, x * x), (ONE, ONE)])
     assert sum_of_products([(big, x), (ONE, ONE)]) == x ** MAX_EXPONENT + ONE
+
+
+# --------------------------------------------------------------------------
+# poly_sum_of_products and exact_div by a constant
+# --------------------------------------------------------------------------
+
+
+def random_poly_pairs(rng):
+    """A list of Polynomial pairs with int denominators, zero factors, and
+    pairs whose products cancel one another."""
+    pairs = []
+    for _ in range(rng.randint(1, 5)):
+        p = Polynomial() if rng.random() < 0.15 else to_kernel(random_ref(rng, max_exp=2))
+        q = to_kernel(random_ref(rng, max_exp=2))
+        pairs.append((p, q))
+        if rng.random() < 0.3:
+            pairs.append((q, -p))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def assert_canonical(p):
+    assert p.d > 0 and all(type(c) is int and c for c in p.t.values())
+    assert gcd(p.d, *p.t.values()) == 1 if p.t else p.d == 1
+
+
+def test_poly_sum_of_products_matches_fold():
+    rng = random.Random(2601)
+    kinds = Counter()
+    for _ in range(200):
+        pairs = random_poly_pairs(rng)
+        got = poly_sum_of_products(pairs)
+        fold = reduce(add, (p * q for p, q in pairs), Polynomial())
+        assert got == fold and hash(got) == hash(fold)
+        assert_canonical(got)
+        kinds.update(int_den=any(p.d > 1 or q.d > 1 for p, q in pairs),
+                     zero=any(not p for p, _ in pairs),
+                     cancels=not got)
+    # every kind of list was drawn
+    assert min(kinds.values()) >= 10 and len(kinds) == 3
+
+
+def test_poly_sum_of_products_edges():
+    x = Polynomial.var(2)
+    half = Polynomial.const(Fraction(1, 2))
+    assert poly_sum_of_products([]) == Polynomial() and poly_sum_of_products([]).d == 1
+    assert poly_sum_of_products([(x, x), (x, -x)]) == Polynomial()
+    assert poly_sum_of_products([(half, x), (x, half)]) == x
+    big = x ** (MAX_EXPONENT - 1)
+    with pytest.raises(OverflowError):
+        poly_sum_of_products([(big, x * x), (half, x)])
+    assert poly_sum_of_products([(big, x), (half, x)]) == x ** MAX_EXPONENT + half * x
+
+
+def test_exact_div_by_a_constant_matches_reference():
+    rng = random.Random(2602)
+    constants = [Fraction(c) for c in (3, -2, Fraction(1, 6), Fraction(-5, 4), 1, -1)]
+    dens = Counter()
+    for _ in range(40):
+        ref = random_ref(rng)
+        for c in constants:
+            p, divisor = to_kernel(ref), Polynomial.const(c)
+            got = p.exact_div(divisor)
+            expected = to_kernel(ref_div(ref, {(): c}))
+            assert got == expected and hash(got) == hash(expected)
+            assert_canonical(got)
+            dens.update(both=p.d != 1 and divisor.d != 1)
+    assert dens["both"] >= 10
+    zero = Polynomial().exact_div(Polynomial.const(Fraction(-3, 2)))
+    assert zero == Polynomial() and zero.d == 1
 
 
 # --------------------------------------------------------------------------

@@ -138,6 +138,45 @@ def test_corner_ranks_match_sympy(seed):
     assert rank_scalar_matrix(rows, chain) == expected
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_negative_fractional_first_pivot(seed):
+    """The first pivot is -3/2, so the second stage divides by a constant
+    that is negative and fractional; corner ranks agree with RationalEchelon
+    at a rational point and with sympy."""
+    rng = random.Random(300 + seed)
+    x, y = mu_poly((1, 0)), mu_poly((0, 1))
+    factors = [P(1), x, y, x * y, x + y.scale(Fraction(1, 2))]
+
+    def entry():
+        c = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4]))
+        return P(c) * rng.choice(factors) if rng.random() < 0.8 else P(0)
+
+    inner = [None, 1, 2, 3][seed]
+    if inner is None:
+        rows = [[entry() for _ in range(5)] for _ in range(4)]
+    else:
+        u = [[entry() for _ in range(inner)] for _ in range(4)]
+        v = [[entry() for _ in range(5)] for _ in range(inner)]
+        rows = [[sum((u[i][k] * v[k][j] for k in range(inner)), P(0))
+                 for j in range(5)] for i in range(4)]
+    rows[0][0] = P(Fraction(-3, 2))
+    chain = [(1, 1), (2, 3), (3, 4), (4, 5)]
+    ranks = rank_polynomial_matrix(rows, chain)
+    point = {1: Fraction(7, 3), 2: Fraction(-5, 11)}
+    at_point = []
+    for c in chain:
+        ech = RationalEchelon(c[1])
+        for row in block(rows, c):
+            ech.add_row([p.evaluate(point) for p in row])
+        at_point.append(ech.rank)
+    assert ranks == at_point
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    exprs = [[to_sympy(sympy, Scalar(p)) for p in row] for row in rows]
+    assert ranks == [DomainMatrix.from_Matrix(sympy.Matrix(block(exprs, c)))
+                     .to_field().rank() for c in chain]
+
+
 def test_corners_must_be_a_chain_inside_the_matrix():
     rows = [[P(1), P(2)], [P(3), P(4)]]
     assert rank_polynomial_matrix(rows, []) == []
