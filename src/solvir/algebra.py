@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from operator import add, sub
 
 from .errors import (
@@ -108,6 +108,25 @@ def triples_with_sum(pts, total):
             kappa = vsub(rest, beta)
             if kappa in idx:
                 yield alpha, beta, kappa
+
+
+def sorted_triples(pts, total):
+    """The triples a <= b <= k of points of the sorted pts, of sum total
+    unless it is None, in increasing order.  Each point is an object of pts,
+    so caches keyed on points keep no copies.  As b grows, k = total - a - b
+    falls, so the first k < b ends the run."""
+    if total is None:
+        yield from combinations_with_replacement(pts, 3)
+        return
+    idx = {p: p for p in pts}
+    for i, a in enumerate(pts):
+        rest = vsub(total, a)
+        for b in pts[i:]:
+            k = vsub(rest, b)
+            if k < b:
+                break
+            if k in idx:
+                yield a, b, idx[k]
 
 
 def check_pairs(count: int, what: str):
@@ -335,6 +354,13 @@ def _basis_bracket_terms(ka, kb):
         if cterm:
             out[CENTRAL] = cterm
     return out
+
+
+def bracket_is_skew(ka, kb) -> bool:
+    """Whether the table's [E(ka), E(kb)] is the termwise negative of
+    [E(kb), E(ka)]; reads the module's _basis_bracket_terms at call time."""
+    return _basis_bracket_terms(ka, kb) == {
+        key: -c for key, c in _basis_bracket_terms(kb, ka).items()}
 
 
 def _bracket_into(out, x, y):

@@ -377,9 +377,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _merge_negative_values(argv):
-    """Rewrite '--shift -1,0' as '--shift=-1,0' so argparse accepts it."""
+    """Rewrite '--shift -1,0' as '--shift=-1,0', and a bracket element such
+    as '-e[1]' as ' -e[1]', which the grammar reads alike, so argparse takes
+    neither value for an option; '--' options and '-h' stay options."""
     merged = []
     skip = False
+    bracket = argv[:1] == ["bracket"]
     for i, tok in enumerate(argv):
         if skip:
             skip = False
@@ -388,6 +391,8 @@ def _merge_negative_values(argv):
                 and argv[i + 1].startswith("-"):
             merged.append(f"{tok}={argv[i + 1]}")
             skip = True
+        elif bracket and tok[:1] == "-" and tok[1:2] != "-" and tok != "-h":
+            merged.append(" " + tok)
         else:
             merged.append(tok)
     return merged

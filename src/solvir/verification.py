@@ -6,17 +6,17 @@ no unordered iteration.  Randomized trials draw from Python's Mersenne
 Twister (random.Random) seeded from the configuration, which is stable
 across platforms and runs.
 
-Every exhaustive triple scan runs through scan_triples, which evaluates the
-residual once per rotation orbit (both residuals are cyclic sums) and
-re-checks a seeded sample of the other triples.  When the raw triple count
-is out of reach the suites use an exact case split: for basis triples whose
-lattice sum is nonzero the residual is a universal polynomial identity in
-x = mu.alpha, y = mu.beta, z = mu.kappa, verified once by expanding the
-residual itself exactly at algebra.GENERIC_TRIPLE, where x, y, z are
-independent; only the zero-sum triples are scanned, and seeded random
-triples re-check the rest through the residual.  The density module axiom
-takes the case split at every size: one identity covers every basis triple,
-with no zero-sum case left over, and seeded basis triples re-check it.
+Every exhaustive triple scan runs in scan_triples.  Both residuals are
+cyclic sums, and alternating where the bracket table is skew, which the
+scan checks pair by pair: one residual per multiset, or per rotation
+class off skew pairs, and a seeded re-check of other triples.
+Past the raw triple count the suites split cases exactly: at a nonzero
+lattice sum the residual is one polynomial in x = mu.alpha, y = mu.beta,
+z = mu.kappa, verified once by expanding the residual at
+algebra.GENERIC_TRIPLE, where x, y, z are independent; only the zero-sum
+triples are scanned, and seeded triples re-check the rest.  The density
+module axiom takes the case split at every size: one identity covers every
+basis triple, and seeded basis triples re-check it.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import cache, partial
 
 # each suite imports the layers it runs, so `verify <suite>` loads only those
 from .algebra import (
@@ -31,13 +32,15 @@ from .algebra import (
     basis_element,
     box_points,
     box_size,
+    bracket_is_skew,
     central_element,
     check_pairs,
     euler_element,
     jacobi_residual,
-    triples_with_sum,
+    sorted_triples,
     vir_bracket,
     vir_i_cocycle_coefficients,
+    vsub,
     witt_jacobi_symbolic_identity,
 )
 from .scalars import ONE, ZERO, Scalar
@@ -56,14 +59,13 @@ def _trials_check(check_id, trials, failing):
     return check(check_id, bad == 0, trials=trials, failures=bad)
 
 
-def _partition_count(k, max_part=None):
-    if max_part is None:
-        max_part = k
-    if k == 0:
-        return 1
-    if k < 0 or max_part == 0:
-        return 0
-    return _partition_count(k - max_part, max_part) + _partition_count(k, max_part - 1)
+def _partition_counts(kmax):
+    """The partition numbers p(0), ..., p(kmax)."""
+    counts = [1] + [0] * kmax
+    for part in range(1, kmax + 1):
+        for k in range(part, kmax + 1):
+            counts[k] += counts[k - part]
+    return counts
 
 
 def _random_point(rng, n, box):
@@ -96,7 +98,7 @@ def _sampled_triples_check(check_id, rng, n, box, trials, residual):
 # --------------------------------------------------------------------------
 
 
-# non-representative triples re-checked through the residual per scan
+# triples beyond those evaluated that each scan re-checks
 ORBIT_SAMPLE = 16
 
 
@@ -109,48 +111,55 @@ class ScanResult(tuple):
         return self
 
 
-def scan_triples(triples, residual, tag) -> ScanResult:
-    """Every triple with a nonzero residual, one evaluation per rotation orbit.
+def scan_triples(pts, total, residual, tag) -> ScanResult:
+    """Every triple of points of pts, of sum total unless it is None, with a
+    nonzero residual, in increasing order; ValueError unless pts is sorted
+    without repeats.
 
-    residual must be a cyclic sum, equal at (a, b, k), (b, k, a), (k, a, b),
-    and triples a rotation-closed set in increasing order (ValueError
-    otherwise), so each orbit's least rotation comes first and is the only
-    one evaluated.  Failing triples are listed in scan order.  A reservoir
-    sample of ORBIT_SAMPLE others, drawn by random.Random(tag), is re-checked
-    through residual; a disagreement with the orbit raises RuntimeError.
+    residual, a cyclic sum, is alternating on a multiset a <= b <= k whose
+    pairs pass bracket_is_skew (memoized per scan): there it is evaluated at
+    the sorted triple only, elsewhere at each rotation class's least triple.
+    Up to ORBIT_SAMPLE others, drawn by random.Random(tag), are re-checked
+    through residual; a disagreement raises RuntimeError.
     """
-    rng = random.Random(tag)
-    failed = set()
-    failures = []
-    sample = []
+    for p, q in zip(pts, pts[1:]):
+        if q <= p:
+            raise ValueError(f"point {q} arrives after {p}")
+    skew = cache(bracket_is_skew)
+
+    def rep(t):
+        """The evaluated triple that vouches for t."""
+        a, b, k = s = tuple(sorted(t))
+        if skew(a, b) and skew(a, k) and skew(b, k):
+            return s
+        return min(t, t[1:] + t[:1], t[2:] + t[:2])
+
+    failed, failures = set(), []
     count = evaluated = 0
-    prev = ()
-    for t in triples:
-        if t <= prev:
-            raise ValueError(f"triple {t} arrives after {prev}")
-        prev = t
-        count += 1
-        a, b, k = t
-        if t <= (b, k, a) and t <= (k, a, b):
+    for s in sorted_triples(pts, total):
+        a, b, k = s
+        count += 6 if a < b < k else 1 if a == k else 3
+        r = rep((a, k, b))  # s unless a < b < k off skew pairs
+        for t in (s,) if r == s else (s, r):
             evaluated += 1
-            if residual(a, b, k):
+            if residual(*t):
                 failed.add(t)
-                failures.append([list(a), list(b), list(k)])
+                failures += {u for u in itertools.permutations(t) if rep(u) == t}
+    failures.sort()
+    idx, rng, drawn = set(pts), random.Random(tag), 0
+    # bounded: a draw off the scanned set or at a representative is lost
+    for _ in range(8 * ORBIT_SAMPLE):
+        a, b = rng.choice(pts), rng.choice(pts)
+        t = (a, b, rng.choice(pts) if total is None else vsub(vsub(total, a), b))
+        if t[2] not in idx or t == (r := rep(t)):
             continue
-        if failed and min((b, k, a), (k, a, b)) in failed:
-            failures.append([list(a), list(b), list(k)])
-        # reservoir sampling over the count - evaluated skipped triples
-        j = int(rng.random() * (count - evaluated))
-        if len(sample) < ORBIT_SAMPLE:
-            sample.append(t)
-        elif j < ORBIT_SAMPLE:
-            sample[j] = t
-    for a, b, k in sample:
-        rep = min((b, k, a), (k, a, b))
-        if bool(residual(a, b, k)) != (rep in failed):
-            raise RuntimeError(f"residual at {(a, b, k)} differs from that "
-                               f"at its rotation {rep}")
-    return ScanResult(count, failures, evaluated)
+        if bool(residual(*t)) != (r in failed):
+            raise RuntimeError(f"residual at {t} differs from that at its "
+                               f"rotation or permutation {r}")
+        drawn += 1
+        if drawn == ORBIT_SAMPLE:
+            break
+    return ScanResult(count, [list(map(list, t)) for t in failures], evaluated)
 
 
 def _jacobi_residual(n, pts):
@@ -161,17 +170,15 @@ def _jacobi_residual(n, pts):
 def _cocycle_residual(n, pts):
     from .cocycle import canonical_cochain, cocycle_residual
 
-    theta = canonical_cochain(n)
-    return lambda a, b, k: cocycle_residual(theta, a, b, k)
+    return partial(cocycle_residual, canonical_cochain(n))
 
 
 def _box_scan(residual_of, n, box, zero_sum):
     """Scan the box triples, or those of sum 0, for residual_of(n, pts)."""
     check_pairs(box_size(n, box) ** 2, f"the rank-{n} scan of radius {box}")
     pts = box_points(n, box)
-    triples = (triples_with_sum(pts, (0,) * n) if zero_sum
-               else itertools.product(pts, repeat=3))
-    return scan_triples(triples, residual_of(n, pts), f"{n}:{box}:{zero_sum}")
+    return scan_triples(pts, (0,) * n if zero_sum else None, residual_of(n, pts),
+                        f"{n}:{box}:{zero_sum}")
 
 
 def jacobi_full_scan(n: int, box: int):
@@ -193,7 +200,7 @@ def cocycle_zero_sum_scan(n: int, box: int):
 def _scan_check(check_id, result):
     count, failures = result
     return check(check_id, not failures, triples_checked=count,
-                 evaluated=result.evaluated, method="cyclic_orbit_enumeration",
+                 evaluated=result.evaluated, method="permutation_orbit_enumeration",
                  failures=failures[:5])
 
 
@@ -245,18 +252,14 @@ def suite_jacobi(n: int, box: int, seed: int, trials: int = 60):
 def _random_cochain(rng, n, box, size=4):
     from .cocycle import OneCochain
 
-    support = {}
-    for _ in range(size):
-        point = _random_point(rng, n, box)
-        support[point] = Scalar.from_rational(
-            Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)))
-    return OneCochain(n, support)
+    return OneCochain(n, {_random_point(rng, n, box): Fraction(
+        rng.randint(-5, 5) or 1, rng.randint(1, 4)) for _ in range(size)})
 
 
 def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
                   normalize_trials: int = 5, theta_input=None):
     """The cocycle checks; with theta_input, a cocycle.TwoCochain, only the
-    honest scan of its residual."""
+    scan of its residual."""
     from .cocycle import (
         canonical_cochain,
         canonical_cocycle,
@@ -274,20 +277,19 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
     checks = []
 
     if theta_input is not None:
-        # rotations keep the lattice sum: one engine scan per sum
+        # permutations keep the lattice sum: one engine scan per sum
         totals = sorted(theta_input.pair_sum_support() | {(0,) * n})
         check_pairs(len(totals) * box_size(n, box) ** 2,
                     f"the rank-{n} input scan of radius {box}")
         pts = box_points(n, box)
-        results = [scan_triples(triples_with_sum(pts, total),
-                                lambda a, b, k: cocycle_residual(theta_input, a, b, k),
-                                f"input:{n}:{box}:{total}")
+        residual = partial(cocycle_residual, theta_input)
+        results = [scan_triples(pts, total, residual, f"input:{n}:{box}:{total}")
                    for total in totals]
         failing = next((failures[0] for _, failures in results if failures), None)
         checks.append(check("cocycle/input_file_residual", failing is None,
                             triples_checked=sum(r[0] for r in results),
                             evaluated=sum(r.evaluated for r in results),
-                            method="cyclic_orbit_enumeration",
+                            method="permutation_orbit_enumeration",
                             failing_triple=failing))
         return checks
 
@@ -409,14 +411,10 @@ def suite_density(n: int, box: int, seed: int, trials: int = 100,
              for beta in box_points(n, min(box, 2)))
     checks.append(check(f"density/n={n}/weight_property", ok))
 
-    cls_ok = (classify_density(p).case == IRREDUCIBLE
-              and classify_density(DensityParams(n, ZERO, ZERO)).case
-              == REDUCIBLE_TRIVIAL_SUB
-              and classify_density(lattice_params(n, (1,) + (0,) * (n - 1), 1)).case
-              == REDUCIBLE_CODIM_ONE
-              and classify_density(
-                  DensityParams(n, Scalar.from_rational(Fraction(1, 2)), ZERO)).case
-              == IRREDUCIBLE)
+    cls_ok = all(classify_density(params).case == case for params, case in (
+        (p, IRREDUCIBLE), (DensityParams(n, ZERO, ZERO), REDUCIBLE_TRIVIAL_SUB),
+        (lattice_params(n, (1,) + (0,) * (n - 1), 1), REDUCIBLE_CODIM_ONE),
+        (DensityParams(n, Scalar.from_rational(Fraction(1, 2)), ZERO), IRREDUCIBLE)))
     checks.append(check(f"density/n={n}/classification_trichotomy", cls_ok))
 
     r00 = submodule_invariance_check(DensityParams(n, ZERO, ZERO), box)
@@ -480,7 +478,7 @@ def suite_verma(seed: int, kmax: int = 5, nmax: int = 4, trials: int = 25):
     dims = [weight_space_dim_truncated(1, (-k,), TruncationBox(max(k, 1), max(k, 1)))
             for k in range(kmax + 1)]
     checks.append(check("verma/rank1_partition_dimensions",
-                        dims == [_partition_count(k) for k in range(kmax + 1)],
+                        dims == _partition_counts(kmax),
                         dims=dims, kmax=kmax))
 
     growth = []

@@ -59,6 +59,29 @@ def test_bracket_bad_text_is_usage_error(capsys, left, named):
     assert _one_error_line(captured.err) and named in captured.err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["-e[1]", "e[0]"], "mu1*e[1]"),
+    (["e[1]", "-e[0]"], "mu1*e[1]"),
+    (["-2*e[1,0]", "e[0,1]"], "(2*mu1-2*mu2)*e[1,1]"),
+    (["--n", "1", "-e[1]", "e[0]"], "mu1*e[1]"),
+    (["-e[1]", "--n", "1", "e[0]"], "mu1*e[1]"),
+    (["-e[1]", "e[0]", "--n", "1"], "mu1*e[1]"),
+])
+def test_bracket_element_with_leading_minus(capsys, argv, expected):
+    """An element that starts with '-' is an element, not an option, and
+    --n is read wherever it stands."""
+    code, out = run_cli(["bracket", *argv], capsys)
+    assert code == 0
+    assert out == expected + "\n"
+
+
+def test_bracket_unknown_option_still_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "-e[1]", "e[0]", "--foo"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --foo" in capsys.readouterr().err
+
+
 def test_bracket_mixed_ranks_is_usage_error(capsys):
     code = main(["bracket", "e[1,2]", "e[1]"])
     err = capsys.readouterr().err

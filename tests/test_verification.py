@@ -1,9 +1,10 @@
-"""The cyclic-orbit scan engine against honest triple-by-triple loops.
+"""The permutation-orbit scan engine against honest triple-by-triple loops.
 
-Every exhaustive scan evaluates one triple per rotation orbit; these tests
-break the bracket or the canonical cocycle so that the scans fail, and
-compare counts and ordered failure lists with loops written here that
-evaluate every triple.
+Every exhaustive scan evaluates one triple per multiset where the bracket
+table is skew on its pairs, and one per rotation orbit elsewhere; these
+tests break the bracket or the canonical cocycle so that the scans fail,
+and compare counts and ordered failure lists with loops written here that
+evaluate every triple, or every rotation orbit.
 """
 
 import itertools
@@ -18,8 +19,10 @@ from solvir.algebra import (
     CENTRAL,
     basis_element,
     box_points,
+    bracket_is_skew,
     jacobi_residual,
     triples_with_sum,
+    vadd,
 )
 from solvir.cocycle import TwoCochain, canonical_cochain, cocycle_residual
 from solvir.scalars import ZERO, Scalar
@@ -115,11 +118,123 @@ def _check_cocycle_scan(scan, n, box, zero_sum):
 
 
 def test_honest_scans_pass_and_count_orbits():
-    # 7 points: (343 - 7) / 3 orbits of size three and 7 fixed triples
+    # 7 points: one residual per multiset a <= b <= k, C(7 + 2, 3) of them
     result = ver.jacobi_full_scan(1, 3)
     assert result == (343, [])
-    assert result.evaluated == 112 + 7
+    assert result.evaluated == 84
     assert ver.cocycle_zero_sum_scan(2, 2) == _honest_cocycle(2, 2, True)
+
+
+def _rotation_orbit_loop(triples, residual):
+    """(count, failures, evaluated) of one residual per rotation orbit, at
+    its least rotation, every triple of a failing orbit listed."""
+    count, evaluated, failed, failures = 0, 0, set(), []
+    for t in triples:
+        count += 1
+        least = min(t, t[1:] + t[:1], t[2:] + t[:2])
+        if t == least:
+            evaluated += 1
+            if residual(*t):
+                failed.add(t)
+        if least in failed:
+            failures.append([list(p) for p in t])
+    return count, failures, evaluated
+
+
+@pytest.mark.parametrize("scan, n, box, zero_sum", [
+    ("jacobi_full_scan", 2, 1, False),
+    ("jacobi_zero_sum_scan", 3, 1, True),
+    ("cocycle_full_scan", 2, 1, False),
+    ("cocycle_zero_sum_scan", 2, 2, True),
+])
+def test_non_skew_bracket_falls_back_to_rotation_orbits(squared_bracket, scan, n,
+                                                        box, zero_sum):
+    # no pair of distinct points is skew under a squared Witt coefficient,
+    # so the engine evaluates exactly the triples of the rotation-orbit rule
+    if scan.startswith("jacobi"):
+        def residual(a, b, k):
+            return jacobi_residual(*(basis_element(n, p) for p in (a, b, k)))
+    else:
+        theta = canonical_cochain(n)
+
+        def residual(a, b, k):
+            return cocycle_residual(theta, a, b, k)
+    result = getattr(ver, scan)(n, box)
+    expected = _rotation_orbit_loop(_box_triples(n, box, zero_sum), residual)
+    assert (*result, result.evaluated) == expected
+    assert expected[1]
+
+
+def test_non_cyclic_residual_fails_cross_check_on_rotation_fallback(squared_bracket):
+    pts = box_points(1, 2)
+
+    def not_cyclic(a, b, k):
+        return (a, b, k) != min((a, b, k), (b, k, a), (k, a, b))
+
+    with pytest.raises(RuntimeError, match="differs from that at its rotation"):
+        scan_triples(pts, None, not_cyclic, "test")
+
+
+@pytest.mark.parametrize("bracket, skew_off_diagonal", [
+    (None, True),
+    ("squared_bracket", False),
+    ("wrong_bracket", True),   # its quintic center is skew, not a cocycle
+])
+def test_skew_check_reads_the_table(request, bracket, skew_off_diagonal):
+    if bracket:
+        request.getfixturevalue(bracket)
+    pts = box_points(2, 2)
+    assert all(bracket_is_skew(p, q) == (p == q or skew_off_diagonal)
+               for p in pts for q in pts)
+
+
+def _seeded_triples(rng, n, box, zero_sum, count=12):
+    pts = box_points(n, box)
+    idx = set(pts)
+    out = []
+    while len(out) < count:
+        a, b, k = (rng.choice(pts) for _ in range(3))
+        if zero_sum:
+            k = tuple(-x - y for x, y in zip(a, b))
+        if k in idx:
+            out.append((a, b, k))
+    return out
+
+
+def _sign(perm):
+    return -1 if sum(perm[j] > perm[i] for i in range(3) for j in range(i)) % 2 else 1
+
+
+@pytest.mark.parametrize("cubed", [False, True], ids=["true_bracket", "cubed_witt"])
+@pytest.mark.parametrize("n, box, zero_sum", [(2, 2, False), (3, 2, True)])
+def test_residuals_alternate_on_box_triples(patch_bracket, cubed, n, box, zero_sum):
+    """Both scanned residuals change sign under a transposition, exactly,
+    under any skew bracket: here the true one and one whose Witt
+    coefficient is cubed, skew but not a Lie bracket."""
+    if cubed:
+        patch_bracket(lambda terms, ka, kb: {
+            key: base if key == CENTRAL else base ** 3 for key, base in terms.items()})
+    rng = random.Random(f"{n}:{box}:{zero_sum}")
+    triples = [tuple(sorted(t)) for t in _seeded_triples(rng, n, box, zero_sum)]
+    # a cochain that is no cocycle: C0 plus values at every pair the
+    # residuals of these triples read
+    extra = {(x, vadd(y, z)): rng.randint(1, 9)
+             for t in triples for x, y, z in itertools.permutations(t)
+             if x != vadd(y, z)}
+    theta = TwoCochain(n, 1, None, extra)
+    seen = {"jacobi": False, "cocycle": False}
+    for s in triples:
+        j0 = jacobi_residual(*(basis_element(n, p) for p in s))
+        c0 = cocycle_residual(theta, *s)
+        seen["jacobi"] |= bool(j0)
+        seen["cocycle"] |= bool(c0)
+        for perm in itertools.permutations(range(3)):
+            t = tuple(s[i] for i in perm)
+            sign = _sign(perm)
+            assert jacobi_residual(*(basis_element(n, p) for p in t)) \
+                == (j0 if sign > 0 else -j0)
+            assert cocycle_residual(theta, *t) == (c0 if sign > 0 else -c0)
+    assert seen == {"jacobi": cubed, "cocycle": True}
 
 
 def test_input_file_scan_matches_honest_loop():
@@ -161,7 +276,7 @@ def test_non_cyclic_residual_fails_cross_check():
         return (a, b, k) != min((a, b, k), (b, k, a), (k, a, b))
 
     with pytest.raises(RuntimeError, match="differs from that at its rotation"):
-        scan_triples(itertools.product(pts, repeat=3), not_cyclic, "test")
+        scan_triples(pts, None, not_cyclic, "test")
 
 
 def test_cross_check_sample_is_seeded_by_tag():
@@ -175,7 +290,7 @@ def test_cross_check_sample_is_seeded_by_tag():
             calls.append((a, b, k))
             return ZERO
 
-        result = scan_triples(itertools.product(pts, repeat=3), residual, tag)
+        result = scan_triples(pts, None, residual, tag)
         return calls[result.evaluated:]
 
     state = random.getstate()
@@ -192,11 +307,10 @@ def test_cross_check_sample_is_seeded_by_tag():
 
 def test_out_of_order_triples_rejected():
     pts = box_points(1, 1)
-    triples = list(itertools.product(pts, repeat=3))
     with pytest.raises(ValueError, match="arrives after"):
-        scan_triples(reversed(triples), lambda a, b, k: ZERO, "test")
+        scan_triples(pts[::-1], None, lambda a, b, k: ZERO, "test")
     with pytest.raises(ValueError, match="arrives after"):
-        scan_triples(triples + triples[-1:], lambda a, b, k: ZERO, "test")
+        scan_triples(pts + pts[-1:], (0,), lambda a, b, k: ZERO, "test")
 
 
 def _without_evaluated(checks):
