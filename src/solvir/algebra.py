@@ -407,16 +407,18 @@ def witt_bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return out
 
 
-def jacobi_residual(x, y, z) -> AlgebraElement:
+def jacobi_residual(x, y, z, bracket=None) -> AlgebraElement:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero for a Lie bracket.
 
-    The inner brackets check the ranks; the outer ones collect their
+    The inner brackets come from bracket(u, v), vir_bracket unless a caller
+    passes a memo of it, and check the ranks; the outer ones collect their
     products into one dict, summed once per key.
     """
+    inner = bracket or vir_bracket  # read at call time: a rebound name reaches it
     out = {}
-    _bracket_into(out, x, vir_bracket(y, z))
-    _bracket_into(out, y, vir_bracket(z, x))
-    _bracket_into(out, z, vir_bracket(x, y))
+    _bracket_into(out, x, inner(y, z))
+    _bracket_into(out, y, inner(z, x))
+    _bracket_into(out, z, inner(x, y))
     return _summed(x, out)
 
 

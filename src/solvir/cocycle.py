@@ -219,15 +219,20 @@ def coboundary(f: OneCochain) -> TwoCochain:
     return TwoCochain(f.n, ZERO, f)
 
 
-def cocycle_residual(theta: TwoCochain, alpha, beta, kappa) -> Scalar:
-    """theta(e_a,[e_k,e_b]) + theta(e_b,[e_a,e_k]) + theta(e_k,[e_b,e_a])."""
+def cocycle_residual(theta: TwoCochain, alpha, beta, kappa, value=None) -> Scalar:
+    """theta(e_a,[e_k,e_b]) + theta(e_b,[e_a,e_k]) + theta(e_k,[e_b,e_a]).
+
+    theta's values come from value(x, y), theta.value unless a caller passes
+    a memo of it.
+    """
+    value = value or theta.value
     alpha, beta, kappa = tuple(alpha), tuple(beta), tuple(kappa)
     pairs = []
     for x, y, z in ((alpha, kappa, beta), (beta, alpha, kappa), (kappa, beta, alpha)):
         # theta is a cochain on the Witt part: the c term of [e_y, e_z] drops
         for key, w in _basis_bracket_terms(y, z).items():
             if key != CENTRAL:
-                val = theta.value(x, key)
+                val = value(x, key)
                 if val:
                     pairs.append((w, val))
     return sum_of_products(pairs)

@@ -9,7 +9,10 @@ across platforms and runs.
 Every exhaustive triple scan runs in scan_triples.  Both residuals are
 cyclic sums, and alternating where the bracket table is skew, which the
 scan checks pair by pair: one residual per multiset, or per rotation
-class off skew pairs, and a seeded re-check of other triples.
+class off skew pairs, and a seeded re-check of other triples.  Both sums are
+of pair terms, inner brackets [e_y, e_z] or cochain values theta(e_x,
+e_{y+z}), which a scan meets many times: it reads each through a memo that
+lives as long as the scan, wherever pairs repeat.
 Past the raw triple count the suites split cases exactly: at a nonzero
 lattice sum the residual is one polynomial in x = mu.alpha, y = mu.beta,
 z = mu.kappa, verified once by expanding the residual at
@@ -162,23 +165,37 @@ def scan_triples(pts, total, residual, tag) -> ScanResult:
     return ScanResult(count, [list(map(list, t)) for t in failures], evaluated)
 
 
-def _jacobi_residual(n, pts):
+def _jacobi_residual(n, pts, total):
     els = {p: basis_element(n, p) for p in pts}
-    return lambda a, b, k: jacobi_residual(els[a], els[b], els[k])
+    if total is not None:
+        # one ordered inner pair and the sum fix the triple: no pair repeats
+        return lambda a, b, k: jacobi_residual(els[a], els[b], els[k])
+    memo = {}  # (id(u), id(v)) -> [u, v]; els keeps u and v alive, so no id repeats
+
+    def bracket(u, v):
+        key = id(u), id(v)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = vir_bracket(u, v)
+        return out
+
+    return lambda a, b, k: jacobi_residual(els[a], els[b], els[k], bracket)
 
 
-def _cocycle_residual(n, pts):
+def _cocycle_residual(n, pts, total):
     from .cocycle import canonical_cochain, cocycle_residual
 
-    return partial(cocycle_residual, canonical_cochain(n))
+    theta = canonical_cochain(n)
+    # theta's pairs repeat at one lattice sum too
+    return partial(cocycle_residual, theta, value=cache(theta.value))
 
 
 def _box_scan(residual_of, n, box, zero_sum):
-    """Scan the box triples, or those of sum 0, for residual_of(n, pts)."""
+    """Scan the box triples, or those of sum 0, for residual_of(n, pts, total)."""
     check_pairs(box_size(n, box) ** 2, f"the rank-{n} scan of radius {box}")
     pts = box_points(n, box)
-    return scan_triples(pts, (0,) * n if zero_sum else None, residual_of(n, pts),
-                        f"{n}:{box}:{zero_sum}")
+    total = (0,) * n if zero_sum else None
+    return scan_triples(pts, total, residual_of(n, pts, total), f"{n}:{box}:{zero_sum}")
 
 
 def jacobi_full_scan(n: int, box: int):
@@ -282,7 +299,8 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
         check_pairs(len(totals) * box_size(n, box) ** 2,
                     f"the rank-{n} input scan of radius {box}")
         pts = box_points(n, box)
-        residual = partial(cocycle_residual, theta_input)
+        residual = partial(cocycle_residual, theta_input,
+                           value=cache(theta_input.value))
         results = [scan_triples(pts, total, residual, f"input:{n}:{box}:{total}")
                    for total in totals]
         failing = next((failures[0] for _, failures in results if failures), None)

@@ -117,7 +117,7 @@ def test_bracket_command_loads_only_its_layers():
 ], ids=["jacobi", "verma"])
 def test_verify_suite_loads_only_its_layers(argv, layers):
     """verification imports each suite's layers inside that suite, and the
-    Jacobi scans read triples_with_sum from algebra, not cocycle."""
+    Jacobi scans read algebra.sorted_triples, not cocycle."""
     loaded = _child_modules(
         "import os, solvir.cli\n"
         f"solvir.cli.main(['verify', *{argv!r}, '--seed', '3', '--out', os.devnull])")

@@ -79,3 +79,30 @@ def test_residuals_reach_the_traced_names(solvir_env):
         "print(calls.get('vir_bracket', 0), calls.get('TwoCochain.value', 0))\n"))
     brackets, values = map(int, out.split())
     assert brackets > 0 and values > 0
+
+
+def test_scans_reach_the_traced_names(solvir_env):
+    """The four box scans, run under the tracer, reach jacobi_residual,
+    cocycle_residual, vir_bracket and TwoCochain.value, through their
+    per-scan memos too; a scan that bypassed one of them would read zero
+    in the benchmark's layer counters."""
+    out = _run_traced(solvir_env, (
+        "import tracer\n"
+        "t = tracer.Tracer('contract'); t.install()\n"
+        "from solvir import verification as ver\n"
+        "ver.jacobi_full_scan(1, 1); ver.jacobi_zero_sum_scan(2, 1)\n"
+        "ver.cocycle_full_scan(1, 1); ver.cocycle_zero_sum_scan(2, 1)\n"
+        "by_scan = t.report()['by_parent']\n"
+        "for scan in ('jacobi_full_scan', 'jacobi_zero_sum_scan',\n"
+        "             'cocycle_full_scan', 'cocycle_zero_sum_scan'):\n"
+        "    calls = {k: v[0] for k, v in by_scan.get(scan, {}).items()}\n"
+        "    print(scan, *(calls.get(k, 0) for k in ('jacobi_residual',\n"
+        "          'vir_bracket', 'cocycle_residual', 'TwoCochain.value')))\n"))
+    counts = {scan: list(map(int, rest))
+              for scan, *rest in (line.split() for line in out.splitlines())}
+    for scan in ("jacobi_full_scan", "jacobi_zero_sum_scan"):
+        residuals, brackets, _, _ = counts[scan]
+        assert residuals > 0 and brackets > 0, scan
+    for scan in ("cocycle_full_scan", "cocycle_zero_sum_scan"):
+        _, _, residuals, values = counts[scan]
+        assert residuals > 0 and values > 0, scan

@@ -4,15 +4,18 @@ Every exhaustive scan evaluates one triple per multiset where the bracket
 table is skew on its pairs, and one per rotation orbit elsewhere; these
 tests break the bracket or the canonical cocycle so that the scans fail,
 and compare counts and ordered failure lists with loops written here that
-evaluate every triple, or every rotation orbit.
+evaluate every triple, or every rotation orbit.  The scans read their pair
+terms through per-scan memos, pinned here by call counts.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import solvir.algebra as algebra
 import solvir.cocycle as cocycle
 import solvir.verification as ver
 from solvir.algebra import (
@@ -25,7 +28,7 @@ from solvir.algebra import (
     vadd,
 )
 from solvir.cocycle import TwoCochain, canonical_cochain, cocycle_residual
-from solvir.scalars import ZERO, Scalar
+from solvir.scalars import ONE, ZERO, Scalar
 from solvir.verification import run_suite, scan_triples, suite_cocycle, suite_jacobi
 
 
@@ -123,6 +126,86 @@ def test_honest_scans_pass_and_count_orbits():
     assert result == (343, [])
     assert result.evaluated == 84
     assert ver.cocycle_zero_sum_scan(2, 2) == _honest_cocycle(2, 2, True)
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "cocycle"])
+@pytest.mark.parametrize("n, box, zero_sum", [
+    (1, 2, False), (2, 1, False), (2, 2, False), (3, 1, True)])
+def test_memoized_scans_match_honest_loop(kind, n, box, zero_sum):
+    scan = getattr(ver, f"{kind}_{'zero_sum' if zero_sum else 'full'}_scan")
+    honest = _honest_jacobi if kind == "jacobi" else _honest_cocycle
+    assert scan(n, box) == honest(n, box, zero_sum)
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "cocycle"])
+def test_memoized_residuals_equal_plain_ones(squared_bracket, kind):
+    """Under a bracket that is no Lie bracket the residuals are nonzero; the
+    memoized one equals the plain one exactly at every box triple."""
+    n, pts = 2, box_points(2, 1)
+    theta = canonical_cochain(n)
+    if kind == "jacobi":
+        memoized = ver._jacobi_residual(n, pts, None)
+
+        def plain(a, b, k):
+            return jacobi_residual(*(basis_element(n, p) for p in (a, b, k)))
+    else:
+        memoized = ver._cocycle_residual(n, pts, None)
+
+        def plain(a, b, k):
+            return cocycle_residual(theta, a, b, k)
+    values = [(memoized(*t), plain(*t)) for t in itertools.product(pts, repeat=3)]
+    assert all(m == p for m, p in values)
+    assert any(p for _, p in values)
+
+
+def _count_calls(monkeypatch, fn, key, *targets):
+    """A Counter of key(*args) over the calls of fn, set as each
+    (owner, name) of targets."""
+    calls = Counter()
+
+    def counted(*args):
+        calls[key(*args)] += 1
+        return fn(*args)
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _point(x):
+    [p] = x.terms
+    return p
+
+
+def test_jacobi_scans_bracket_each_ordered_pair_once(monkeypatch):
+    calls = _count_calls(monkeypatch, algebra.vir_bracket,
+                         lambda u, v: (_point(u), _point(v)),
+                         (algebra, "vir_bracket"), (ver, "vir_bracket"))
+    # the full scan's memo serves its seeded re-check too
+    ver.jacobi_full_scan(2, 2)
+    assert set(calls.values()) == {1} and len(calls) <= 25 ** 2
+    # one ordered inner pair and the lattice sum fix the triple, so a
+    # lattice-sum scan, which has no memo, brackets each pair once outside
+    # its re-check; only (0, 0, 0) reads the pair (0, 0), three times
+    monkeypatch.setattr(ver, "ORBIT_SAMPLE", 0)
+    calls.clear()
+    ver.jacobi_zero_sum_scan(3, 1)
+    zero = (0, 0, 0)
+    assert calls.pop((zero, zero)) == 3 and set(calls.values()) == {1}
+
+
+def test_cocycle_scans_read_each_cochain_value_once(monkeypatch):
+    calls = _count_calls(monkeypatch, TwoCochain.value,
+                         lambda theta, a, b: (a, b),
+                         (TwoCochain, "value"))
+    for scan, box in (("cocycle_full_scan", 2), ("cocycle_zero_sum_scan", 3)):
+        getattr(ver, scan)(2, box)
+        assert set(calls.values()) == {1}, scan
+        calls.clear()
+    # the input scan keeps one memo across its lattice sums
+    theta = TwoCochain(2, 1, None, {((1, 0), (0, 1)): ONE})
+    suite_cocycle(2, 2, seed=0, theta_input=theta)
+    assert set(calls.values()) == {1}
 
 
 def _rotation_orbit_loop(triples, residual):
