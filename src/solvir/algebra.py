@@ -358,9 +358,24 @@ def _basis_bracket_terms(ka, kb):
 
 def bracket_is_skew(ka, kb) -> bool:
     """Whether the table's [E(ka), E(kb)] is the termwise negative of
-    [E(kb), E(ka)]; reads the module's _basis_bracket_terms at call time."""
-    return _basis_bracket_terms(ka, kb) == {
-        key: -c for key, c in _basis_bracket_terms(kb, ka).items()}
+    [E(kb), E(ka)]; reads the module's _basis_bracket_terms at call time.
+
+    Scalars are canonical and negation keeps forms and denominator, so the
+    orientations are compared key by key on forms, denominator and negated
+    int coefficients, building nothing."""
+    fwd, rev = _basis_bracket_terms(ka, kb), _basis_bracket_terms(kb, ka)
+    if fwd.keys() != rev.keys():
+        return False
+    for key, a in fwd.items():
+        b = rev[key]
+        p, q = a.num, b.num
+        if a.forms != b.forms or p.d != q.d or len(p.t) != len(q.t):
+            return False
+        get = q.t.get
+        for m, c in p.t.items():
+            if get(m) != -c:
+                return False
+    return True
 
 
 def _bracket_into(out, x, y):

@@ -416,9 +416,12 @@ def poly_sum_of_products(pairs):
     get = terms.get
     for p, q in pairs:
         f = d // (p.d * q.d)
-        for m2, c2 in q.t.items():
+        t1, t2 = p.t, q.t
+        if len(t1) < len(t2):
+            t1, t2 = t2, t1  # the larger factor in the inner loop
+        for m2, c2 in t2.items():
             c2 *= f
-            for m1, c1 in p.t.items():
+            for m1, c1 in t1.items():
                 m = m1 + m2
                 terms[m] = get(m, 0) + c1 * c2
     terms = {m: c for m, c in terms.items() if c}

@@ -119,9 +119,12 @@ def scan_triples(pts, total, residual, tag) -> ScanResult:
     nonzero residual, in increasing order; ValueError unless pts is sorted
     without repeats.
 
-    residual, a cyclic sum, is alternating on a multiset a <= b <= k whose
+    residual, a cyclic sum, is alternating on a multiset a < b < k whose
     pairs pass bracket_is_skew (memoized per scan): there it is evaluated at
     the sorted triple only, elsewhere at each rotation class's least triple.
+    A multiset with a repeated point has one rotation class, holding every
+    permutation, so its sorted triple is evaluated whatever the table says,
+    and the skew test is asked only about points of distinct triples.
     Up to ORBIT_SAMPLE others, drawn by random.Random(tag), are re-checked
     through residual; a disagreement raises RuntimeError.
     """
@@ -133,7 +136,7 @@ def scan_triples(pts, total, residual, tag) -> ScanResult:
     def rep(t):
         """The evaluated triple that vouches for t."""
         a, b, k = s = tuple(sorted(t))
-        if skew(a, b) and skew(a, k) and skew(b, k):
+        if a == b or b == k or (skew(a, b) and skew(a, k) and skew(b, k)):
             return s
         return min(t, t[1:] + t[:1], t[2:] + t[:2])
 
@@ -141,9 +144,14 @@ def scan_triples(pts, total, residual, tag) -> ScanResult:
     count = evaluated = 0
     for s in sorted_triples(pts, total):
         a, b, k = s
-        count += 6 if a < b < k else 1 if a == k else 3
-        r = rep((a, k, b))  # s unless a < b < k off skew pairs
-        for t in (s,) if r == s else (s, r):
+        if a < b < k:
+            count += 6
+            # a is least, so (a, k, b) leads the other rotation class
+            ts = (s,) if skew(a, b) and skew(a, k) and skew(b, k) else (s, (a, k, b))
+        else:
+            count += 1 if a == k else 3
+            ts = (s,)
+        for t in ts:
             evaluated += 1
             if residual(*t):
                 failed.add(t)

@@ -416,6 +416,21 @@ def test_poly_sum_of_products_edges():
     assert poly_sum_of_products([(big, x), (half, x)]) == x ** MAX_EXPONENT + half * x
 
 
+def test_poly_sum_of_products_either_factor_larger():
+    """Pairs of unequal length in both orders, the longer with d = 12, as in
+    the zero-sum central sums (linear form times eta0), equal the fold."""
+    x = mu_poly((1, 2, -1))
+    eta = (x * x * x - x).scale(Fraction(1, 12))
+    lin, lin2 = mu_poly((0, 1, 3)), mu_poly((2, 0, -1))
+    assert len(eta.t) > len(lin.t) and eta.d == 12 and lin.d == 1
+    for pairs in ([(lin, eta)], [(eta, lin)], [(lin, eta), (eta, lin2)],
+                  [(eta, lin), (-lin, eta)], [(lin2, eta), (lin, lin), (eta, eta)]):
+        got = poly_sum_of_products(pairs)
+        fold = reduce(add, (p * q for p, q in pairs), Polynomial())
+        assert got == fold and hash(got) == hash(fold)
+        assert_canonical(got)
+
+
 def test_exact_div_by_a_constant_matches_reference():
     rng = random.Random(2602)
     constants = [Fraction(c) for c in (3, -2, Fraction(1, 6), Fraction(-5, 4), 1, -1)]

@@ -16,7 +16,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from solvir.algebra import CENTRAL, AlgebraElement, vir_bracket  # noqa: E402
+from solvir.algebra import CENTRAL, AlgebraElement, bracket_is_skew, vir_bracket  # noqa: E402
 from solvir.cli import main  # noqa: E402
 from solvir.errors import DenominatorVanishesError  # noqa: E402
 from solvir.scalars import (  # noqa: E402
@@ -150,6 +150,20 @@ def test_bracket_is_bilinear(xs, q):
     assert vir_bracket(x + x2, y) == vir_bracket(x, y) + vir_bracket(x2, y)
     assert vir_bracket(y, x + x2) == vir_bracket(y, x) + vir_bracket(y, x2)
     assert vir_bracket(x.scale(q), y) == vir_bracket(x, y).scale(q)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[algebra_elements(n)] * 2)))
+def test_bracket_is_antisymmetric(xs):
+    x, y = xs
+    assert vir_bracket(x, y) == -vir_bracket(y, x)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[st.integers(-4, 4)] * n)] * 2)))
+def test_basis_bracket_table_is_skew(pq):
+    assert bracket_is_skew(*pq)
 
 
 # cochain files: the records to_records writes, valid or with one field,

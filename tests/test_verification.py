@@ -28,7 +28,7 @@ from solvir.algebra import (
     vadd,
 )
 from solvir.cocycle import TwoCochain, canonical_cochain, cocycle_residual
-from solvir.scalars import ONE, ZERO, Scalar
+from solvir.scalars import ONE, ZERO, Polynomial, Scalar
 from solvir.verification import run_suite, scan_triples, suite_cocycle, suite_jacobi
 
 
@@ -258,17 +258,95 @@ def test_non_cyclic_residual_fails_cross_check_on_rotation_fallback(squared_brac
         scan_triples(pts, None, not_cyclic, "test")
 
 
-@pytest.mark.parametrize("bracket, skew_off_diagonal", [
-    (None, True),
-    ("squared_bracket", False),
-    ("wrong_bracket", True),   # its quintic center is skew, not a cocycle
+def _cube_witt(terms, ka, kb):
+    """The Witt coefficient cubed: skew, but not a Lie bracket."""
+    return {key: base if key == CENTRAL else base ** 3 for key, base in terms.items()}
+
+
+# [E(P), E(Q)] = (mu2 - mu1) E(1, 1): content 1 and no central term
+P, Q = (1, 0), (0, 1)
+# changes to [E(P), E(Q)] alone, each leaving its two orientations apart
+# in one thing only
+ONE_DIFFERENCE = {
+    "denominator": lambda terms: {key: c * Scalar.from_rational(Fraction(1, 2))
+                                  for key, c in terms.items()},
+    "forms": lambda terms: {key: c.div_form(P) for key, c in terms.items()},
+    "extra_key": lambda terms: {**terms, CENTRAL: ONE},
+}
+
+
+def _everywhere(p, q):
+    return True
+
+
+# the first three keep the ids they had as (bracket, skew off the diagonal)
+@pytest.mark.parametrize("table, skew", [
+    pytest.param(None, _everywhere, id="None-True"),
+    pytest.param("squared_bracket", lambda p, q: p == q, id="squared_bracket-False"),
+    # its quintic center is skew, not a cocycle
+    pytest.param("wrong_bracket", _everywhere, id="wrong_bracket-True"),
+    pytest.param("cubed_witt", _everywhere, id="cubed_witt"),
+    *(pytest.param(name, lambda p, q: {p, q} != {P, Q}, id=name)
+      for name in ONE_DIFFERENCE),
 ])
-def test_skew_check_reads_the_table(request, bracket, skew_off_diagonal):
-    if bracket:
-        request.getfixturevalue(bracket)
+def test_skew_check_reads_the_table(request, patch_bracket, table, skew):
+    if table in ONE_DIFFERENCE:
+        change = ONE_DIFFERENCE[table]
+        patch_bracket(lambda terms, ka, kb: change(terms) if (ka, kb) == (P, Q) else terms)
+        fwd, rev = algebra._basis_bracket_terms(P, Q), algebra._basis_bracket_terms(Q, P)
+        [(key, b)] = rev.items()
+        a = fwd[key]
+        assert a.num.t == {m: -c for m, c in b.num.t.items()}
+        differs = {"denominator": a.num.d != b.num.d, "forms": a.forms != b.forms,
+                   "extra_key": fwd.keys() != rev.keys()}
+        assert [name for name, differ in differs.items() if differ] == [table]
+    elif table == "cubed_witt":
+        patch_bracket(_cube_witt)
+    elif table:
+        request.getfixturevalue(table)
     pts = box_points(2, 2)
-    assert all(bracket_is_skew(p, q) == (p == q or skew_off_diagonal)
-               for p in pts for q in pts)
+    assert all(bracket_is_skew(p, q) == skew(p, q) for p in pts for q in pts)
+
+
+def test_skew_check_negates_nothing(monkeypatch):
+    pts = box_points(2, 2)
+    for p in pts:
+        for q in pts:
+            bracket_is_skew(p, q)  # fills the table
+    calls = Counter()
+    for cls in (Scalar, Polynomial):
+        def counted(x, neg=cls.__neg__, name=cls.__name__):
+            calls[name] += 1
+            return neg(x)
+        monkeypatch.setattr(cls, "__neg__", counted)
+    assert -ONE == Scalar.from_rational(-1) and calls == {"Scalar": 1, "Polynomial": 1}
+    calls.clear()
+    assert all(bracket_is_skew(p, q) for p in pts for q in pts)
+    assert not calls
+
+
+@pytest.mark.parametrize("scan, n, box, zero_sum", [
+    ("jacobi_full_scan", 1, 2, False),
+    ("jacobi_zero_sum_scan", 2, 1, True),
+])
+def test_scans_ask_skew_only_of_distinct_triples(monkeypatch, scan, n, box, zero_sum):
+    """A repeated point makes one rotation class, so only the pairs of three
+    distinct points decide anything, and only they are asked about."""
+    asked = Counter()
+
+    def skew(p, q):
+        asked[p, q] += 1
+        return bracket_is_skew(p, q)
+    monkeypatch.setattr(ver, "bracket_is_skew", skew)
+    getattr(ver, scan)(n, box)
+    pts = box_points(n, box)
+
+    def third_points(p, q):
+        if not zero_sum:
+            return set(pts) - {p, q}
+        return {tuple(-x - y for x, y in zip(p, q))} & set(pts) - {p, q}
+    assert asked and set(asked.values()) == {1}  # memoized per scan
+    assert all(p < q and third_points(p, q) for p, q in asked)
 
 
 def _seeded_triples(rng, n, box, zero_sum, count=12):
@@ -295,8 +373,7 @@ def test_residuals_alternate_on_box_triples(patch_bracket, cubed, n, box, zero_s
     under any skew bracket: here the true one and one whose Witt
     coefficient is cubed, skew but not a Lie bracket."""
     if cubed:
-        patch_bracket(lambda terms, ka, kb: {
-            key: base if key == CENTRAL else base ** 3 for key, base in terms.items()})
+        patch_bracket(_cube_witt)
     rng = random.Random(f"{n}:{box}:{zero_sum}")
     triples = [tuple(sorted(t)) for t in _seeded_triples(rng, n, box, zero_sum)]
     # a cochain that is no cocycle: C0 plus values at every pair the
