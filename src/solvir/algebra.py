@@ -96,20 +96,6 @@ def box_points(n: int, radius: int):
     return list(product(range(-radius, radius + 1), repeat=n))
 
 
-def triples_with_sum(pts, total):
-    """Triples (alpha, beta, kappa) of points of pts with sum total.
-
-    alpha runs over pts in order, then beta; kappa is determined.
-    """
-    idx = set(pts)
-    for alpha in pts:
-        rest = vsub(total, alpha)
-        for beta in pts:
-            kappa = vsub(rest, beta)
-            if kappa in idx:
-                yield alpha, beta, kappa
-
-
 def sorted_triples(pts, total):
     """The triples a <= b <= k of points of the sorted pts, of sum total
     unless it is None, in increasing order.  Each point is an object of pts,

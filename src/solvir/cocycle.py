@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from functools import cache
+from itertools import permutations
 
 from .algebra import (
     CENTRAL,
@@ -40,7 +41,7 @@ from .algebra import (
     box_points,
     cubic_odd_fit,
     point_str,
-    triples_with_sum,
+    sorted_triples,
     vadd,
     vneg,
     vsub,
@@ -53,7 +54,6 @@ from .errors import (
     ParseError,
     RankMismatchError,
 )
-from .linalg import RationalEchelon
 from .scalars import ONE, ZERO, Scalar, parse_scalar, sum_of_products
 
 
@@ -468,6 +468,8 @@ def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
     there, and both solutions are then checked against every row kept.  The
     quotient dimension is the kernel dimension minus the coboundary one.
     """
+    from .linalg import RationalEchelon
+
     if box < 2:
         raise BoxTooSmallError("h2_rank_experiment needs box >= 2")
     ks = range(1, degree_bound + 1, 2)
@@ -485,7 +487,10 @@ def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
                 extra[g, vneg(g)] = power
     cochains = [TwoCochain(n, extra=extra) for extra in extras]
     ech = RationalEchelon(len(ks))
-    for alpha, beta, kappa in triples_with_sum(pts, zero):
+    # every ordered zero-sum triple: the distinct orderings of each multiset
+    triples = (t for s in sorted_triples(pts, zero)
+               for t in dict.fromkeys(permutations(s)))
+    for alpha, beta, kappa in triples:
         per_mon = {}
         for j, theta in enumerate(cochains):
             # no denominator form arises, so num is the whole residual

@@ -12,9 +12,11 @@ and a lies in the lattice Gamma_mu = {mu.gamma}; in the exceptional cases
 module T(0,0) contains the invariant line through v_0 and T(0,1) contains
 the codimension-one submodule spanned by {v_s : s != 0}.
 
-Lattice membership of a is decided structurally, never numerically: a formal
-parameter is generic, a declared lattice tag mu.gamma is a member, and a
-rational constant is a member exactly when it is zero.
+Lattice membership of a is read from a itself, never numerically: a lies in
+Gamma_mu exactly when it is an integer linear form in mu_1..mu_n with no
+constant term, no other indeterminate and no denominator form, so a formal
+parameter is generic and a rational constant is a member exactly when it is
+zero.
 """
 
 from __future__ import annotations
@@ -43,19 +45,8 @@ from .errors import RankMismatchError, WrongCaseError
 from .scalars import A, B, ONE, ZERO, Scalar
 
 
-class DensityParams(namedtuple("DensityParams", "n a b a_lattice_tag")):
-    """Parameters (a, b); a may carry a lattice tag declaring a = mu.gamma."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, a: Scalar, b: Scalar, a_lattice_tag=None):
-        if a_lattice_tag is not None:
-            a_lattice_tag = tuple(a_lattice_tag)
-            if len(a_lattice_tag) != n:
-                raise RankMismatchError(f"tag {a_lattice_tag} in rank-{n} params")
-            if _mu_scalar(a_lattice_tag) != a:
-                raise ValueError("lattice tag does not match the a parameter")
-        return super().__new__(cls, n, a, b, a_lattice_tag)
+DensityParams = namedtuple("DensityParams", "n a b")
+DensityParams.__doc__ = """Rank n and the Scalars (a, b) of T_mu(a, b)."""
 
 
 def formal_params(n: int) -> DensityParams:
@@ -63,9 +54,11 @@ def formal_params(n: int) -> DensityParams:
 
 
 def lattice_params(n: int, gamma, b) -> DensityParams:
+    """T_mu(mu.gamma, b)."""
     gamma = tuple(gamma)
-    b = as_scalar(b)
-    return DensityParams(n, _mu_scalar(gamma), b, gamma)
+    if len(gamma) != n:
+        raise RankMismatchError(f"lattice point {gamma} in rank-{n} params")
+    return DensityParams(n, _mu_scalar(gamma), as_scalar(b))
 
 
 class DensityVector(Combination):
@@ -137,24 +130,30 @@ REDUCIBLE_CODIM_ONE = "reducible_codim_one"
 Classification = namedtuple("Classification", "case witness")
 
 
-def _lattice_membership(p: DensityParams):
-    """(member?, shift gamma) decided from the declared shape of a."""
-    if p.a_lattice_tag is not None:
-        return True, p.a_lattice_tag
-    if p.a.as_rational() == 0:
-        return True, (0,) * p.n
-    return False, None
+def _lattice_point(p: DensityParams):
+    """gamma with a = mu.gamma, or None when a is not in Gamma_mu."""
+    a = p.a
+    if a.forms or a.num.d != 1:
+        return None
+    gamma = [0] * p.n
+    for mon, coef in a.num.terms():
+        # a term c*mu_i: one indeterminate, of exponent 1, among mu_1..mu_n
+        if len(mon) != 1 or mon[0][1] != 1 or not 1 <= mon[0][0] <= p.n:
+            return None
+        gamma[mon[0][0] - 1] = coef
+    gamma = tuple(gamma)
+    return gamma if Scalar.mu_form(gamma) == a else None
 
 
 def classify_density(p: DensityParams) -> Classification:
     """Irreducibility trichotomy of T_mu(a, b)."""
-    member, gamma = _lattice_membership(p)
+    gamma = _lattice_point(p)
     b_val = None
     if p.b == ZERO:
         b_val = 0
     elif p.b == ONE:
         b_val = 1
-    if not member or b_val is None:
+    if gamma is None or b_val is None:
         return Classification(IRREDUCIBLE, None)
     case = REDUCIBLE_TRIVIAL_SUB if b_val == 0 else REDUCIBLE_CODIM_ONE
     return Classification(case, {"shift": list(gamma), "b": b_val})
@@ -166,8 +165,10 @@ SubmoduleReport = namedtuple("SubmoduleReport", "case box checks ok")
 def submodule_invariance_check(p: DensityParams, box: int) -> SubmoduleReport:
     """Certify the exceptional submodule structure inside a box.
 
-    Works on the shifted module with a = 0 (the shift isomorphism moves any
-    declared lattice value of a to zero).  For b = 0 the line through v_0 is
+    p must be an exceptional case, a = mu.gamma and b in {0, 1}, as
+    classify_density reads it from (a, b); WrongCaseError otherwise.  Works
+    on the shifted module with a = 0 (the shift isomorphism moves the
+    lattice value a = mu.gamma to zero).  For b = 0 the line through v_0 is
     invariant and each v_kappa, kappa != 0, reaches every basis vector of the
     box in one step with a symbolically nonzero coefficient.  For b = 1 the
     span of {v_s : s != 0} is invariant because the v_0 coefficient of

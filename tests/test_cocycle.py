@@ -500,6 +500,37 @@ def test_check_cocycle_on_box_matches_exhaustive_scan():
     assert seen == set(EXTRA_CASES)
 
 
+def test_extra_triples_cover_every_extra_read():
+    # check_cocycle_on_box evaluates only the triples _extra_triples lists;
+    # every box triple at which cocycle_residual reads a stored extra pair,
+    # recorded through its value hook, must be one of them.  A read of
+    # theta(x, y) at a triple of sum total has x + y = total, so only the
+    # sums of the extra pairs can hold one
+    seen = 0
+    for (n, box, _, _), seed in EXTRA_CASES.items():
+        _, theta = _cochain_with_extra(random.Random(seed), n, box)
+        pts = box_points(n, box)
+        idx = set(pts)
+        read = []
+
+        def value(x, y):
+            read.append((x, y) in theta.extra)
+            return ZERO
+
+        reads = set()
+        for total in {vadd(u, w) for u, w in theta.extra}:
+            for alpha, beta in itertools.product(pts, repeat=2):
+                kappa = vsub(total, vadd(alpha, beta))
+                if kappa in idx:
+                    read.clear()
+                    cocycle_residual(theta, alpha, beta, kappa, value=value)
+                    if any(read):
+                        reads.add((total, alpha, beta))
+        assert reads <= cocycle._extra_triples(theta, pts), (n, box)
+        seen += len(reads)
+    assert seen
+
+
 def _even_canonical(alpha, beta):
     """C0 with the even eta(t) = t^2, which fails the cocycle condition."""
     if any(a + b for a, b in zip(alpha, beta)):

@@ -26,7 +26,7 @@ from solvir.density import (
     parse_density_vector,
     submodule_invariance_check,
 )
-from solvir.errors import WrongCaseError
+from solvir.errors import RankMismatchError, WrongCaseError
 from solvir.scalars import A, B, ONE, ZERO, Scalar, mu_poly
 from solvir.verification import suite_density
 
@@ -159,10 +159,34 @@ def test_classify_invariant_under_lattice_shift():
 
 
 def test_untagged_lattice_polynomial_is_generic():
-    # membership is decided from declarations only; a bare mu.gamma value
-    # without a tag classifies as generic
-    p = DensityParams(2, mu((1, 1)), ZERO)
-    assert classify_density(p).case == IRREDUCIBLE
+    # membership is read from a itself: a bare mu.gamma value is a member
+    c = classify_density(DensityParams(2, mu((1, 1)), ZERO))
+    assert c.case == REDUCIBLE_TRIVIAL_SUB
+    assert c.witness == {"shift": [1, 1], "b": 0}
+
+
+@pytest.mark.parametrize("gamma", [(0, 0), (1, 0), (0, 1), (1, -2), (-3, 5)])
+@pytest.mark.parametrize("b, case", [(0, REDUCIBLE_TRIVIAL_SUB),
+                                     (1, REDUCIBLE_CODIM_ONE)])
+def test_lattice_values_of_a_are_reducible(gamma, b, case):
+    c = classify_density(DensityParams(2, mu(gamma), Scalar.from_rational(b)))
+    assert c == (case, {"shift": list(gamma), "b": b})
+    assert c == classify_density(lattice_params(2, gamma, b))
+
+
+@pytest.mark.parametrize("a", [
+    Scalar.from_rational(Fraction(1, 2)), mu((1, 0)) * Fraction(1, 2),
+    mu((1, 0)) + 1, mu((1, 0)) * mu((1, 0)), mu((0, 0, 1)), A, A + mu((1, 0)),
+    mu((1, 0)).div_form((0, 1)),
+], ids=["half", "mu1/2", "mu1+1", "mu1^2", "mu3", "a", "a+mu1", "mu1/mu2"])
+@pytest.mark.parametrize("b", [ZERO, ONE])
+def test_values_of_a_off_the_lattice_are_irreducible(a, b):
+    assert classify_density(DensityParams(2, a, b)) == (IRREDUCIBLE, None)
+
+
+def test_lattice_params_checks_the_rank():
+    with pytest.raises(RankMismatchError):
+        lattice_params(2, (1, 0, 0), 1)
 
 
 def test_submodule_check_trivial_sub():
@@ -175,6 +199,11 @@ def test_submodule_check_codim_one():
     report = submodule_invariance_check(lattice_params(2, (1, -1), 1), 3)
     assert report.ok
     assert dict(report.checks)["v0_coefficient_cancels"]
+
+
+def test_submodule_check_reads_an_untagged_lattice_value():
+    report = submodule_invariance_check(DensityParams(2, mu((1, -1)), ONE), 3)
+    assert report.ok and report.case == REDUCIBLE_CODIM_ONE
 
 
 def test_submodule_check_wrong_case():

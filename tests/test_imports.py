@@ -112,17 +112,22 @@ def test_bracket_command_loads_only_its_layers():
 
 
 @pytest.mark.parametrize("argv, layers", [
-    (["jacobi", "--box", "1"], {"algebra", "errors", "scalars"}),
-    (["verma"], {"algebra", "errors", "scalars", "verma"}),
-], ids=["jacobi", "verma"])
+    (["verify", "jacobi", "--box", "1", "--seed", "3"],
+     {"algebra", "errors", "scalars", "verification"}),
+    (["verify", "verma", "--seed", "3"],
+     {"algebra", "errors", "scalars", "verification", "verma"}),
+    (["normalize", "--input", str(TESTS / "golden" / "theta_normalize.json"),
+      "--box", "2"], {"algebra", "cocycle", "errors", "scalars"}),
+], ids=["jacobi", "verma", "normalize"])
 def test_verify_suite_loads_only_its_layers(argv, layers):
     """verification imports each suite's layers inside that suite, and the
-    Jacobi scans read algebra.sorted_triples, not cocycle."""
+    Jacobi scans read algebra.sorted_triples, not cocycle; cocycle imports
+    linalg only inside h2_rank_experiment, so normalize leaves it out."""
     loaded = _child_modules(
         "import os, solvir.cli\n"
-        f"solvir.cli.main(['verify', *{argv!r}, '--seed', '3', '--out', os.devnull])")
-    assert set(loaded) == {"solvir", "solvir.cli", "solvir.verification",
-                           "fractions"} | {"solvir." + m for m in layers}
+        f"solvir.cli.main([*{argv!r}, '--out', os.devnull])")
+    assert set(loaded) == {"solvir", "solvir.cli", "fractions"} | {
+        "solvir." + m for m in layers}
 
 
 def test_namespace_table_names_each_submodule_object():

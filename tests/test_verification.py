@@ -24,7 +24,6 @@ from solvir.algebra import (
     box_points,
     bracket_is_skew,
     jacobi_residual,
-    triples_with_sum,
     vadd,
 )
 from solvir.cocycle import TwoCochain, canonical_cochain, cocycle_residual
@@ -41,10 +40,20 @@ def _honest(triples, residual):
     return count, failures
 
 
+def _triples_with_sum(pts, total):
+    """Every (alpha, beta, kappa) of pts with sum total, alpha running over
+    pts in order, then beta."""
+    idx = set(pts)
+    for alpha, beta in itertools.product(pts, repeat=2):
+        kappa = tuple(t - a - b for t, a, b in zip(total, alpha, beta))
+        if kappa in idx:
+            yield alpha, beta, kappa
+
+
 def _box_triples(n, box, zero_sum):
     pts = box_points(n, box)
     if zero_sum:
-        return triples_with_sum(pts, (0,) * n)
+        return _triples_with_sum(pts, (0,) * n)
     return itertools.product(pts, repeat=3)
 
 
@@ -414,7 +423,7 @@ def test_input_file_scan_matches_honest_loop():
         theta = TwoCochain(n, Fraction(1, 2), None, extra)
         count, first = 0, None
         for total in sorted(theta.pair_sum_support() | {(0,) * n}):
-            c, failures = _honest(triples_with_sum(pts, total),
+            c, failures = _honest(_triples_with_sum(pts, total),
                                   lambda a, b, k: cocycle_residual(theta, a, b, k))
             count += c
             if first is None and failures:
