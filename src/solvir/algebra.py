@@ -327,18 +327,19 @@ class SolenoidalAlgebra:
 
 @lru_cache(maxsize=120_000)
 def _basis_bracket_terms(ka, kb):
-    """Bracket of two basis symbols as a terms dict; cached for scan reuse."""
-    out = {}
+    """Bracket of two basis symbols as a tuple of (key, Scalar) pairs, no
+    coefficient zero: the E(ka + kb) pair first, the CENTRAL pair last and
+    only at ka + kb = 0.  Cached for scan reuse and shared by every reader,
+    so it is immutable."""
     total = vadd(ka, kb)
     w = _mu_scalar(vsub(kb, ka))
-    if w:
-        out[total] = w
+    out = ((total, w),) if w else ()
     if not any(total):
         # skew: one eta0 per {alpha, -alpha}, at its lex-positive point;
         # kb = -ka, so ka is lex-positive exactly when ka > kb
         cterm = eta0(ka) if ka > kb else -eta0(kb)
         if cterm:
-            out[CENTRAL] = cterm
+            out += ((CENTRAL, cterm),)
     return out
 
 
@@ -347,15 +348,15 @@ def bracket_is_skew(ka, kb) -> bool:
     [E(kb), E(ka)]; reads the module's _basis_bracket_terms at call time.
 
     Scalars are canonical and negation keeps forms and denominator, so the
-    orientations are compared key by key on forms, denominator and negated
-    int coefficients, building nothing."""
+    orientations are compared pair by pair, in table order, on keys, forms,
+    denominator and negated int coefficients, building nothing."""
     fwd, rev = _basis_bracket_terms(ka, kb), _basis_bracket_terms(kb, ka)
-    if fwd.keys() != rev.keys():
+    if len(fwd) != len(rev):
         return False
-    for key, a in fwd.items():
-        b = rev[key]
+    for (key, a), (rkey, b) in zip(fwd, rev):
         p, q = a.num, b.num
-        if a.forms != b.forms or p.d != q.d or len(p.t) != len(q.t):
+        if (key != rkey or a.forms != b.forms or p.d != q.d
+                or len(p.t) != len(q.t)):
             return False
         get = q.t.get
         for m, c in p.t.items():
@@ -375,7 +376,7 @@ def _bracket_into(out, x, y):
             if kb == CENTRAL:
                 continue
             coef = ca * cb
-            for key, base in _basis_bracket_terms(ka, kb).items():
+            for key, base in _basis_bracket_terms(ka, kb):
                 pairs = out.get(key)
                 if pairs is None:
                     out[key] = [(coef, base)]

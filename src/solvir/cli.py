@@ -404,8 +404,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_negative_values(argv))
     try:
         return args.func(args)
-    except (ValueError, OverflowError, ParseError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BoxTooSmallError as exc:

@@ -59,7 +59,10 @@ from .scalars import ONE, ZERO, Scalar, parse_scalar, sum_of_products
 
 def canonical_cocycle(alpha, beta) -> Scalar:
     """C0(alpha, beta), the coefficient of c in the bracket [e_alpha, e_beta]."""
-    return _basis_bracket_terms(alpha, beta).get(CENTRAL, ZERO)
+    terms = _basis_bracket_terms(alpha, beta)
+    if terms and terms[-1][0] == CENTRAL:
+        return terms[-1][1]
+    return ZERO
 
 
 def _record_items(records, width: int, field: str):
@@ -152,7 +155,7 @@ class TwoCochain:
         if c0:
             out = out + self.canonical_multiple * c0
         if self.cob.terms:
-            for key, w in _basis_bracket_terms(alpha, beta).items():
+            for key, w in _basis_bracket_terms(alpha, beta):
                 f = self.cob.terms.get(key)
                 if f is not None:
                     out = out + w * f
@@ -230,7 +233,7 @@ def cocycle_residual(theta: TwoCochain, alpha, beta, kappa, value=None) -> Scala
     pairs = []
     for x, y, z in ((alpha, kappa, beta), (beta, alpha, kappa), (kappa, beta, alpha)):
         # theta is a cochain on the Witt part: the c term of [e_y, e_z] drops
-        for key, w in _basis_bracket_terms(y, z).items():
+        for key, w in _basis_bracket_terms(y, z):
             if key != CENTRAL:
                 val = value(x, key)
                 if val:

@@ -175,9 +175,10 @@ def straighten(alpha, word, base, ceiling, act, c, memo):
 
         E(alpha) E(top) rest = E(top) E(alpha) rest + [E(alpha), E(top)] rest,
 
-    with the bracket taken from algebra._basis_bracket_terms and C acting by
-    the scalar c.  Each swap either lowers the inversions at fixed length or
-    merges two generators into one, so the rewriting terminates.
+    with the bracket read as (key, Scalar) pairs from
+    algebra._basis_bracket_terms and C acting by the scalar c.  Each swap
+    either lowers the inversions at fixed length or merges two generators
+    into one, so the rewriting terminates.
 
     memo maps (alpha, word, base) to the rewritings already made; it is valid
     for one (ceiling, act, c), that is for one module, and act_on_words keeps
@@ -199,7 +200,7 @@ def straighten(alpha, word, base, ceiling, act, c, memo):
     for (w2, b2), c2 in straighten(alpha, rest, base, ceiling, act, c, memo).items():
         for key, c3 in straighten(top, w2, b2, ceiling, act, c, memo).items():
             _acc(out, key, c2 * c3)
-    for merged, bracket in _basis_bracket_terms(alpha, top).items():
+    for merged, bracket in _basis_bracket_terms(alpha, top):
         if merged == CENTRAL:
             _acc(out, (rest, base), bracket * c)
             continue

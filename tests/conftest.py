@@ -38,13 +38,15 @@ def fresh_identities():
 
 @pytest.fixture
 def patch_bracket(fresh_identities, monkeypatch):
-    """patch(wrong) makes the basis bracket wrong(terms, ka, kb) of a copy of
-    the true terms, in algebra, cocycle and verma, the modules that read it."""
+    """patch(wrong) makes the basis bracket wrong(terms, ka, kb) of a dict
+    copy of the true terms, in algebra, cocycle and verma, the modules that
+    read it; the dict goes back to the table's tuple of (key, Scalar) pairs
+    in its own order, so a CENTRAL key the rule adds comes last."""
     right = algebra._basis_bracket_terms
 
     def patch(wrong):
         def terms(ka, kb):
-            return wrong(dict(right(ka, kb)), ka, kb)
+            return tuple(wrong(dict(right(ka, kb)), ka, kb).items())
 
         for module in (algebra, cocycle, verma):
             monkeypatch.setattr(module, "_basis_bracket_terms", terms)

@@ -27,7 +27,7 @@ from solvir.algebra import (
     witt_bracket,
     witt_jacobi_symbolic_identity,
 )
-from solvir.cocycle import OneCochain
+from solvir.cocycle import OneCochain, canonical_cocycle
 from solvir.density import DensityVector
 from solvir.errors import (
     AxisOutOfRangeError,
@@ -123,14 +123,32 @@ def test_jacobi_identity_reads_a_wrong_bracket(fresh_identities, monkeypatch):
     right = algebra._basis_bracket_terms
 
     def squared(ka, kb):
-        out = dict(right(ka, kb))
         key = vadd(ka, kb)
-        if key in out:
-            out[key] = out[key] ** 2
-        return out
+        return tuple((k, w ** 2 if k == key else w) for k, w in right(ka, kb))
 
     monkeypatch.setattr(algebra, "_basis_bracket_terms", squared)
     assert witt_jacobi_symbolic_identity() is False
+
+
+def test_basis_bracket_table_shape():
+    # canonical_cocycle reads the last pair and bracket_is_skew compares the
+    # orientations in table order, so the order is part of the table's contract
+    pts = box_points(2, 2)
+    for ka in pts:
+        for kb in pts:
+            value = algebra._basis_bracket_terms(ka, kb)
+            assert type(value) is tuple
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in value)
+            assert all(isinstance(w, Scalar) and w for _, w in value)
+            keys = [key for key, _ in value]
+            assert [key for key in keys if key != CENTRAL] in ([], [vadd(ka, kb)])
+            if any(vadd(ka, kb)):
+                assert CENTRAL not in keys
+            assert CENTRAL not in keys[:-1]
+            central = value[-1][1] if keys and keys[-1] == CENTRAL else ZERO
+            assert canonical_cocycle(ka, kb) == central
+            assert dict(value) == vir_bracket(basis_element(2, ka),
+                                              basis_element(2, kb)).terms
 
 
 def test_jacobi_randomized_general_elements():
