@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations_with_replacement, product
 from operator import add, sub
+from random import Random
 
 from .errors import (
     AxisOutOfRangeError,
@@ -113,6 +114,28 @@ def sorted_triples(pts, total):
                 break
             if k in idx:
                 yield a, b, idx[k]
+
+
+# the triples each seeded re-check evaluates at most
+SAMPLE = 16
+
+
+def sample_triples(pts, totals, skip, tag):
+    """Up to SAMPLE triples (a, b, k) of pts, not skip(total, (a, b, k)), in at
+    most 8 * SAMPLE draws of Random(tag): a sum total from the list totals,
+    a and b from pts, and k = total - a - b, lost unless in pts.  When totals
+    is None, total is None and k is drawn from pts; empty totals draw nothing.
+    """
+    idx, rng, drawn = set(pts), Random(tag), 0
+    for _ in range(0 if totals == [] else 8 * SAMPLE):
+        if drawn == SAMPLE:
+            return
+        total = None if totals is None else rng.choice(totals)
+        a, b = rng.choice(pts), rng.choice(pts)
+        k = rng.choice(pts) if total is None else vsub(vsub(total, a), b)
+        if k in idx and not skip(total, (a, b, k)):
+            drawn += 1
+            yield a, b, k
 
 
 def check_pairs(count: int, what: str):

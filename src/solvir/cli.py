@@ -37,6 +37,11 @@ class RunConfig:
 
     def validate(self):
         check_rank(self.n)
+        unknown = sorted(set(self.spec) - {"a", "b", "lambda", "c"}
+                         - {f"mu{i}" for i in range(1, self.n + 1)})
+        if unknown:
+            raise ValueError(f"specialization key {unknown[0]!r} is not one "
+                             f"of mu1 to mu{self.n}, a, b, lambda, c")
         if self.box < 1 or any(b < 1 for b in self.boxes):
             raise ValueError("box radii must be >= 1")
         if self.jobs < 1:
@@ -187,7 +192,7 @@ def read_cochain(path: str, cfg: RunConfig):
 
 
 def cmd_verify(args) -> int:
-    from .verification import SUITE_KEYS, run_suite
+    from .verification import SUITE_KEYS, run_suite, suite_cocycle_input
 
     cfg = build_config(args)
     if args.input and args.suite != "cocycle":
@@ -196,10 +201,11 @@ def cmd_verify(args) -> int:
     for key in sorted(cfg.given - SUITE_KEYS[suite] - {"out", "jobs"}):
         print(f"warning: --{key} (or config key {key!r}) does not apply to "
               f"verify {suite}; the report echoes it unused", file=sys.stderr)
-    theta_input = read_cochain(args.input, cfg) if args.input else None
-    checks = run_suite(args.suite, cfg.n, cfg.box, cfg.seed,
-                       boxes=cfg.boxes or None, spec=cfg.spec,
-                       theta_input=theta_input)
+    if args.input:
+        checks = suite_cocycle_input(read_cochain(args.input, cfg), cfg.box)
+    else:
+        checks = run_suite(args.suite, cfg.n, cfg.box, cfg.seed,
+                           boxes=cfg.boxes or None, spec=cfg.spec)
     checks.sort(key=lambda c: c["id"])
     failed = [c for c in checks if c["status"] != "pass"]
     report = {

@@ -25,10 +25,9 @@ coboundaries.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from functools import cache
-from itertools import permutations
+from itertools import chain, permutations
 
 from .algebra import (
     CENTRAL,
@@ -41,6 +40,7 @@ from .algebra import (
     box_points,
     cubic_odd_fit,
     point_str,
+    sample_triples,
     sorted_triples,
     vadd,
     vneg,
@@ -270,10 +270,6 @@ def coboundary_cocycle_identity() -> bool:
     return not cocycle_residual(coboundary(f), *GENERIC_TRIPLE)
 
 
-# skipped triples re-checked through cocycle_residual per check_cocycle_on_box
-SAMPLE_SIZE = 16
-
-
 def _extra_triples(theta: TwoCochain, pts):
     """(total, alpha, beta) of box triples where a residual term reads extra.
 
@@ -306,36 +302,22 @@ def check_cocycle_on_box(theta: TwoCochain, box: int):
     cocycle_residual, in the order of the exhaustive scan: by total in sorted
     pair-sum support, then alpha, then beta in box_points order, which is lex
     order.  So the first failing triple and its residual are those the
-    exhaustive scan finds.  A seeded sample of SAMPLE_SIZE skipped triples
-    with total in the pair-sum support goes through cocycle_residual too, a
-    cross-check of TwoCochain.value against the two identities.
+    exhaustive scan finds.  Skipped triples with total in the pair-sum
+    support, drawn by algebra.sample_triples, go through cocycle_residual
+    too, a cross-check of TwoCochain.value against the two identities.
     """
     if not (canonical_cocycle_identity() and coboundary_cocycle_identity()):
         raise RuntimeError("a cocycle identity failed its symbolic expansion")
     pts = box_points(theta.n, box)
     touched = _extra_triples(theta, pts)
-    for total, alpha, beta in sorted(touched):
-        kappa = vsub(total, vadd(alpha, beta))
-        res = cocycle_residual(theta, alpha, beta, kappa)
+    sample = sample_triples(pts, sorted(theta.pair_sum_support()),
+                            lambda total, t: (total, t[0], t[1]) in touched,
+                            f"{theta.n}:{box}")
+    for triple in chain(((alpha, beta, vsub(total, vadd(alpha, beta)))
+                         for total, alpha, beta in sorted(touched)), sample):
+        res = cocycle_residual(theta, *triple)
         if res:
-            raise NotACocycleError((alpha, beta, kappa), str(res))
-
-    idx = set(pts)
-    totals = sorted(theta.pair_sum_support())
-    rng = random.Random(f"{theta.n}:{box}")
-    drawn = 0
-    # a bounded number of draws: a draw whose kappa leaves the box is lost
-    for _ in range(4 * SAMPLE_SIZE if totals else 0):
-        total, alpha, beta = rng.choice(totals), rng.choice(pts), rng.choice(pts)
-        kappa = vsub(total, vadd(alpha, beta))
-        if kappa not in idx or (total, alpha, beta) in touched:
-            continue
-        res = cocycle_residual(theta, alpha, beta, kappa)
-        if res:
-            raise NotACocycleError((alpha, beta, kappa), str(res))
-        drawn += 1
-        if drawn == SAMPLE_SIZE:
-            break
+            raise NotACocycleError(triple, str(res))
 
 
 class EtaTable:

@@ -177,29 +177,25 @@ def submodule_invariance_check(p: DensityParams, box: int) -> SubmoduleReport:
     cls = classify_density(p)
     if cls.case == IRREDUCIBLE:
         raise WrongCaseError("parameters are not an exceptional case")
-    n = p.n
-    shifted = DensityParams(n, ZERO, p.b)
-    pts = box_points(n, box)
-    zero = (0,) * n
+    shifted = DensityParams(p.n, ZERO, p.b)
+    pts = box_points(p.n, box)
+    zero = (0,) * p.n
     nonzero = [kappa for kappa in pts if any(kappa)]
 
-    if cls.case == REDUCIBLE_TRIVIAL_SUB:
-        checks = [("invariant_line_v0", not any(
-            density_act(basis_element(n, alpha), basis_vector(n, zero), shifted)
-            for alpha in pts))]
-        reach_id, targets = "v_kappa_reaches_box", pts
-    else:
-        checks = [("v0_coefficient_cancels", not any(
-            density_act(basis_element(n, alpha), basis_vector(n, vneg(alpha)),
-                        shifted).coefficient(zero)
-            for alpha in nonzero))]
-        reach_id, targets = "codim_one_part_reaches_box", nonzero
-    checks.append((reach_id, all(
-        act_coefficient(vsub(target, kappa), kappa, shifted)
-        for kappa in nonzero for target in targets)))
+    def edge(kappa, target):
+        """E(target - kappa) . v_kappa has a nonzero v_target coefficient."""
+        return bool(act_coefficient(vsub(target, kappa), kappa, shifted))
 
-    ok = all(c for _, c in checks)
-    return SubmoduleReport(cls.case, box, checks, ok)
+    if cls.case == REDUCIBLE_TRIVIAL_SUB:
+        checks = [("invariant_line_v0", not any(edge(zero, t) for t in pts)),
+                  ("v_kappa_reaches_box",
+                   all(edge(k, t) for k in nonzero for t in pts))]
+    else:
+        checks = [("v0_coefficient_cancels",
+                   not any(edge(k, zero) for k in nonzero)),
+                  ("codim_one_part_reaches_box",
+                   all(edge(k, t) for k in nonzero for t in nonzero))]
+    return SubmoduleReport(cls.case, box, checks, all(c for _, c in checks))
 
 
 def duality_check(p: DensityParams, alpha, gamma) -> Scalar:

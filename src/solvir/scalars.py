@@ -223,6 +223,10 @@ class Polynomial:
         return self.d == other.d and self.t == other.t
 
     def __hash__(self):
+        # a constant equals its int or Fraction, so it hashes as one
+        value = self.as_rational()
+        if value is not None:
+            return hash(value)
         return hash((frozenset(self.t.items()), self.d))
 
     def __add__(self, other):
@@ -577,7 +581,8 @@ class Scalar:
         return self.forms == other.forms and self.num == other.num
 
     def __hash__(self):
-        return hash((frozenset(self.num.t.items()), self.num.d, self.forms))
+        # without forms, self equals its numerator, constants included
+        return hash((self.num, self.forms)) if self.forms else hash(self.num)
 
     def as_rational(self):
         """Fraction value when the scalar is a rational constant, else None."""

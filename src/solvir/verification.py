@@ -40,15 +40,17 @@ from .algebra import (
     check_pairs,
     euler_element,
     jacobi_residual,
+    sample_triples,
     sorted_triples,
     vir_bracket,
     vir_i_cocycle_coefficients,
-    vsub,
     witt_jacobi_symbolic_identity,
 )
 from .scalars import ONE, ZERO, Scalar
 
 FULL_SCAN_LIMIT = 200_000
+# the seeded trials of each randomized verma and gvm check
+MODULE_TRIALS = 25
 
 
 def check(check_id: str, ok: bool, **details) -> dict:
@@ -101,10 +103,6 @@ def _sampled_triples_check(check_id, rng, n, box, trials, residual):
 # --------------------------------------------------------------------------
 
 
-# triples beyond those evaluated that each scan re-checks
-ORBIT_SAMPLE = 16
-
-
 class ScanResult(tuple):
     """(count, failures) of a triple scan; .evaluated counts residual calls."""
 
@@ -125,8 +123,8 @@ def scan_triples(pts, total, residual, tag) -> ScanResult:
     A multiset with a repeated point has one rotation class, holding every
     permutation, so its sorted triple is evaluated whatever the table says,
     and the skew test is asked only about points of distinct triples.
-    Up to ORBIT_SAMPLE others, drawn by random.Random(tag), are re-checked
-    through residual; a disagreement raises RuntimeError.
+    Triples it did not evaluate, drawn by algebra.sample_triples from tag,
+    are re-checked through residual; a disagreement raises RuntimeError.
     """
     for p, q in zip(pts, pts[1:]):
         if q <= p:
@@ -157,19 +155,11 @@ def scan_triples(pts, total, residual, tag) -> ScanResult:
                 failed.add(t)
                 failures += {u for u in itertools.permutations(t) if rep(u) == t}
     failures.sort()
-    idx, rng, drawn = set(pts), random.Random(tag), 0
-    # bounded: a draw off the scanned set or at a representative is lost
-    for _ in range(8 * ORBIT_SAMPLE):
-        a, b = rng.choice(pts), rng.choice(pts)
-        t = (a, b, rng.choice(pts) if total is None else vsub(vsub(total, a), b))
-        if t[2] not in idx or t == (r := rep(t)):
-            continue
-        if bool(residual(*t)) != (r in failed):
+    for t in sample_triples(pts, None if total is None else [total],
+                            lambda _, t: t == rep(t), tag):
+        if bool(residual(*t)) != ((r := rep(t)) in failed):
             raise RuntimeError(f"residual at {t} differs from that at its "
                                f"rotation or permutation {r}")
-        drawn += 1
-        if drawn == ORBIT_SAMPLE:
-            break
     return ScanResult(count, [list(map(list, t)) for t in failures], evaluated)
 
 
@@ -274,17 +264,40 @@ def suite_jacobi(n: int, box: int, seed: int, trials: int = 60):
 # --------------------------------------------------------------------------
 
 
-def _random_cochain(rng, n, box, size=4):
+def _random_cochain(rng, n, box):
     from .cocycle import OneCochain
 
     return OneCochain(n, {_random_point(rng, n, box): Fraction(
-        rng.randint(-5, 5) or 1, rng.randint(1, 4)) for _ in range(size)})
+        rng.randint(-5, 5) or 1, rng.randint(1, 4)) for _ in range(4)})
+
+
+def suite_cocycle_input(theta, box: int):
+    """The check of theta, a cocycle.TwoCochain, by one scan per lattice sum
+    of its pair-sum support and 0, which hold every triple where its
+    residual can be nonzero."""
+    from .cocycle import cocycle_residual
+
+    n = theta.n
+    # permutations keep the lattice sum: one engine scan per sum
+    totals = sorted(theta.pair_sum_support() | {(0,) * n})
+    check_pairs(len(totals) * box_size(n, box) ** 2,
+                f"the rank-{n} input scan of radius {box}")
+    pts = box_points(n, box)
+    residual = partial(cocycle_residual, theta, value=cache(theta.value))
+    results = [scan_triples(pts, total, residual, f"input:{n}:{box}:{total}")
+               for total in totals]
+    failing = next((failures[0] for _, failures in results if failures), None)
+    return [check("cocycle/input_file_residual", failing is None,
+                  triples_checked=sum(r[0] for r in results),
+                  evaluated=sum(r.evaluated for r in results),
+                  method="permutation_orbit_enumeration",
+                  failing_triple=failing)]
 
 
 def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
-                  normalize_trials: int = 5, theta_input=None):
-    """The cocycle checks; with theta_input, a cocycle.TwoCochain, only the
-    scan of its residual."""
+                  normalize_trials: int = 5):
+    """The checks of the canonical cocycle, of coboundaries and of H^2 in the
+    rank-n box; suite_cocycle_input checks a given cochain."""
     from .cocycle import (
         canonical_cochain,
         canonical_cocycle,
@@ -300,24 +313,6 @@ def suite_cocycle(n: int, box: int, seed: int, trials: int = 60,
 
     rng = random.Random(seed)
     checks = []
-
-    if theta_input is not None:
-        # permutations keep the lattice sum: one engine scan per sum
-        totals = sorted(theta_input.pair_sum_support() | {(0,) * n})
-        check_pairs(len(totals) * box_size(n, box) ** 2,
-                    f"the rank-{n} input scan of radius {box}")
-        pts = box_points(n, box)
-        residual = partial(cocycle_residual, theta_input,
-                           value=cache(theta_input.value))
-        results = [scan_triples(pts, total, residual, f"input:{n}:{box}:{total}")
-                   for total in totals]
-        failing = next((failures[0] for _, failures in results if failures), None)
-        checks.append(check("cocycle/input_file_residual", failing is None,
-                            triples_checked=sum(r[0] for r in results),
-                            evaluated=sum(r.evaluated for r in results),
-                            method="permutation_orbit_enumeration",
-                            failing_triple=failing))
-        return checks
 
     total = box_size(n, box) ** 3
     if total <= FULL_SCAN_LIMIT:
@@ -473,9 +468,9 @@ def suite_density(n: int, box: int, seed: int, trials: int = 100,
 # --------------------------------------------------------------------------
 
 
-def _module_axiom_check(check_id, rng, trials, vectors, act):
-    """Seeded trials of x.(y.v) - y.(x.v) == [x, y].v for basis elements x, y
-    of radius 2 and v drawn from vectors, under act(x, v)."""
+def _module_axiom_check(check_id, rng, vectors, act):
+    """MODULE_TRIALS seeded trials of x.(y.v) - y.(x.v) == [x, y].v for
+    basis elements x, y of radius 2 and v drawn from vectors, under act(x, v)."""
     n = vectors[0].n
 
     def failing():
@@ -483,10 +478,10 @@ def _module_axiom_check(check_id, rng, trials, vectors, act):
         y = basis_element(n, _random_point(rng, n, 2))
         v = rng.choice(vectors)
         return act(x, act(y, v)) - act(y, act(x, v)) != act(vir_bracket(x, y), v)
-    return _trials_check(check_id, trials, failing)
+    return _trials_check(check_id, MODULE_TRIALS, failing)
 
 
-def suite_verma(seed: int, kmax: int = 5, nmax: int = 4, trials: int = 25):
+def suite_verma(seed: int, kmax: int = 5, nmax: int = 4):
     """Fixed rank-1 and rank-2 checks; the command's --n and --box do not apply."""
     from .verma import (
         TruncationBox,
@@ -533,7 +528,7 @@ def suite_verma(seed: int, kmax: int = 5, nmax: int = 4, trials: int = 25):
     monos = pbw_enumerate(2, (-1, 0), TruncationBox(2, 3)) \
         + pbw_enumerate(2, (0, -2), TruncationBox(2, 2))
     checks.append(_module_axiom_check(
-        "verma/module_axiom_random", rng, trials,
+        "verma/module_axiom_random", rng,
         [VermaVector(2, {mono: ONE}) for mono in monos], verma_act))
     return checks
 
@@ -543,7 +538,7 @@ def suite_verma(seed: int, kmax: int = 5, nmax: int = 4, trials: int = 25):
 # --------------------------------------------------------------------------
 
 
-def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25):
+def suite_gvm(n: int, seed: int, boxes):
     from .density import formal_params
     from .gvm import grade_of, gvm_act, quotient_dim_level1, GvmMonomial, GvmVector
 
@@ -559,14 +554,14 @@ def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25):
         br = vir_bracket(basis_element(n, alpha), basis_element(n, beta))
         return any(part.support() and degree != alpha[0] + beta[0]
                    for degree, part in grade_of(br).items())
-    checks.append(_trials_check(f"gvm/n={n}/grading_respects_bracket", trials,
-                                off_grade))
+    checks.append(_trials_check(f"gvm/n={n}/grading_respects_bracket",
+                                MODULE_TRIALS, off_grade))
 
     monos = [GvmMonomial(n, ((-1,) + (0,) * (n - 1),), (0,) * (n - 1)),
              GvmMonomial(n, ((-1, -1) + (0,) * (n - 2),), (1,) + (0,) * (n - 2)),
              GvmMonomial(n, (), (0,) * (n - 1))]
     checks.append(_module_axiom_check(
-        f"gvm/n={n}/module_axiom_random", rng, trials,
+        f"gvm/n={n}/module_axiom_random", rng,
         [GvmVector(n, {mono: ONE}) for mono in monos],
         lambda x, v: gvm_act(x, v, p)))
 
@@ -586,7 +581,7 @@ def suite_gvm(n: int, seed: int, boxes=(1, 2, 3, 4), trials: int = 25):
     return checks
 
 
-# suite -> the config keys run_suite passes to it; an --input scan reads no seed
+# suite -> the config keys its run reads; suite_cocycle_input reads no seed
 SUITE_KEYS = {
     "jacobi": {"n", "box", "seed"},
     "cocycle": {"n", "box", "seed"},
@@ -598,14 +593,13 @@ SUITE_KEYS = {
 }
 
 
-def run_suite(name: str, n: int, box: int, seed: int, boxes=None, spec=None,
-              theta_input=None):
+def run_suite(name: str, n: int, box: int, seed: int, boxes=None, spec=None):
     """Dispatch a named suite; 'all' concatenates every suite."""
     boxes = list(boxes) if boxes else [1, 2, 3, 4]
     if name == "jacobi":
         return suite_jacobi(n, box, seed)
     if name == "cocycle":
-        return suite_cocycle(n, box, seed, theta_input=theta_input)
+        return suite_cocycle(n, box, seed)
     if name == "density":
         return suite_density(n, box, seed, spec=spec)
     if name == "verma":

@@ -19,6 +19,7 @@ from solvir.algebra import (
     euler_element,
     jacobi_residual,
     parse_element,
+    sample_triples,
     triangular_split,
     vadd,
     vir_bracket,
@@ -381,3 +382,53 @@ def test_check_pairs_refuses_a_walk_past_the_limit():
     check_pairs(MAX_PAIRS, "a walk")
     with pytest.raises(ValueError, match=f"a walk walks {MAX_PAIRS + 1} pairs"):
         check_pairs(MAX_PAIRS + 1, "a walk")
+
+
+def _drawn(pts, totals, skip, tag):
+    """The triples sample_triples gives and the (total, triple) draws that
+    reached skip."""
+    asked = []
+
+    def recorded(total, t):
+        asked.append((total, t))
+        return skip(total, t)
+
+    return list(sample_triples(pts, totals, recorded, tag)), asked
+
+
+def test_sample_triples_is_seeded_bounded_and_skips(monkeypatch):
+    pts = box_points(2, 2)
+    totals = [(0, 0), (1, -1), (3, 3)]
+
+    def skip(total, t):
+        return t[0] < t[1]
+
+    got, asked = _drawn(pts, totals, skip, "t")
+    assert got == _drawn(pts, totals, skip, "t")[0]
+    assert got != _drawn(pts, totals, skip, "u")[0]
+    assert len(got) == algebra.SAMPLE and len(asked) <= 8 * algebra.SAMPLE
+    # skip reads the drawn sum, and sees only triples inside the box
+    for total, (a, b, k) in asked:
+        assert total in totals and vadd(vadd(a, b), k) == total
+        assert {a, b, k} <= set(pts)
+    assert got == [t for total, t in asked if not skip(total, t)]
+
+    # with no sums, k is drawn from the box and skip reads no sum
+    got, asked = _drawn(pts, None, skip, "t")
+    assert len(got) == algebra.SAMPLE
+    assert all(total is None and set(t) <= set(pts) for total, t in asked)
+
+    # a skip that refuses every draw spends the budget and gives nothing
+    got, asked = _drawn(pts, totals, lambda total, t: True, "t")
+    assert got == [] and len(asked) <= 8 * algebra.SAMPLE
+
+    # an empty list of sums makes no draw
+    draws = []
+
+    class Counted(random.Random):
+        def choice(self, seq):
+            draws.append(seq)
+            return super().choice(seq)
+
+    monkeypatch.setattr(algebra, "Random", Counted)
+    assert _drawn(pts, [], skip, "t") == ([], []) and draws == []

@@ -423,10 +423,21 @@ def test_usage_error_is_one_error_line(capsys, argv):
      "specialization key 'mu1' listed twice"),
     (["dims", "verma", "--n", "1", "--level", "2", "--spec", "mu1=2", "--mu1", "3"],
      "specialization key 'mu1' listed twice (spec and --mu1)"),
+    (["dims", "verma", "--n", "1", "--level", "2", "--spec", "foo=1,mu99=2"],
+     "specialization key 'foo' is not one of mu1 to mu1, a, b, lambda, c"),
+    (["dims", "verma", "--n", "1", "--level", "2", "--spec", "mu99=2"],
+     "specialization key 'mu99' is not one of mu1 to mu1"),
+    (["verify", "density", "--n", "1", "--box", "2", "--spec", "mu2=1"],
+     "specialization key 'mu2' is not one of mu1 to mu1"),
+    (["verify", "density", "--n", "2", "--box", "1", "--spec", "mu0=1"],
+     "specialization key 'mu0' is not one of mu1 to mu2"),
+    (["verify", "verma", "--spec", "C=1"],
+     "specialization key 'C' is not one of mu1 to mu2"),
 ])
 def test_bad_specialization_is_usage_error(capsys, argv, named):
     """--mu1 and --spec are read inside main's error handling: bad text,
-    a zero denominator or a repeated key exits 2 with one error line."""
+    a zero denominator, a repeated key or a key that names no indeterminate
+    of the rank exits 2 with one error line."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import solvir.algebra as algebra
 import solvir.cocycle as cocycle
 from solvir.algebra import vadd, vneg, vsub
 from solvir.cocycle import (
@@ -402,6 +403,23 @@ def test_check_cocycle_skip_is_sound():
         assert cocycle_residual(theta, *triple).is_zero()
         checked += 1
     check_cocycle_on_box(theta, 2)
+
+
+def test_check_cocycle_on_box_rechecks_a_sample(monkeypatch):
+    # beyond the triples where a residual term reads an extra pair, none for
+    # C0 + df, the box check evaluates exactly algebra.SAMPLE seeded triples
+    assert canonical_cocycle_identity() and coboundary_cocycle_identity()
+    theta = canonical_cochain(2) + coboundary(_random_cochain(random.Random(5)))
+    touched = cocycle._extra_triples(theta, box_points(2, 2))
+    right, calls = cocycle.cocycle_residual, []
+
+    def counted(theta, *triple, **kw):
+        calls.append(triple)
+        return right(theta, *triple, **kw)
+
+    monkeypatch.setattr(cocycle, "cocycle_residual", counted)
+    check_cocycle_on_box(theta, 2)
+    assert touched == set() and len(calls) == algebra.SAMPLE
 
 
 def _reference_check(theta, box):

@@ -120,6 +120,16 @@ def test_equal_scalars_hash_equal():
     assert hash(left) == hash(right)
 
 
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2)])
+@pytest.mark.parametrize("make", [Scalar.from_rational, Polynomial.const])
+def test_rational_constants_hash_as_their_value(make, value):
+    # a constant equals its int or Fraction, so sets and dicts find it both ways
+    const = make(value)
+    assert const == value and hash(const) == hash(value)
+    assert value in {const} and const in {value}
+    assert {const: "x"}[value] == "x" and {value: "x"}[const] == "x"
+
+
 def _random_scalar(rng, n=2):
     out = rat(rng.randint(-3, 3))
     for _ in range(rng.randint(0, 2)):

@@ -28,7 +28,13 @@ from solvir.algebra import (
 )
 from solvir.cocycle import TwoCochain, canonical_cochain, cocycle_residual
 from solvir.scalars import ONE, ZERO, Polynomial, Scalar
-from solvir.verification import run_suite, scan_triples, suite_cocycle, suite_jacobi
+from solvir.verification import (
+    run_suite,
+    scan_triples,
+    suite_cocycle,
+    suite_cocycle_input,
+    suite_jacobi,
+)
 
 
 def _honest(triples, residual):
@@ -196,7 +202,7 @@ def test_jacobi_scans_bracket_each_ordered_pair_once(monkeypatch):
     # one ordered inner pair and the lattice sum fix the triple, so a
     # lattice-sum scan, which has no memo, brackets each pair once outside
     # its re-check; only (0, 0, 0) reads the pair (0, 0), three times
-    monkeypatch.setattr(ver, "ORBIT_SAMPLE", 0)
+    monkeypatch.setattr(algebra, "SAMPLE", 0)
     calls.clear()
     ver.jacobi_zero_sum_scan(3, 1)
     zero = (0, 0, 0)
@@ -213,7 +219,7 @@ def test_cocycle_scans_read_each_cochain_value_once(monkeypatch):
         calls.clear()
     # the input scan keeps one memo across its lattice sums
     theta = TwoCochain(2, 1, None, {((1, 0), (0, 1)): ONE})
-    suite_cocycle(2, 2, seed=0, theta_input=theta)
+    suite_cocycle_input(theta, 2)
     assert set(calls.values()) == {1}
 
 
@@ -428,7 +434,7 @@ def test_input_file_scan_matches_honest_loop():
             count += c
             if first is None and failures:
                 first = failures[0]
-        [record] = suite_cocycle(n, box, seed=0, theta_input=theta)
+        [record] = suite_cocycle_input(theta, box)
         details = record["details"]
         assert details["triples_checked"] == count
         assert details["failing_triple"] == first
@@ -471,7 +477,27 @@ def test_cross_check_sample_is_seeded_by_tag():
     finally:
         random.setstate(state)
     assert rechecked("u") != first
-    assert len(first) == ver.ORBIT_SAMPLE
+    assert len(first) == algebra.SAMPLE
+
+
+def test_sample_zero_turns_off_both_rechecks(monkeypatch):
+    # the scan evaluates its representatives only, and the box check, with
+    # no extra pair to read, evaluates nothing
+    monkeypatch.setattr(algebra, "SAMPLE", 0)
+    calls = []
+
+    def residual(*triple, **kw):
+        calls.append(triple)
+        return ZERO
+
+    result = scan_triples(box_points(1, 2), None, residual, "t")
+    assert len(calls) == result.evaluated
+    assert cocycle.canonical_cocycle_identity()
+    assert cocycle.coboundary_cocycle_identity()
+    calls.clear()
+    monkeypatch.setattr(cocycle, "cocycle_residual", residual)
+    cocycle.check_cocycle_on_box(canonical_cochain(2), 2)
+    assert calls == []
 
 
 def test_out_of_order_triples_rejected():
