@@ -75,8 +75,9 @@ def vneg(a):
 # mu.alpha, mu.beta, mu.kappa is, at this triple, that polynomial itself
 GENERIC_TRIPLE = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-# the most points box_points lists, and the most (alpha, beta) pairs, or
-# pairing entries, one computation walks; more are refused before listing
+# the most points box_points lists, and the most (alpha, beta) pairs,
+# pairing entries or PBW words one computation walks; more are refused
+# before listing
 MAX_BOX_POINTS = 10**6
 MAX_PAIRS = 10**6
 

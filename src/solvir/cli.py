@@ -111,10 +111,6 @@ def parse_boxes(text: str) -> list:
 CONFIG_KEYS = {"n": int, "box": int, "boxes": parse_boxes, "seed": int,
                "spec": parse_spec, "out": str, "jobs": int}
 
-# command -> the config keys it reads besides out and jobs; any other key
-# given to it is refused.  verify warns instead (verification.SUITE_KEYS)
-COMMAND_KEYS = {"dims": {"n", "boxes", "spec"}, "normalize": {"n", "box"}}
-
 
 def load_config_file(path: str) -> dict:
     """Flat key = value lines mirroring the flags; '#' starts a comment.
@@ -141,7 +137,11 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def build_config(args) -> RunConfig:
+def build_config(args, reads, name) -> RunConfig:
+    """The validated settings of args and its config file.  A key given
+    besides out and jobs that is not in reads, the keys the command reads,
+    does not apply to it: an error, but under verify a warning line, and
+    the report echoes the value unused.  The messages call the command name."""
     cfg = RunConfig()
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
     for key, parse in CONFIG_KEYS.items():
@@ -157,23 +157,26 @@ def build_config(args) -> RunConfig:
             raise ValueError("specialization key 'mu1' listed twice "
                              "(spec and --mu1)")
         cfg.spec["mu1"] = parse_fraction(args.mu1)
-    if args.cmd in COMMAND_KEYS:
-        unread = sorted(cfg.given - COMMAND_KEYS[args.cmd] - {"out", "jobs"})
-        if unread:
-            raise ValueError(f"--{unread[0]} (or config key {unread[0]!r}) "
-                             f"does not apply to {args.cmd}")
     cfg.validate()
+    for key in sorted(cfg.given - reads - {"out", "jobs"}):
+        unread = f"--{key} (or config key {key!r}) does not apply to {name}"
+        if args.cmd != "verify":
+            raise ValueError(unread)
+        print(f"warning: {unread}; the report echoes it unused", file=sys.stderr)
     return cfg
 
 
-def emit(report: dict, out_path: str | None) -> str:
+def emit(command: str, cfg: RunConfig, **fields):
+    """Write the report of command under cfg, with fields, to cfg.out or
+    stdout."""
+    report = {"command": command, "version": __version__, "config": cfg.echo(),
+              **fields}
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as f:
+    if cfg.out:
+        with open(cfg.out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
-    return text
 
 
 def read_cochain(path: str, cfg: RunConfig):
@@ -194,30 +197,21 @@ def read_cochain(path: str, cfg: RunConfig):
 def cmd_verify(args) -> int:
     from .verification import SUITE_KEYS, run_suite, suite_cocycle_input
 
-    cfg = build_config(args)
     if args.input and args.suite != "cocycle":
         raise ValueError("--input is only meaningful for the cocycle suite")
     suite = "cocycle --input" if args.input else args.suite
-    for key in sorted(cfg.given - SUITE_KEYS[suite] - {"out", "jobs"}):
-        print(f"warning: --{key} (or config key {key!r}) does not apply to "
-              f"verify {suite}; the report echoes it unused", file=sys.stderr)
+    cfg = build_config(args, SUITE_KEYS[suite], f"verify {suite}")
     if args.input:
         checks = suite_cocycle_input(read_cochain(args.input, cfg), cfg.box)
     else:
         checks = run_suite(args.suite, cfg.n, cfg.box, cfg.seed,
                            boxes=cfg.boxes or None, spec=cfg.spec)
     checks.sort(key=lambda c: c["id"])
-    failed = [c for c in checks if c["status"] != "pass"]
-    report = {
-        "command": f"verify {args.suite}",
-        "version": __version__,
-        "config": cfg.echo(),
-        "checks": checks,
-        "counts": {"pass": len(checks) - len(failed), "fail": len(failed)},
-        "status": "pass" if not failed else "fail",
-    }
-    emit(report, cfg.out)
-    return 0 if not failed else 1
+    failed = sum(c["status"] != "pass" for c in checks)
+    emit(f"verify {args.suite}", cfg, checks=checks,
+         counts={"pass": len(checks) - failed, "fail": failed},
+         status="fail" if failed else "pass")
+    return 1 if failed else 0
 
 
 def _infer_rank(ranks, explicit):
@@ -247,7 +241,7 @@ def cmd_bracket(args) -> int:
 def cmd_dims(args) -> int:
     from .verma import TruncationBox, weight_space_dim_truncated
 
-    cfg = build_config(args)
+    cfg = build_config(args, {"n", "boxes", "spec"}, "dims")
     if args.target == "verma":
         if args.kappa is not None:
             raise ValueError("--kappa applies to dims gvm only")
@@ -267,16 +261,8 @@ def cmd_dims(args) -> int:
                       cfg.n, shift, TruncationBox(N, L))} for N, L in sizes]
         canonical_family = (cfg.n >= 2 and shift[0] == -1
                             and not any(shift[1:]))
-        report = {
-            "command": "dims verma",
-            "version": __version__,
-            "config": cfg.echo(),
-            "n": cfg.n,
-            "shift": list(shift),
-            "boxes": table,
-            "family_lower_bound": table[-1]["N"] if canonical_family else 0,
-        }
-        emit(report, cfg.out)
+        emit("dims verma", cfg, n=cfg.n, shift=list(shift), boxes=table,
+             family_lower_bound=table[-1]["N"] if canonical_family else 0)
         return 0
     # argparse admits only the targets "verma" and "gvm"
     from .density import formal_params
@@ -286,7 +272,7 @@ def cmd_dims(args) -> int:
         raise ValueError("--shift and --level apply to dims verma only")
     if cfg.n < 2:
         raise ValueError("dims gvm needs rank n >= 2")
-    kappa_text = args.kappa or "0"
+    kappa_text = "0" if args.kappa is None else args.kappa
     kappa = tuple(int(t) for t in kappa_text.split(","))
     if len(kappa) == 1 and cfg.n > 2:
         kappa = kappa * (cfg.n - 1)
@@ -294,33 +280,28 @@ def cmd_dims(args) -> int:
         raise ValueError(f"kappa {kappa} does not match rank {cfg.n}")
     boxes = cfg.boxes or [1, 2, 3, 4]
     result = quotient_dim_level1(cfg.n, kappa, formal_params(cfg.n - 1), boxes)
-    report = {"command": "dims gvm", "version": __version__,
-              "config": cfg.echo()}
-    report.update(result.as_dict())
-    emit(report, cfg.out)
+    emit("dims gvm", cfg, **result.as_dict())
     return 0
 
 
 def cmd_normalize(args) -> int:
     from .cocycle import normalize_cocycle, recognize_eta
 
-    cfg = build_config(args)
+    cfg = build_config(args, {"n", "box"}, "normalize")
     theta = read_cochain(args.input, cfg)
-    report = {"command": "normalize", "version": __version__, "config": cfg.echo()}
     try:
         eta, shift = normalize_cocycle(theta, cfg.box)
         a, b = recognize_eta(eta)
     except NotACocycleError as exc:
-        report.update(status="fail", error="not_a_cocycle",
-                      failing_triple=[list(p) for p in exc.triple],
-                      residual=str(exc.residual))
-    else:
-        report.update(status="pass", shift=shift.to_records(),
-                      eta=[[list(alpha), str(value)]
-                           for alpha, value in sorted(eta.values.items())],
-                      recognized={"a": str(a), "b": str(b)})
-    emit(report, cfg.out)
-    return 0 if report["status"] == "pass" else 1
+        emit("normalize", cfg, status="fail", error="not_a_cocycle",
+             failing_triple=[list(p) for p in exc.triple],
+             residual=str(exc.residual))
+        return 1
+    emit("normalize", cfg, status="pass", shift=shift.to_records(),
+         eta=[[list(alpha), str(value)]
+              for alpha, value in sorted(eta.values.items())],
+         recognized={"a": str(a), "b": str(b)})
+    return 0
 
 
 def schema_path() -> str:

@@ -148,15 +148,11 @@ def _lattice_point(p: DensityParams):
 def classify_density(p: DensityParams) -> Classification:
     """Irreducibility trichotomy of T_mu(a, b)."""
     gamma = _lattice_point(p)
-    b_val = None
-    if p.b == ZERO:
-        b_val = 0
-    elif p.b == ONE:
-        b_val = 1
-    if gamma is None or b_val is None:
+    b = p.b.as_rational()
+    if gamma is None or b not in (0, 1):
         return Classification(IRREDUCIBLE, None)
-    case = REDUCIBLE_TRIVIAL_SUB if b_val == 0 else REDUCIBLE_CODIM_ONE
-    return Classification(case, {"shift": list(gamma), "b": b_val})
+    case = REDUCIBLE_TRIVIAL_SUB if b == 0 else REDUCIBLE_CODIM_ONE
+    return Classification(case, {"shift": list(gamma), "b": int(b)})
 
 
 SubmoduleReport = namedtuple("SubmoduleReport", "case box checks ok")

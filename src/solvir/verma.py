@@ -38,6 +38,7 @@ from functools import cache
 
 from .algebra import (
     CENTRAL,
+    MAX_PAIRS,
     AlgebraElement,
     Combination,
     _acc,
@@ -280,7 +281,9 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
     Those tests live in one count of the words below a branch, memoized for
     this call on (generator index, remaining target, letters left); the
     search descends only into branches whose count is nonzero, so its cost
-    is in proportion to its output.
+    is in proportion to its output.  The count at the root bounds that
+    output: past MAX_PAIRS words, or words too long to count within
+    Python's recursion limit, ValueError before any word is listed.
     """
     shift = tuple(shift)
     if len(shift) != n:
@@ -311,6 +314,14 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
         return sum(count(idx, rest, left - 1)
                    for idx, _, rest in branches(start, remaining))
 
+    try:
+        total = count(0, shift, box.L)
+    except RecursionError:
+        raise ValueError(f"the words at shift {shift} in {box} are too long "
+                         f"to count") from None
+    if total > MAX_PAIRS:
+        raise ValueError(f"the weight space at shift {shift} in {box} holds "
+                         f"{total} words, more than {MAX_PAIRS}")
     out = []
 
     def dfs(start, remaining, word):

@@ -445,6 +445,28 @@ def test_bad_specialization_is_usage_error(capsys, argv, named):
     assert _one_error_line(captured.err) and named in captured.err
 
 
+def test_dims_count_past_the_recursion_limit_is_usage_error(capsys):
+    """A level whose words are too long to count within the recursion limit
+    exits 2 with one error line.  The limit is lowered to some 60 frames
+    above this one, so the count meets it after a few dozen letters rather
+    than the few hundred, and the many seconds, of the default limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        code = main(["dims", "verma", "--n", "1", "--level", "200"])
+    finally:
+        sys.setrecursionlimit(limit)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err)
+    assert "the words at shift (-200,) in TruncationBox(N=200, L=200) are " \
+        "too long to count" in captured.err
+
+
 def test_config_key_listed_twice_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 2\nbox = 1\nn = 3\n")
@@ -486,10 +508,19 @@ def test_empty_radius_list_is_usage_error(capsys, argv):
       "--box", "7"], "--box (or config key 'box') does not apply to dims"),
     (["dims", "gvm", "--n", "2", "--kappa", "0", "--seed", "9"],
      "--seed (or config key 'seed') does not apply to dims"),
+    # validation runs before the refusal of a key dims does not read
+    (["dims", "verma", "--n", "1", "--level", "2", "--box", "0"],
+     "box radii must be >= 1"),
+    (["dims", "gvm", "--n", "2", "--kappa="], "invalid literal for int()"),
+    (["dims", "verma", "--n", "1", "--level", "70"],
+     "at shift (-70,) in TruncationBox(N=70, L=70) holds 4087968 words, "
+     "more than 1000000"),
 ])
 def test_dims_flag_the_target_would_ignore_is_usage_error(capsys, argv, named):
     """A dims flag that the chosen target does not read exits 2, so no
-    report echoes a setting it did not use."""
+    report echoes a setting it did not use; so do an empty --kappa, which
+    is not read as 0, and a weight space of more than MAX_PAIRS words,
+    refused before it is listed."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -12,6 +12,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -521,9 +522,8 @@ def _without_evaluated(checks):
 def test_random_checks_keep_their_bytes(monkeypatch, suite, n, box):
     # the engine draws its sample from its own Random, never from the
     # suite's, so every seeded check reads as with honest scans
-    kwargs = {"trials": 8}
-    if suite is suite_cocycle:
-        kwargs["normalize_trials"] = 1
+    monkeypatch.setattr(ver, "TRIALS", 8)
+    kwargs = {"normalize_trials": 1} if suite is suite_cocycle else {}
     engine = suite(n, box, 5, **kwargs)
     for name, honest in (("jacobi_full_scan", _honest_jacobi),
                          ("jacobi_zero_sum_scan", _honest_jacobi),
@@ -535,19 +535,19 @@ def test_random_checks_keep_their_bytes(monkeypatch, suite, n, box):
     assert _without_evaluated(engine) == _without_evaluated(suite(n, box, 5, **kwargs))
 
 
-def _case_split_records(n, box):
+def _case_split_records(monkeypatch, n, box):
     """The pair_support_lemma and zero_sum_exhaustive records of
     suite_cocycle, whose box is past FULL_SCAN_LIMIT triples.  No normalize
     trials: normalize_cocycle raises under a broken C0."""
     assert len(box_points(n, box)) ** 3 > ver.FULL_SCAN_LIMIT
-    checks = {c["id"]: c for c in suite_cocycle(n, box, 0, trials=1,
-                                                normalize_trials=0)}
+    monkeypatch.setattr(ver, "TRIALS", 1)
+    checks = {c["id"]: c for c in suite_cocycle(n, box, 0, normalize_trials=0)}
     return (checks[f"cocycle/n={n}/pair_support_lemma"],
             checks[f"cocycle/n={n}/zero_sum_exhaustive"])
 
 
-def test_cocycle_case_split_passes_on_every_zero_sum_triple():
-    lemma, scan = _case_split_records(3, 2)
+def test_cocycle_case_split_passes_on_every_zero_sum_triple(monkeypatch):
+    lemma, scan = _case_split_records(monkeypatch, 3, 2)
     pts = box_points(3, 2)
     zero_sum = sum(1 for a, b in itertools.product(pts, repeat=2)
                    if all(abs(x + y) <= 2 for x, y in zip(a, b)))
@@ -557,12 +557,12 @@ def test_cocycle_case_split_passes_on_every_zero_sum_triple():
     assert scan["details"]["evaluated"] < zero_sum
 
 
-def test_cocycle_case_split_fails_on_wrong_canonical(wrong_canonical):
-    _, scan = _case_split_records(3, 2)
+def test_cocycle_case_split_fails_on_wrong_canonical(monkeypatch, wrong_canonical):
+    _, scan = _case_split_records(monkeypatch, 3, 2)
     assert scan["status"] == "fail" and scan["details"]["failures"]
 
 
-def test_cocycle_case_split_lemma_reads_the_bracket(patch_bracket):
+def test_cocycle_case_split_lemma_reads_the_bracket(monkeypatch, patch_bracket):
     """The pair-support lemma reads C0 from the bracket: a skew central term
     at (e_1, e_2), whose sum is nonzero, fails it."""
     e1, e2 = (1, 0, 0), (0, 1, 0)
@@ -573,8 +573,21 @@ def test_cocycle_case_split_lemma_reads_the_bracket(patch_bracket):
         return terms
 
     patch_bracket(skew_at_e1_e2)
-    lemma, _ = _case_split_records(3, 2)
+    lemma, _ = _case_split_records(monkeypatch, 3, 2)
     assert lemma["status"] == "fail"
+
+
+def test_coboundary_random_residuals_read_the_bracket(monkeypatch, squared_bracket):
+    """Under a squared Witt coefficient df is no cocycle, so the seeded
+    coboundary trials fail; the record counts failing trials.  Neither
+    normalize_cocycle nor h2_rank_experiment runs: both raise under a wrong
+    residual."""
+    monkeypatch.setattr(cocycle, "h2_rank_experiment", lambda *a, **k: SimpleNamespace(
+        cocycle_space_dim=0, coboundary_space_dim=0, quotient_dim=1))
+    checks = {c["id"]: c for c in suite_cocycle(2, 2, 0, normalize_trials=0)}
+    record = checks["cocycle/n=2/coboundary_random_residuals"]
+    assert record["status"] == "fail"
+    assert record["details"] == {"trials": ver.TRIALS, "failures": 19}
 
 
 def test_cocycle_suite_passes_at_rank_one_radius_two():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import solvir.verma as verma
 from solvir.algebra import (
     SolenoidalAlgebra,
     central_element,
@@ -143,6 +144,25 @@ def test_pbw_enumerate_matches_bruteforce():
                        ((0, -3), TruncationBox(3, 4))]:
         ours = {m.word for m in pbw_enumerate(2, shift, box)}
         assert ours == brute_enumerate(2, shift, box)
+
+
+def test_pbw_enumerate_refuses_past_max_pairs_before_any_word(monkeypatch):
+    """The root count bounds the listing: p(5) = 7 words are listed under a
+    limit of 7 and refused under 6, and a level-70 space of 4 087 968 words
+    is refused before one PBWMonomial is built."""
+    monkeypatch.setattr(verma, "MAX_PAIRS", 7)
+    assert len(pbw_enumerate(1, (-5,), TruncationBox(5, 5))) == 7
+    monkeypatch.setattr(verma, "MAX_PAIRS", 6)
+    with pytest.raises(ValueError, match="holds 7 words, more than 6"):
+        pbw_enumerate(1, (-5,), TruncationBox(5, 5))
+    monkeypatch.undo()
+
+    def built(*args, **kwargs):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr(PBWMonomial, "_normal", built)
+    with pytest.raises(ValueError, match="holds 4087968 words, more than 1000000"):
+        pbw_enumerate(1, (-70,), TruncationBox(70, 70))
 
 
 def test_pruned_enumeration_matches_unpruned_search():
