@@ -94,14 +94,28 @@ def parse_spec(text: str) -> dict:
     return out
 
 
+def parse_int(text: str, flag: str) -> int:
+    """The int that an entry of flag's value names; a ValueError that names
+    flag and the entry otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag} entry {text!r} is not an integer") from None
+
+
+def parse_ints(text: str, flag: str) -> tuple:
+    """The ints of a comma list given to flag, such as --shift -1,0."""
+    return tuple(parse_int(tok, flag) for tok in text.split(","))
+
+
 def parse_boxes(text: str) -> list:
     """Accept '1..6' ranges and comma lists naming at least one radius."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        radii = list(range(int(lo), int(hi) + 1))
+        radii = list(range(parse_int(lo, "--boxes"), parse_int(hi, "--boxes") + 1))
     else:
-        radii = [int(tok) for tok in text.split(",") if tok.strip()]
+        radii = [parse_int(tok, "--boxes") for tok in text.split(",") if tok.strip()]
     if not radii:
         raise ValueError(f"radius list {text!r} names no radius")
     return radii
@@ -116,7 +130,8 @@ def load_config_file(path: str) -> dict:
     """Flat key = value lines mirroring the flags; '#' starts a comment.
 
     A key that is not one of CONFIG_KEYS is an error, so a misspelt key
-    cannot be silently ignored.
+    cannot be silently ignored; so is a key with no value, which would
+    otherwise read as its default.
     """
     values = {}
     with open(path) as f:
@@ -133,6 +148,8 @@ def load_config_file(path: str) -> dict:
                              f"(known: {', '.join(CONFIG_KEYS)})")
         if key in values:
             raise ValueError(f"config key {key!r} listed twice in {path}")
+        if not value:
+            raise ValueError(f"config key {key!r} has no value in {path}")
         values[key] = value
     return values
 
@@ -141,7 +158,11 @@ def build_config(args, reads, name) -> RunConfig:
     """The validated settings of args and its config file.  A key given
     besides out and jobs that is not in reads, the keys the command reads,
     does not apply to it: an error, but under verify a warning line, and
-    the report echoes the value unused.  The messages call the command name."""
+    the report echoes the value unused.  The messages call the command name.
+    An empty flag value, such as --boxes=, is an error, never the default."""
+    empty = sorted(key for key, value in vars(args).items() if value == "")
+    if empty:
+        raise ValueError(f"--{empty[0]} needs a value")
     cfg = RunConfig()
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
     for key, parse in CONFIG_KEYS.items():
@@ -149,10 +170,10 @@ def build_config(args, reads, name) -> RunConfig:
             setattr(cfg, key, parse(file_values[key]))
             cfg.given.add(key)
     for key, parse in CONFIG_KEYS.items():
-        if getattr(args, key, None) not in (None, ""):
+        if getattr(args, key, None) is not None:
             setattr(cfg, key, parse(getattr(args, key)))
             cfg.given.add(key)
-    if getattr(args, "mu1", None):
+    if getattr(args, "mu1", None) is not None:
         if "mu1" in cfg.spec:
             raise ValueError("specialization key 'mu1' listed twice "
                              "(spec and --mu1)")
@@ -253,7 +274,7 @@ def cmd_dims(args) -> int:
         else:
             if not args.shift:
                 raise ValueError("dims verma needs --shift or --level")
-            shift = tuple(int(t) for t in args.shift.split(","))
+            shift = parse_ints(args.shift, "--shift")
             if len(shift) != cfg.n:
                 raise ValueError(f"shift {shift} does not match rank {cfg.n}")
             sizes = [(N, 2 * N + 1) for N in cfg.boxes or [1, 2, 3, 4]]
@@ -273,7 +294,7 @@ def cmd_dims(args) -> int:
     if cfg.n < 2:
         raise ValueError("dims gvm needs rank n >= 2")
     kappa_text = "0" if args.kappa is None else args.kappa
-    kappa = tuple(int(t) for t in kappa_text.split(","))
+    kappa = parse_ints(kappa_text, "--kappa")
     if len(kappa) == 1 and cfg.n > 2:
         kappa = kappa * (cfg.n - 1)
     if len(kappa) != cfg.n - 1:

@@ -179,7 +179,9 @@ def straighten(alpha, word, base, ceiling, act, c, memo):
     with the bracket read as (key, Scalar) pairs from
     algebra._basis_bracket_terms and C acting by the scalar c.  Each swap
     either lowers the inversions at fixed length or merges two generators
-    into one, so the rewriting terminates.
+    into one, so the rewriting terminates.  Re-applying top to a rewritten
+    word whose last letter is not above it is the append above, made in
+    place with no call.
 
     memo maps (alpha, word, base) to the rewritings already made; it is valid
     for one (ceiling, act, c), that is for one module, and act_on_words keeps
@@ -199,6 +201,10 @@ def straighten(alpha, word, base, ceiling, act, c, memo):
     top, rest = word[-1], word[:-1]
     out = {}
     for (w2, b2), c2 in straighten(alpha, rest, base, ceiling, act, c, memo).items():
+        if not w2 or top >= w2[-1]:
+            # top is a letter of word, so below the ceiling: append it
+            _acc(out, (w2 + (top,), b2), c2)
+            continue
         for key, c3 in straighten(top, w2, b2, ceiling, act, c, memo).items():
             _acc(out, key, c2 * c3)
     for merged, bracket in _basis_bracket_terms(alpha, top):
@@ -275,15 +281,29 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
     """All in-box normal words of lex-negative points summing to shift.
 
     Deterministic: depth-first over the ascending generator list, choosing
-    non-decreasing words.  Sums of lex-negative points are lex-negative, so a
-    branch closes exactly when its remaining target reaches zero, and dies
-    when the target turns lex-positive or moves out of coordinate reach.
-    Those tests live in one count of the words below a branch, memoized for
-    this call on (generator index, remaining target, letters left); the
-    search descends only into branches whose count is nonzero, so its cost
-    is in proportion to its output.  The count at the root bounds that
-    output: past MAX_PAIRS words, or words too long to count within
-    Python's recursion limit, ValueError before any word is listed.
+    non-decreasing words.  A branch closes exactly when its remaining target
+    reaches zero, and dies when no word of box letters sums to the target
+    or, where the letter budget L binds, when the target moves out of
+    coordinate reach of the letters left.  Those tests live in one count of
+    the words below a branch, memoized for this call; the search descends
+    only into branches whose count is nonzero, so its cost is in proportion
+    to its output.  The count at the root bounds that output: past MAX_PAIRS
+    words, or words too long to count within Python's recursion limit,
+    ValueError before any word is listed.
+
+    reach(r) bounds the letters of any word of box letters summing to r:
+    from reach = 0, each coordinate c of r in turn adds max(0, N reach - c).
+    Proof: a letter adds 0 to the coordinates before its first nonzero one,
+    at most -1 to that one and at most N to each later one, so coordinate k
+    of the sum is at most N times the letters starting before k less the
+    letters starting at k, and the k-th term bounds the latter.  When
+    c > N reach, no word sums to r at all; a lex-positive r is such a case.
+    Every word at shift, and so every completion of a prefix of one, has at
+    most reach(shift) letters.  So when L >= reach(shift) the budget cannot
+    bind: the count memo keys on (generator index, remaining target) and
+    prunes by reach alone.  Otherwise it keys on (generator index, remaining
+    target, letters left).  The root decides, so no call pays for the
+    choice.
     """
     shift = tuple(shift)
     if len(shift) != n:
@@ -292,6 +312,15 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
     if shift > ceiling:
         raise ValueError("shift must be lex-nonpositive")
     gens = [g for g in box_points(n, box.N) if g < ceiling]
+
+    def reach(remaining):
+        """Most letters of a word summing to remaining; -1 if none does."""
+        most = 0
+        for c in remaining:
+            if c > box.N * most:
+                return -1
+            most += box.N * most - c
+        return most
 
     def branches(start, remaining):
         for idx in range(start, len(gens)):
@@ -302,17 +331,31 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
                 continue
             yield idx, g, vsub(remaining, g)
 
-    @cache
-    def count(start, remaining, left):
-        """Words from gens[start:] of at most left letters summing to remaining."""
-        if not any(remaining):
-            return 1
-        if left == 0 or remaining > ceiling:
-            return 0
-        if any(abs(c) > left * box.N for c in remaining):
-            return 0
-        return sum(count(idx, rest, left - 1)
-                   for idx, _, rest in branches(start, remaining))
+    if box.L >= reach(shift):
+        @cache
+        def free(start, remaining):
+            """Words from gens[start:] summing to remaining."""
+            if not any(remaining):
+                return 1
+            if reach(remaining) < 0:
+                return 0
+            return sum(free(idx, rest) for idx, _, rest in branches(start, remaining))
+
+        def count(start, remaining, left):
+            return free(start, remaining)
+    else:
+        @cache
+        def count(start, remaining, left):
+            """Words from gens[start:] of at most left letters summing to
+            remaining."""
+            if not any(remaining):
+                return 1
+            if left == 0 or remaining > ceiling:
+                return 0
+            if any(abs(c) > left * box.N for c in remaining):
+                return 0
+            return sum(count(idx, rest, left - 1)
+                       for idx, _, rest in branches(start, remaining))
 
     try:
         total = count(0, shift, box.L)

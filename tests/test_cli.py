@@ -357,6 +357,20 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("key", ["spec", "out", "boxes"])
+def test_config_key_with_no_value_rejected(tmp_path, capsys, key):
+    """An empty config value exits 2 naming the key, as an empty flag value
+    does; out = never writes the report to stdout instead."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 2\n{key} =\n")
+    code = main(["dims", "verma", "--shift", "-1,0", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err)
+    assert f"config key {key!r} has no value in {cfg}" in captured.err
+
+
 def test_dims_verma_table(tmp_path, capsys):
     out_file = tmp_path / "dims.json"
     code, _ = run_cli(["dims", "verma", "--n", "2", "--shift", "-1,0",
@@ -446,25 +460,41 @@ def test_bad_specialization_is_usage_error(capsys, argv, named):
 
 
 def test_dims_count_past_the_recursion_limit_is_usage_error(capsys):
-    """A level whose words are too long to count within the recursion limit
-    exits 2 with one error line.  The limit is lowered to some 60 frames
-    above this one, so the count meets it after a few dozen letters rather
-    than the few hundred, and the many seconds, of the default limit."""
+    """A shift whose words are too long to count within the recursion limit
+    exits 2 with one error line.  At shift (-3, 0) in box (30, 61) the letter
+    budget binds, so the count keys on letters left and descends one frame
+    pair per letter.  The limit is lowered to some 60 frames above this one,
+    so the count meets it after a few dozen letters rather than the many
+    seconds of a count at the default limit."""
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 60)
     try:
-        code = main(["dims", "verma", "--n", "1", "--level", "200"])
+        code = main(["dims", "verma", "--n", "2", "--shift", "-3,0",
+                     "--boxes", "30"])
     finally:
         sys.setrecursionlimit(limit)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert _one_error_line(captured.err)
-    assert "the words at shift (-200,) in TruncationBox(N=200, L=200) are " \
+    assert "the words at shift (-3, 0) in TruncationBox(N=30, L=61) are " \
         "too long to count" in captured.err
+
+
+def test_dims_level_past_max_pairs_counts_within_the_recursion_limit(capsys):
+    """A rank-1 level, where the letter budget cannot bind, counts its p(200)
+    words at the default recursion limit and exits 2 on MAX_PAIRS, not on
+    the recursion limit."""
+    code = main(["dims", "verma", "--n", "1", "--level", "200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err)
+    assert "the weight space at shift (-200,) in TruncationBox(N=200, L=200) " \
+        "holds 3972999029388 words, more than 1000000" in captured.err
 
 
 def test_config_key_listed_twice_rejected(tmp_path, capsys):
@@ -511,7 +541,7 @@ def test_empty_radius_list_is_usage_error(capsys, argv):
     # validation runs before the refusal of a key dims does not read
     (["dims", "verma", "--n", "1", "--level", "2", "--box", "0"],
      "box radii must be >= 1"),
-    (["dims", "gvm", "--n", "2", "--kappa="], "invalid literal for int()"),
+    (["dims", "gvm", "--n", "2", "--kappa="], "--kappa needs a value"),
     (["dims", "verma", "--n", "1", "--level", "70"],
      "at shift (-70,) in TruncationBox(N=70, L=70) holds 4087968 words, "
      "more than 1000000"),
@@ -526,6 +556,50 @@ def test_dims_flag_the_target_would_ignore_is_usage_error(capsys, argv, named):
     assert code == 2
     assert captured.out == ""
     assert _one_error_line(captured.err) and named in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["dims", "verma", "--n", "2", "--shift", "-1,0", "--boxes="], "--boxes"),
+    (["dims", "verma", "--n", "2", "--shift", "-1,0", "--spec="], "--spec"),
+    (["dims", "verma", "--n", "2", "--shift", "-1,0", "--out="], "--out"),
+    (["dims", "verma", "--n", "1", "--level", "2", "--mu1="], "--mu1"),
+    (["dims", "verma", "--n", "2", "--shift="], "--shift"),
+    (["dims", "gvm", "--n", "2", "--kappa="], "--kappa"),
+    (["verify", "jacobi", "--config="], "--config"),
+    (["verify", "jacobi", "--input="], "--input"),
+])
+def test_empty_flag_value_is_usage_error(capsys, argv, flag):
+    """An empty flag value exits 2 naming the flag; it is never read as an
+    absent flag, so --boxes= cannot run the default radii."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err)
+    assert f"error: {flag} needs a value" in captured.err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["dims", "gvm", "--n", "2", "--kappa", "1,x"], "--kappa entry 'x'"),
+    (["dims", "gvm", "--n", "3", "--kappa", "1,"], "--kappa entry ''"),
+    (["dims", "verma", "--n", "2", "--shift", "-1,y"], "--shift entry 'y'"),
+    (["dims", "verma", "--n", "2", "--shift", "-1.5,0"], "--shift entry '-1.5'"),
+    (["dims", "verma", "--n", "2", "--shift", "-1,0", "--boxes", "1..z"],
+     "--boxes entry 'z'"),
+    (["dims", "verma", "--n", "2", "--shift", "-1,0", "--boxes", "..3"],
+     "--boxes entry ''"),
+    (["dims", "verma", "--n", "2", "--shift", "-1,0", "--boxes", "1,q"],
+     "--boxes entry 'q'"),
+])
+def test_non_integer_entry_names_its_flag(capsys, argv, named):
+    """A --kappa, --shift or --boxes entry that is not an integer exits 2
+    with one error line naming the flag and the entry."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err)
+    assert f"error: {named} is not an integer" in captured.err
 
 
 @pytest.mark.parametrize("key, value", [("seed", "9"), ("boxes", "1..3"),

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -91,6 +92,26 @@ def unpruned_enumerate(n, shift, box):
 
     dfs(0, tuple(shift), ())
     return out
+
+
+@functools.cache
+def box_partitions(k, parts, largest):
+    """Independent oracle: partitions of k into at most parts parts, none
+    above largest; split on whether a part equals largest."""
+    if k == 0:
+        return 1
+    if k < 0 or parts == 0 or largest == 0:
+        return 0
+    return box_partitions(k, parts, largest - 1) \
+        + box_partitions(k - largest, parts - 1, largest)
+
+
+def reach_bound(shift, N):
+    """The letter bound that pbw_enumerate documents, from its formula."""
+    most = 0
+    for c in shift:
+        most += max(0, N * most - c)
+    return most
 
 
 def rank2_dim_by_table(shift, N, L):
@@ -205,6 +226,54 @@ def test_rank1_dimensions_are_partition_numbers():
         dim = weight_space_dim_truncated(1, (-k,), TruncationBox(max(k, 1), max(k, 1)))
         assert dim == expected[k]
         assert dim == partition_count(k)
+
+
+@pytest.mark.parametrize("n, N, shifts", [
+    (1, 1, [(0,), (-1,), (-3,)]),
+    (1, 2, [(-1,), (-4,), (-5,)]),
+    (2, 1, [(-1, 0), (-2, 0), (-2, 1), (-1, -2), (0, -3), (-2, -2), (-1, 3)]),
+    (2, 2, [(-1, 0), (-2, 0), (-2, 1), (0, -2), (-1, -1), (-1, 5)]),
+    (3, 1, [(-1, 0, 0), (0, -1, 0), (-1, 0, -1), (0, 0, -2), (-1, 1, 0),
+            (0, -1, 2)]),
+])
+def test_pbw_count_matches_multiset_sums_on_both_sides_of_reach(n, N, shifts):
+    """Sum every sorted multiset of box letters with at most
+    reach(shift) + 1 letters: the dimension at each L from 1 to
+    reach(shift) + 1 is the number of them summing to the shift with at most
+    L letters.  Below reach(shift) the letter budget binds the count, from
+    there on it cannot; no multiset at the shift outgrows the bound, and
+    (-1, 3), (-1, 5) and (0, -1, 2) hold no word at all."""
+    reach = {shift: reach_bound(shift, N) for shift in shifts}
+    longest = max(reach.values()) + 1
+    gens = [p for p in itertools.product(range(-N, N + 1), repeat=n) if p < (0,) * n]
+    by_length = {shift: [0] * (longest + 1) for shift in shifts}
+    for length in range(longest + 1):
+        for combo in itertools.combinations_with_replacement(gens, length):
+            total = tuple(map(sum, zip(*combo))) if combo else (0,) * n
+            if total in by_length:
+                by_length[total][length] += 1
+    for shift in shifts:
+        counts = by_length[shift]
+        assert not any(counts[reach[shift] + 1:]), shift
+        for L in range(1, reach[shift] + 2):
+            assert weight_space_dim_truncated(n, shift, TruncationBox(N, L)) \
+                == sum(counts[:L + 1]), (shift, L)
+    assert any(any(by_length[shift]) for shift in shifts)
+
+
+def test_rank1_dimensions_are_box_partitions_up_to_length_30():
+    """At rank 1 the words at level k in box (N, L) are the partitions of k
+    into at most L parts of size at most N; reach(-k) = k, so L < k counts
+    under the letter budget and L >= k without it."""
+    cases = [(30, 30, 15), (30, 30, 29), (30, 30, 30)]
+    for k in range(31):
+        for N in (1, 3, 8):
+            for L in {1, max(k // 2, 1), max(k - 1, 1), max(k, 1), k + 1, 30}:
+                cases.append((k, N, L))
+    for k, N, L in cases:
+        assert weight_space_dim_truncated(1, (-k,), TruncationBox(N, L)) \
+            == box_partitions(k, L, N), (k, N, L)
+    assert box_partitions(30, 30, 30) == 5604
 
 
 def test_positive_annihilates_vacuum():
