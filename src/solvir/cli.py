@@ -121,9 +121,16 @@ def parse_boxes(text: str) -> list:
     return radii
 
 
+def parse_setting_int(key: str):
+    """Parse the integer setting key, from a flag or a config file; a
+    ValueError names key."""
+    return lambda text: parse_int(text, f"--{key} (or config key {key!r})")
+
+
 # config key -> parser of its text; a flag of the same name overrides the file
-CONFIG_KEYS = {"n": int, "box": int, "boxes": parse_boxes, "seed": int,
-               "spec": parse_spec, "out": str, "jobs": int}
+CONFIG_KEYS = {"n": parse_setting_int("n"), "box": parse_setting_int("box"),
+               "boxes": parse_boxes, "seed": parse_setting_int("seed"),
+               "spec": parse_spec, "out": str, "jobs": parse_setting_int("jobs")}
 
 
 def load_config_file(path: str) -> dict:
@@ -164,14 +171,12 @@ def build_config(args, reads, name) -> RunConfig:
     if empty:
         raise ValueError(f"--{empty[0]} needs a value")
     cfg = RunConfig()
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    texts = load_config_file(args.config) if getattr(args, "config", None) else {}
+    texts.update((key, getattr(args, key)) for key in CONFIG_KEYS
+                 if getattr(args, key, None) is not None)
     for key, parse in CONFIG_KEYS.items():
-        if key in file_values:
-            setattr(cfg, key, parse(file_values[key]))
-            cfg.given.add(key)
-    for key, parse in CONFIG_KEYS.items():
-        if getattr(args, key, None) is not None:
-            setattr(cfg, key, parse(getattr(args, key)))
+        if key in texts:
+            setattr(cfg, key, parse(texts[key]))
             cfg.given.add(key)
     if getattr(args, "mu1", None) is not None:
         if "mu1" in cfg.spec:
@@ -337,17 +342,17 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def common(p):
-        p.add_argument("--n", type=int, default=None, help="lattice rank")
-        p.add_argument("--box", type=int, default=None, help="truncation radius")
+        p.add_argument("--n", default=None, help="lattice rank")
+        p.add_argument("--box", default=None, help="truncation radius")
         p.add_argument("--boxes", type=str, default=None,
                        help="radius list: '1..6' or '2,4,6'")
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed")
+        p.add_argument("--seed", default=None, help="PRNG seed")
         p.add_argument("--spec", type=str, default=None,
                        help="specialization map, e.g. mu1=2/3,mu2=5")
         p.add_argument("--config", type=str, default=None,
                        help="flat key=value config file")
         p.add_argument("--out", type=str, default=None, help="output path")
-        p.add_argument("--jobs", type=int, default=None,
+        p.add_argument("--jobs", default=None,
                        help="worker hint; never changes output bytes")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

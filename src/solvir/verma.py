@@ -282,14 +282,13 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
 
     Deterministic: depth-first over the ascending generator list, choosing
     non-decreasing words.  A branch closes exactly when its remaining target
-    reaches zero, and dies when no word of box letters sums to the target
-    or, where the letter budget L binds, when the target moves out of
-    coordinate reach of the letters left.  Those tests live in one count of
-    the words below a branch, memoized for this call; the search descends
-    only into branches whose count is nonzero, so its cost is in proportion
-    to its output.  The count at the root bounds that output: past MAX_PAIRS
-    words, or words too long to count within Python's recursion limit,
-    ValueError before any word is listed.
+    reaches zero, and dies when no word of the letters left sums to the
+    target.  That test is one count of the words below a branch, memoized
+    for this call; the search descends only into branches whose count is
+    nonzero, so its cost is in proportion to its output.  The count at the
+    root bounds that output: past MAX_PAIRS words, or words too long to
+    count within Python's recursion limit, ValueError before any word is
+    listed.
 
     reach(r) bounds the letters of any word of box letters summing to r:
     from reach = 0, each coordinate c of r in turn adds max(0, N reach - c).
@@ -297,13 +296,12 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
     at most -1 to that one and at most N to each later one, so coordinate k
     of the sum is at most N times the letters starting before k less the
     letters starting at k, and the k-th term bounds the latter.  When
-    c > N reach, no word sums to r at all; a lex-positive r is such a case.
-    Every word at shift, and so every completion of a prefix of one, has at
-    most reach(shift) letters.  So when L >= reach(shift) the budget cannot
-    bind: the count memo keys on (generator index, remaining target) and
-    prunes by reach alone.  Otherwise it keys on (generator index, remaining
-    target, letters left).  The root decides, so no call pays for the
-    choice.
+    c > N reach, no word sums to r at all; a lex-positive r is such a case,
+    and reach(r) is -1.  The count keys on (generator index, remaining
+    target, letters left clipped to reach(target)).  Clipping never changes
+    a count, and a clipped budget below 1 at a nonzero target holds no word.
+    Where the budget L cannot bind, the clipped budget is reach(target)
+    itself, so each (index, target) is counted once.
     """
     shift = tuple(shift)
     if len(shift) != n:
@@ -313,6 +311,7 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
         raise ValueError("shift must be lex-nonpositive")
     gens = [g for g in box_points(n, box.N) if g < ceiling]
 
+    @cache
     def reach(remaining):
         """Most letters of a word summing to remaining; -1 if none does."""
         most = 0
@@ -325,40 +324,28 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
     def branches(start, remaining):
         for idx in range(start, len(gens)):
             g = gens[idx]
-            # first coordinates of generators are <= 0, so a zero first
-            # coordinate of the target rules out any g with g[0] < 0
-            if remaining[0] == 0 and g[0] < 0:
+            # first coordinates of generators are <= 0, so a g below the
+            # target's first coordinate leaves a lex-positive rest
+            if g[0] < remaining[0]:
                 continue
             yield idx, g, vsub(remaining, g)
 
-    if box.L >= reach(shift):
-        @cache
-        def free(start, remaining):
-            """Words from gens[start:] summing to remaining."""
-            if not any(remaining):
-                return 1
-            if reach(remaining) < 0:
-                return 0
-            return sum(free(idx, rest) for idx, _, rest in branches(start, remaining))
-
-        def count(start, remaining, left):
-            return free(start, remaining)
-    else:
-        @cache
-        def count(start, remaining, left):
-            """Words from gens[start:] of at most left letters summing to
-            remaining."""
-            if not any(remaining):
-                return 1
-            if left == 0 or remaining > ceiling:
-                return 0
-            if any(abs(c) > left * box.N for c in remaining):
-                return 0
-            return sum(count(idx, rest, left - 1)
-                       for idx, _, rest in branches(start, remaining))
+    @cache
+    def count(start, remaining, left):
+        """Words from gens[start:] of at most left letters summing to
+        remaining; left is clipped to reach(remaining)."""
+        if not any(remaining):
+            return 1
+        if left <= 0:
+            return 0
+        total = 0
+        for idx, _, rest in branches(start, remaining):
+            most = reach(rest)  # the key is min(left - 1, most), without a call
+            total += count(idx, rest, most if most < left else left - 1)
+        return total
 
     try:
-        total = count(0, shift, box.L)
+        total = count(0, shift, min(box.L, reach(shift)))
     except RecursionError:
         raise ValueError(f"the words at shift {shift} in {box} are too long "
                          f"to count") from None
@@ -373,7 +360,8 @@ def pbw_enumerate(n: int, shift, box: TruncationBox):
             return
         left = box.L - len(word) - 1
         for idx, g, rest in branches(start, remaining):
-            if count(idx, rest, left):
+            most = reach(rest)
+            if count(idx, rest, most if most < left else left):
                 dfs(idx, rest, word + (g,))
 
     dfs(0, shift, ())

@@ -462,10 +462,11 @@ def test_bad_specialization_is_usage_error(capsys, argv, named):
 def test_dims_count_past_the_recursion_limit_is_usage_error(capsys):
     """A shift whose words are too long to count within the recursion limit
     exits 2 with one error line.  At shift (-3, 0) in box (30, 61) the letter
-    budget binds, so the count keys on letters left and descends one frame
-    pair per letter.  The limit is lowered to some 60 frames above this one,
-    so the count meets it after a few dozen letters rather than the many
-    seconds of a count at the default limit."""
+    budget 61 is below reach((-3, 0)) = 93, so the clipped budget binds and
+    the count recurses once per letter, some 60 deep.  The limit is lowered
+    to some 60 frames above this one, so the count meets it after a few
+    dozen letters rather than the many seconds of a count at the default
+    limit."""
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -506,6 +507,22 @@ def test_config_key_listed_twice_rejected(tmp_path, capsys):
     assert captured.out == ""
     assert _one_error_line(captured.err)
     assert "config key 'n' listed twice" in captured.err
+
+
+@pytest.mark.parametrize("key", ["n", "box", "seed", "jobs"])
+def test_config_integer_names_its_key(tmp_path, capsys, key):
+    """A non-integer setting, from a config file or a flag, exits 2 with one
+    error line that names its key."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = x\n")
+    for extra in (["--config", str(cfg)], [f"--{key}", "x"]):
+        code = main(["verify", "density"] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert _one_error_line(captured.err)
+        assert f"--{key} (or config key {key!r}) entry 'x' is not an integer" \
+            in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -165,6 +165,13 @@ def test_untagged_lattice_polynomial_is_generic():
     assert c.witness == {"shift": [1, 1], "b": 0}
 
 
+@pytest.mark.parametrize("b", [2, -1, Fraction(1, 2), B])
+def test_lattice_values_of_a_with_b_off_zero_and_one_are_irreducible(b):
+    """A lattice value a = mu.gamma is exceptional only with b in {0, 1}."""
+    for gamma in [(0, 0), (1, 0), (2, -1)]:
+        assert classify_density(lattice_params(2, gamma, b)) == (IRREDUCIBLE, None)
+
+
 @pytest.mark.parametrize("gamma", [(0, 0), (1, 0), (0, 1), (1, -2), (-3, 5)])
 @pytest.mark.parametrize("b, case", [(0, REDUCIBLE_TRIVIAL_SUB),
                                      (1, REDUCIBLE_CODIM_ONE)])

@@ -211,6 +211,14 @@ def test_quotient_rank_monotone_and_stabilized():
     assert report.bound_string() == "1*3"
 
 
+def test_quotient_rank_that_grows_is_not_stabilized():
+    """Radius 0 ranks 1 and radius 1 ranks 3: the last two ranks differ, so
+    the table has not stabilized."""
+    report = quotient_dim_level1(2, (0,), P, [0, 1])
+    assert [entry["rank"] for entry in report.boxes] == [1, 3]
+    assert report.stabilized is False
+
+
 def test_pairing_entry_closed_form():
     # the raising E((1,g')) on E((-1,g)).v_{k-g} has the single coefficient
     #   (-2 mu1 + mu2 (g - g')) (a + mu2 (k - g) + b mu2 (g + g')),

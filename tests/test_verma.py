@@ -276,6 +276,13 @@ def test_rank1_dimensions_are_box_partitions_up_to_length_30():
     assert box_partitions(30, 30, 30) == 5604
 
 
+def test_max_pairs_refusal_counts_under_the_letter_budget():
+    """The count that MAX_PAIRS bounds keeps the letter budget at every
+    letter: level 100 in box (100, 2) holds the 51 partitions of 100 into at
+    most 2 parts, though p(100) = 190 569 292 is past MAX_PAIRS."""
+    assert weight_space_dim_truncated(1, (-100,), TruncationBox(100, 2)) == 51
+
+
 def test_positive_annihilates_vacuum():
     for alpha in [(1, 0), (0, 1), (2, -3), (0, 2)]:
         assert verma_act(A2.e(alpha), vacuum(2)).is_zero()
