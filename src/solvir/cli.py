@@ -22,7 +22,10 @@ import sys
 from . import __version__
 from .errors import BoxTooSmallError, NotACocycleError, ParseError, SolvirError
 
-SUITES = ("jacobi", "cocycle", "density", "verma", "gvm", "all")
+# suite -> the config keys it reads, which run_suite passes it, and no other
+SUITES = {"jacobi": ("n", "box", "seed"), "cocycle": ("n", "box", "seed"),
+          "density": ("n", "box", "seed", "spec"), "verma": ("seed",),
+          "gvm": ("n", "seed", "boxes"), "all": ("n", "box", "seed", "spec")}
 
 
 class RunConfig:
@@ -184,7 +187,7 @@ def build_config(args, reads, name) -> RunConfig:
                              "(spec and --mu1)")
         cfg.spec["mu1"] = parse_fraction(args.mu1)
     cfg.validate()
-    for key in sorted(cfg.given - reads - {"out", "jobs"}):
+    for key in sorted(cfg.given.difference(reads, ("out", "jobs"))):
         unread = f"--{key} (or config key {key!r}) does not apply to {name}"
         if args.cmd != "verify":
             raise ValueError(unread)
@@ -221,17 +224,17 @@ def read_cochain(path: str, cfg: RunConfig):
 
 
 def cmd_verify(args) -> int:
-    from .verification import SUITE_KEYS, run_suite, suite_cocycle_input
+    from .verification import run_suite, suite_cocycle_input
 
     if args.input and args.suite != "cocycle":
         raise ValueError("--input is only meaningful for the cocycle suite")
-    suite = "cocycle --input" if args.input else args.suite
-    cfg = build_config(args, SUITE_KEYS[suite], f"verify {suite}")
     if args.input:
+        cfg = build_config(args, ("n", "box"), "verify cocycle --input")
         checks = suite_cocycle_input(read_cochain(args.input, cfg), cfg.box)
     else:
-        checks = run_suite(args.suite, cfg.n, cfg.box, cfg.seed,
-                           boxes=cfg.boxes or None, spec=cfg.spec)
+        keys = SUITES[args.suite]
+        cfg = build_config(args, keys, f"verify {args.suite}")
+        checks = run_suite(args.suite, **{key: getattr(cfg, key) for key in keys})
     checks.sort(key=lambda c: c["id"])
     failed = sum(c["status"] != "pass" for c in checks)
     emit(f"verify {args.suite}", cfg, checks=checks,
@@ -249,6 +252,7 @@ def _infer_rank(ranks, explicit):
         if not ranks:
             raise ValueError("rank cannot be inferred; pass --n")
         return check_rank(ranks[0])
+    explicit = parse_int(explicit, "--n")
     if ranks and ranks[0] != explicit:
         raise ValueError(f"points of rank {ranks[0]} do not match --n {explicit}")
     return check_rank(explicit)
@@ -268,21 +272,23 @@ def cmd_dims(args) -> int:
     from .verma import TruncationBox, weight_space_dim_truncated
 
     cfg = build_config(args, {"n", "boxes", "spec"}, "dims")
+    boxes = cfg.boxes or [1, 2, 3, 4]
     if args.target == "verma":
         if args.kappa is not None:
             raise ValueError("--kappa applies to dims gvm only")
         if args.level is not None:
             if args.shift is not None or cfg.boxes:
                 raise ValueError("--level takes neither --shift nor --boxes")
-            shift = (-args.level,) + (0,) * (cfg.n - 1)
-            sizes = [(max(args.level, 1), max(args.level, 1))]
+            level = parse_int(args.level, "--level")
+            shift = (-level,) + (0,) * (cfg.n - 1)
+            sizes = [(max(level, 1), max(level, 1))]
         else:
             if not args.shift:
                 raise ValueError("dims verma needs --shift or --level")
             shift = parse_ints(args.shift, "--shift")
             if len(shift) != cfg.n:
                 raise ValueError(f"shift {shift} does not match rank {cfg.n}")
-            sizes = [(N, 2 * N + 1) for N in cfg.boxes or [1, 2, 3, 4]]
+            sizes = [(N, 2 * N + 1) for N in boxes]
         table = [{"N": N, "L": L, "dim": weight_space_dim_truncated(
                       cfg.n, shift, TruncationBox(N, L))} for N, L in sizes]
         canonical_family = (cfg.n >= 2 and shift[0] == -1
@@ -304,7 +310,6 @@ def cmd_dims(args) -> int:
         kappa = kappa * (cfg.n - 1)
     if len(kappa) != cfg.n - 1:
         raise ValueError(f"kappa {kappa} does not match rank {cfg.n}")
-    boxes = cfg.boxes or [1, 2, 3, 4]
     result = quotient_dim_level1(cfg.n, kappa, formal_params(cfg.n - 1), boxes)
     emit("dims gvm", cfg, **result.as_dict())
     return 0
@@ -334,8 +339,15 @@ def schema_path() -> str:
     return os.path.join(os.path.dirname(__file__), "schema", "report.schema.json")
 
 
+class Parser(argparse.ArgumentParser):
+    """A parser, and its subparsers' class, whose usage error is one line."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="solvir",
         description="Exact checks and computations for the solenoidal "
                     "Virasoro algebra")
@@ -365,14 +377,14 @@ def make_parser() -> argparse.ArgumentParser:
     p_bracket = sub.add_parser("bracket", help="bracket of two elements")
     p_bracket.add_argument("left")
     p_bracket.add_argument("right")
-    p_bracket.add_argument("--n", type=int, default=None)
+    p_bracket.add_argument("--n", default=None)
     p_bracket.set_defaults(func=cmd_bracket)
 
     p_dims = sub.add_parser("dims", help="weight dimension and rank tables")
     p_dims.add_argument("target", choices=("verma", "gvm"))
     p_dims.add_argument("--shift", type=str, default=None,
                         help="verma weight shift, e.g. -1,0")
-    p_dims.add_argument("--level", type=int, default=None,
+    p_dims.add_argument("--level", default=None,
                         help="rank-1 verma level")
     p_dims.add_argument("--kappa", type=str, default=None,
                         help="gvm weight index, e.g. 0 or 1,-1")

@@ -133,6 +133,7 @@ Classification = namedtuple("Classification", "case witness")
 def _lattice_point(p: DensityParams):
     """gamma with a = mu.gamma, or None when a is not in Gamma_mu."""
     a = p.a
+    # the closing test rejects a denominator too; exiting early keeps gamma integral
     if a.forms or a.num.d != 1:
         return None
     gamma = [0] * p.n

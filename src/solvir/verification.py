@@ -538,6 +538,7 @@ def suite_verma(seed: int, kmax: int = 5, nmax: int = 4):
 
 
 def suite_gvm(n: int, seed: int, boxes):
+    """The gvm checks; empty boxes stand for the radii 1 to 4."""
     from .density import formal_params
     from .gvm import grade_of, gvm_act, quotient_dim_level1, GvmMonomial, GvmVector
 
@@ -568,7 +569,7 @@ def suite_gvm(n: int, seed: int, boxes):
     ok_ranks = True
     for k in (0, 1, -1):
         kappa = (k,) * (n - 1)
-        report = quotient_dim_level1(n, kappa, formal_params(n - 1), boxes)
+        report = quotient_dim_level1(n, kappa, p, boxes or [1, 2, 3, 4])
         ranks = [entry["rank"] for entry in report.boxes]
         monotone = all(x <= y for x, y in zip(ranks, ranks[1:]))
         ceiling = all(r <= 3 for r in ranks)
@@ -580,37 +581,20 @@ def suite_gvm(n: int, seed: int, boxes):
     return checks
 
 
-# suite -> the config keys its run reads; suite_cocycle_input reads no seed
-SUITE_KEYS = {
-    "jacobi": {"n", "box", "seed"},
-    "cocycle": {"n", "box", "seed"},
-    "cocycle --input": {"n", "box"},
-    "density": {"n", "box", "seed", "spec"},
-    "verma": {"seed"},
-    "gvm": {"n", "seed", "boxes"},
-    "all": {"n", "box", "seed", "spec"},
-}
+def suite_all(n: int, box: int, seed: int, spec):
+    """Every suite, each at radius at most 2 and with fewer trials."""
+    return (suite_jacobi(n, min(box, 2), seed)
+            + suite_cocycle(n, min(box, 2), seed, normalize_trials=3)
+            + suite_density(n, min(box, 2), seed, trials=40, spec=spec)
+            + suite_verma(seed, kmax=4, nmax=3)
+            + suite_gvm(n, seed, boxes=[1, 2, 3]))
 
 
-def run_suite(name: str, n: int, box: int, seed: int, boxes=None, spec=None):
-    """Dispatch a named suite; 'all' concatenates every suite."""
-    boxes = list(boxes) if boxes else [1, 2, 3, 4]
-    if name == "jacobi":
-        return suite_jacobi(n, box, seed)
-    if name == "cocycle":
-        return suite_cocycle(n, box, seed)
-    if name == "density":
-        return suite_density(n, box, seed, spec=spec)
-    if name == "verma":
-        return suite_verma(seed)
-    if name == "gvm":
-        return suite_gvm(n, seed, boxes=boxes)
-    if name == "all":
-        checks = []
-        checks += suite_jacobi(n, min(box, 2), seed)
-        checks += suite_cocycle(n, min(box, 2), seed, normalize_trials=3)
-        checks += suite_density(n, min(box, 2), seed, trials=40, spec=spec)
-        checks += suite_verma(seed, kmax=4, nmax=3)
-        checks += suite_gvm(n, seed, boxes=[1, 2, 3])
-        return checks
-    raise ValueError(f"unknown suite {name!r}")
+def run_suite(name: str, **settings):
+    """The checks of suite_<name> run on settings, the config keys that
+    cli.SUITES lists for it; the suite is read at call time, so a rebinding
+    of it is what runs."""
+    suite = globals().get(f"suite_{name}")
+    if suite is None:
+        raise ValueError(f"unknown suite {name!r}")
+    return suite(**settings)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from solvir.cli import main, parse_boxes, parse_spec, schema_path
+from solvir.cli import SUITES, main, make_parser, parse_boxes, parse_spec, schema_path
 
 
 def run_cli(args, capsys):
@@ -726,6 +727,82 @@ def test_verify_cocycle_input_warns_on_seed(tmp_path, capsys, source):
 def test_verify_with_only_the_flags_its_suite_reads_is_silent(capsys):
     code = main(["verify", "verma", "--seed", "7", "--jobs", "2"])
     assert code == 0 and capsys.readouterr().err == ""
+
+
+def test_verify_accepts_exactly_the_suites_of_the_table():
+    sub = next(a for a in make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == tuple(SUITES)
+
+
+FLAG_VALUES = {"n": ("3", 3), "box": ("2", 2), "seed": ("7", 7),
+               "spec": ("mu1=2", {"mu1": Fraction(2)}), "boxes": ("1..2", [1, 2])}
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_verify_passes_run_suite_exactly_the_keys_of_the_table(capsys,
+                                                               monkeypatch, name):
+    """run_suite receives the suite's keys from cli.SUITES, each with the
+    value of its flag, and no other setting."""
+    import solvir.verification
+
+    calls = []
+    monkeypatch.setattr(solvir.verification, "run_suite",
+                        lambda *a, **k: calls.append((a, k)) or [])
+    argv = ["verify", name]
+    for key in SUITES[name]:
+        argv += [f"--{key}", FLAG_VALUES[key][0]]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == [((name,), {key: FLAG_VALUES[key][1] for key in SUITES[name]})]
+
+
+def test_verify_density_reads_its_spec(capsys):
+    """--spec reaches the density suite: its duality record spot-checks the
+    specialization, and no warning is printed."""
+    code = main(["verify", "density", "--n", "2", "--box", "1", "--spec", "mu1=3"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    duality = next(c for c in json.loads(captured.out)["checks"]
+                   if c["id"] == "density/n=2/duality_residuals")
+    assert duality["details"]["numeric_spot_check"] == "0"
+
+
+def test_verify_gvm_without_boxes_ranks_radii_one_to_four(capsys):
+    """The gvm suite's default radii are 1..4, and the report echoes the
+    boxes as given: none."""
+    code, out = run_cli(["verify", "gvm", "--n", "2", "--seed", "0"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["boxes"] == []
+    code, out = run_cli(["verify", "gvm", "--n", "2", "--seed", "0",
+                         "--boxes", "1..4"], capsys)
+    assert code == 0
+    assert json.loads(out)["checks"] == report["checks"]
+    ranks = next(c for c in report["checks"]
+                 if c["id"] == "gvm/n=2/level1_quotient_ranks")
+    assert [len(t["ranks"]) for t in ranks["details"]["tables"]] == [4, 4, 4]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["dims", "verma", "--level", "x"], "--level entry 'x' is not an integer"),
+    (["bracket", "e[1]", "e[0]", "--n", "x"], "--n entry 'x' is not an integer"),
+    (["dims", "foo"], "argument target: invalid choice: 'foo'"),
+    (["normalize"], "the following arguments are required: --input"),
+    (["verify", "jacobi", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+])
+def test_argparse_usage_error_is_one_error_line(capsys, argv, named):
+    """A value argparse used to parse, or an argument it refuses, exits 2
+    with one error line naming the flag or argument, not the usage text."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and named in captured.err
 
 
 E61 = "e[" + ",".join(["1"] + ["0"] * 60) + "]"

@@ -590,10 +590,23 @@ def test_coboundary_random_residuals_read_the_bracket(monkeypatch, squared_brack
     assert record["details"] == {"trials": ver.TRIALS, "failures": 19}
 
 
+def test_trials_check_runs_the_trials_it_reports():
+    calls = []
+    record = ver._trials_check("t", 7, lambda: calls.append(1) or len(calls) % 2)
+    assert len(calls) == 7
+    assert record == {"id": "t", "status": "fail",
+                      "details": {"trials": 7, "failures": 4}}
+
+
+def test_run_suite_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        run_suite("bogus")
+
+
 def test_cocycle_suite_passes_at_rank_one_radius_two():
     """At rank 1 the H^2 rank experiment needs radius 3 to pin the kernel;
     the suite runs it there, so a radius-2 run has no false failure."""
-    checks = run_suite("cocycle", 1, 2, 0)
+    checks = run_suite("cocycle", n=1, box=2, seed=0)
     assert [c["id"] for c in checks if c["status"] != "pass"] == []
     h2 = next(c for c in checks if c["id"] == "cocycle/n=1/h2_quotient_dim")
     assert h2["details"] == {"cocycle_space_dim": 2, "coboundary_space_dim": 1,
