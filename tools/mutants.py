@@ -3,16 +3,17 @@
 Each mutant is one text edit of one file of the repository.  For each, the
 script copies the repository (without .git and caches) to a temporary
 directory, applies the edit there and runs the tier-1 tests with ``-x``.
-A mutant is
+The unmutated copy runs first, and must pass.  A mutant is
 
 * killed when the tests fail, with the first failing test recorded;
 * equivalent when they pass and its reason starts with "equivalent:", which
   then says why no test can tell it from the real program;
 * survived when they pass otherwise: a gap in the tests.
 
-    python3 tools/mutants.py [--out mutants.json] [--only ID ...]
+    python3 tools/mutants.py > mutants.json
 
-writes the JSON record of every mutant run (default: stdout) and exits 1 if
+writes the JSON record of every mutant to stdout and one progress line per
+mutant to stderr.  It exits 2 if the unmutated copy fails its tests, 1 if
 any mutant survived or an equivalent one was killed, 0 otherwise.  The
 working tree is never edited.  tests/test_mutants.py checks, without running
 a mutant, that each old text occurs exactly once in its file.
@@ -20,7 +21,6 @@ a mutant, that each old text occurs exactly once in its file.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -175,7 +175,7 @@ MUTANTS = [
 
 # tier-1 but the table's own check, which any mutant of a listed file fails
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-         "--ignore=tests/test_mutants.py"]
+         "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
 FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.M)
 
 
@@ -189,26 +189,32 @@ def apply(root: Path, mutant):
     target.write_text(text.replace(old, new))
 
 
-def run(mutant) -> dict:
-    """The record of mutant: its status, first failing test and seconds."""
-    mid, path, _, _, reason = mutant
-    start = time.perf_counter()
+def tier1(mutant=None):
+    """(failed, first failing test) of tier-1 on a copy with mutant applied."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         root = Path(tmp) / "repo"
         shutil.copytree(ROOT, root, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".bench_work", ".benchmarks"))
-        apply(root, mutant)
-        env = dict(os.environ, PYTHONPATH=str(root / "src"),
-                   PYTHONDONTWRITEBYTECODE="1")
+        if mutant:
+            apply(root, mutant)
+        path = os.pathsep.join(filter(None, [str(root / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
         try:
             proc = subprocess.run(TIER1, cwd=root, env=env, capture_output=True,
                                   text=True, timeout=TIMEOUT_S)
-            failed = proc.returncode != 0
-            found = FIRST_FAILURE.search(proc.stdout)
-            first = found.group(1) if found else (
-                (proc.stdout + proc.stderr).strip().splitlines() or [""])[-1]
         except subprocess.TimeoutExpired:
-            failed, first = True, f"timeout after {TIMEOUT_S} s"
+            return True, f"timeout after {TIMEOUT_S} s"
+    found = FIRST_FAILURE.search(proc.stdout)
+    return proc.returncode != 0, found.group(1) if found else (
+        (proc.stdout + proc.stderr).strip().splitlines() or [""])[-1]
+
+
+def run(mutant) -> dict:
+    """The record of mutant: its status, first failing test and seconds."""
+    mid, path, _, _, reason = mutant
+    start = time.perf_counter()
+    failed, first = tier1(mutant)
     equivalent = reason.startswith("equivalent:")
     status = "killed" if failed else "equivalent" if equivalent else "survived"
     return {"id": mid, "file": path, "status": status,
@@ -216,30 +222,21 @@ def run(mutant) -> dict:
             "seconds": round(time.perf_counter() - start, 1)}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", help="JSON output path (default: stdout)")
-    parser.add_argument("--only", nargs="+", metavar="ID",
-                        help="run only these mutants")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
-    unknown = set(args.only or ()) - {m[0] for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutant ids: {', '.join(sorted(unknown))}")
+def main() -> int:
     start = time.perf_counter()
+    failed, first = tier1()
+    if failed:
+        print(f"error: the unmutated copy fails tier-1: {first}", file=sys.stderr)
+        return 2
     records = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         records.append(run(mutant))
         print(f"{records[-1]['status']:>10}  {mutant[0]}", file=sys.stderr)
     counts = {status: sum(r["status"] == status for r in records)
               for status in ("killed", "survived", "equivalent")}
     report = {"counts": counts, "seconds": round(time.perf_counter() - start, 1),
               "mutants": records}
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     stale = any(r["status"] == "killed" and r["reason"].startswith("equivalent:")
                 for r in records)
     return 1 if counts["survived"] or stale else 0
