@@ -17,10 +17,10 @@ coboundary of the shift g(alpha) = theta(0, alpha)/(mu.alpha) kills every
 theta(0, .) entry.  For a genuine cocycle the shifted cochain is then
 supported on the diagonal pairs (alpha, -alpha): its residual at the triple
 (alpha, beta, 0) is mu.(alpha + beta) times its value at (alpha, beta).  On
-the diagonal it defines an odd table eta.  Valid eta tables fit
-eta(alpha) = a*(mu.alpha)^3 + b*(mu.alpha); the class of the cocycle is
-measured by the coefficient a alone, which is invariant under adding
-coboundaries.
+the diagonal dg reads only g(0), and g has no entry at 0, so the shifted
+cochain there is theta: eta is theta's own odd diagonal, and the shift is
+reported, never applied.  Valid eta tables fit eta(alpha) = a*(mu.alpha)^3
++ b*(mu.alpha), and a alone, invariant under coboundaries, gives the class.
 """
 
 from __future__ import annotations
@@ -345,19 +345,20 @@ class EtaTable:
 
 
 def normalize_cocycle(theta: TwoCochain, box: int):
-    """Shift a cocycle into diagonal form; returns (EtaTable, shift OneCochain).
+    """Diagonal form of a cocycle; returns (EtaTable, shift OneCochain).
 
-    Validates the cocycle condition on the box first (NotACocycleError), then
-    subtracts the coboundary of g(alpha) = theta(0, alpha)/(mu.alpha).  The
-    shifted cochain theta' needs no second certificate: it is diagonal on
-    the box.  The shift clears theta'(0, gamma) at every lattice point gamma
-    (each gamma where theta(0, gamma) can be nonzero is a candidate), and
-    theta' has the residual of theta, which is zero on the box.  At the box
-    triple (alpha, beta, 0) that residual is
+    Validates the cocycle condition on the box first (NotACocycleError).
+    theta' = theta - dg, g(alpha) = theta(0, alpha)/(mu.alpha), is diagonal
+    on the box with no second certificate.  g clears theta'(0, gamma) at
+    every lattice point gamma (each gamma where theta(0, gamma) can be
+    nonzero is a candidate), and theta' has the residual of theta, zero on
+    the box.  At the box triple (alpha, beta, 0) that residual is
         mu.beta * theta'(alpha, beta) - mu.alpha * theta'(beta, alpha)
             + mu.(beta - alpha) * theta'(0, alpha + beta)
         = mu.(alpha + beta) * theta'(alpha, beta),
     and mu is generic, so theta'(alpha, beta) = 0 unless beta = -alpha.
+    There dg(alpha, -alpha) = -2*(mu.alpha)*g(0) = 0, so eta is theta's own
+    odd diagonal, read at the lex-positive box points; theta' is not built.
     """
     check_cocycle_on_box(theta, box)
     n = theta.n
@@ -366,22 +367,17 @@ def normalize_cocycle(theta: TwoCochain, box: int):
     candidates = set(theta.cob.terms) | {q for p, q in theta.extra if p == zero}
     shift = OneCochain(n, {gamma: theta.value(zero, gamma).div_form(gamma)
                            for gamma in candidates - {zero}})
-
-    shifted = theta + coboundary(-shift)
-
-    values = {}
-    for alpha in box_points(n, box):
-        val = shifted.value(alpha, vneg(alpha))
-        if val:
-            values[alpha] = val
-    return EtaTable(n, box, values), shift
+    eta = {alpha: theta.value(alpha, vneg(alpha))
+           for alpha in box_points(n, box) if alpha > zero}
+    return EtaTable(n, box, eta), shift
 
 
 def recognize_eta(eta: EtaTable):
     """Exact fit eta(alpha) = a*(mu.alpha)^3 + b*(mu.alpha) over the box.
 
     Needs box >= 2 so the first-axis samples alpha = eps1, 2*eps1 pin (a, b);
-    every box point is then checked against the fit (NotCubicOddError).
+    the fit is checked at every lex-positive box point (NotCubicOddError),
+    and both the table and the fit are odd, so it holds on the whole box.
     """
     if eta.box < 2:
         raise BoxTooSmallError("recognize_eta needs box >= 2")
@@ -389,7 +385,8 @@ def recognize_eta(eta: EtaTable):
     a, b = cubic_odd_fit(eta.value(eps), eta.value((2,) + eps[1:]))
     # the fit in m of eta(m*eps) is (a*mu_1^3)*m^3 + (b*mu_1)*m
     a, b = a.div_form(eps).div_form(eps).div_form(eps), b.div_form(eps)
-    for alpha in box_points(eta.n, eta.box):
+    zero = (0,) * eta.n
+    for alpha in (p for p in box_points(eta.n, eta.box) if p > zero):
         x = _mu_scalar(alpha)
         if eta.value(alpha) != a * x * x * x + b * x:
             raise NotCubicOddError(f"table value at {alpha} off the cubic fit")

@@ -182,12 +182,17 @@ def _jacobi_residual(n, pts, total):
     return lambda a, b, k: jacobi_residual(els[a], els[b], els[k], bracket)
 
 
-def _cocycle_residual(n, pts, total):
-    from .cocycle import canonical_cochain, cocycle_residual
+def _memo_residual(theta):
+    """cocycle_residual of theta through one memo of theta.value."""
+    from .cocycle import cocycle_residual
 
-    theta = canonical_cochain(n)
-    # theta's pairs repeat at one lattice sum too
     return partial(cocycle_residual, theta, value=cache(theta.value))
+
+
+def _cocycle_residual(n, pts, total):
+    from .cocycle import canonical_cochain
+
+    return _memo_residual(canonical_cochain(n))
 
 
 def _box_scan(residual_of, n, box, zero_sum):
@@ -277,15 +282,13 @@ def suite_cocycle_input(theta, box: int):
     """The check of theta, a cocycle.TwoCochain, by one scan per lattice sum
     of its pair-sum support and 0, which hold every triple where its
     residual can be nonzero."""
-    from .cocycle import cocycle_residual
-
     n = theta.n
     # permutations keep the lattice sum: one engine scan per sum
     totals = sorted(theta.pair_sum_support() | {(0,) * n})
     check_pairs(len(totals) * box_size(n, box) ** 2,
                 f"the rank-{n} input scan of radius {box}")
     pts = box_points(n, box)
-    residual = partial(cocycle_residual, theta, value=cache(theta.value))
+    residual = _memo_residual(theta)
     results = [scan_triples(pts, total, residual, f"input:{n}:{box}:{total}")
                for total in totals]
     failing = next((failures[0] for _, failures in results if failures), None)

@@ -226,6 +226,28 @@ def test_normalize_pure_coboundary():
         assert eta.value(alpha) == mu(alpha) * b if any(alpha) else True
 
 
+@pytest.mark.parametrize("n, box", [(2, 2), (2, 3), (3, 1)])
+def test_normalize_reads_eta_off_the_diagonal_of_theta(n, box):
+    # a canonical multiple, a coboundary with a value at 0, and extras on the
+    # diagonal ((mu.p)^3 at the lex-positive p) and in row 0 (the patch of
+    # d(delta_s) on the pairs of sum s inside twice the box, a cocycle there)
+    zero, s = (0,) * n, (1,) + (0,) * (n - 1)
+    cob = OneCochain(n, {zero: Fraction(1, 2), s: 2, vneg(s): Fraction(-5, 3)})
+    extra = {(p, vneg(p)): mu(p) ** 3 for p in box_points(n, box) if p > zero}
+    wide = set(box_points(n, 2 * box))
+    for p in wide:
+        q = vsub(s, p)
+        if p < q and q in wide:
+            extra[p, q] = mu(q) - mu(p)
+    theta = TwoCochain(n, Fraction(3, 2), cob, extra)
+    assert theta.extra[zero, s] and theta.cob.value(zero)
+    diagonal = {alpha: theta.value(alpha, vneg(alpha))
+                for alpha in box_points(n, box)}
+    eta, _ = normalize_cocycle(theta, box)
+    assert eta.values == {alpha: v for alpha, v in diagonal.items() if v}
+    assert len(eta.values) == len(diagonal) - 1
+
+
 def test_normalize_rejects_non_cocycle():
     theta = TwoCochain(2, extra={((0, 1), (1, 0)): ONE})
     with pytest.raises(NotACocycleError):
@@ -265,10 +287,14 @@ def test_recognize_eta_degenerate_tables():
         recognize_eta(EtaTable(2, 1))
 
 
-def test_recognize_eta_rejects_corrupt_table():
-    values = {alpha: eta0(alpha) for alpha in box_points(2, 2) if any(alpha)}
-    values[(1, 1)] = values[(1, 1)] + ONE
-    values[(-1, -1)] = -values[(1, 1)]
+@pytest.mark.parametrize("corrupt", [(1, 1), (-1, -1), (0, -1), (-2, 1)])
+def test_recognize_eta_rejects_corrupt_table(corrupt):
+    # the only off-fit value is given at corrupt, lex-negative or not; the
+    # table holds the fit at the other lex-positive points, and EtaTable
+    # fills in the odd half
+    values = {alpha: eta0(alpha) for alpha in box_points(2, 2)
+              if alpha > (0, 0) and alpha != vneg(corrupt)}
+    values[corrupt] = eta0(corrupt) + ONE
     with pytest.raises(NotCubicOddError):
         recognize_eta(EtaTable(2, 2, values))
 

@@ -16,7 +16,8 @@ writes the JSON record of every mutant to stdout and one progress line per
 mutant to stderr.  It exits 2 if the unmutated copy fails its tests, 1 if
 any mutant survived or an equivalent one was killed, 0 otherwise.  The
 working tree is never edited.  tests/test_mutants.py checks, without running
-a mutant, that each old text occurs exactly once in its file.
+a mutant, that each old text occurs exactly once in its file and that the
+mutated file still parses.
 """
 
 from __future__ import annotations
@@ -123,11 +124,28 @@ MUTANTS = [
      "{gamma: theta.value(zero, gamma).div_form(gamma)",
      "{gamma: -theta.value(zero, gamma).div_form(gamma)",
      "normalize_cocycle returns the negative of its shift"),
-    ("normalize_coboundary_sign", "src/solvir/cocycle.py",
-     "shifted = theta + coboundary(-shift)",
-     "shifted = theta + coboundary(shift)",
-     "equivalent: only the diagonal of the shifted cochain is read, and there "
-     "d(shift)(alpha, -alpha) reads shift at 0, where it has no entry"),
+    ("normalize_diagonal_flipped", "src/solvir/cocycle.py",
+     "{alpha: theta.value(alpha, vneg(alpha))",
+     "{alpha: theta.value(vneg(alpha), alpha)",
+     "eta is read in the other orientation, so it is negated"),
+    ("normalize_reads_first_axis_half", "src/solvir/cocycle.py",
+     "for alpha in box_points(n, box) if alpha > zero}",
+     "for alpha in box_points(n, box) if alpha[0] > 0}",
+     "eta is not read at the lex-positive points (0, k)"),
+    ("normalize_reads_negative_half", "src/solvir/cocycle.py",
+     "for alpha in box_points(n, box) if alpha > zero}",
+     "for alpha in box_points(n, box) if alpha < zero}",
+     "equivalent: theta is skew, so its diagonal is odd, and EtaTable fills "
+     "in the lex-positive half from the lex-negative one"),
+    ("recognize_eta_checks_first_axis_half", "src/solvir/cocycle.py",
+     "for alpha in (p for p in box_points(eta.n, eta.box) if p > zero):",
+     "for alpha in (p for p in box_points(eta.n, eta.box) if p[0] > 0):",
+     "the fit is not checked at the lex-positive points (0, k)"),
+    ("recognize_eta_checks_negative_half", "src/solvir/cocycle.py",
+     "for alpha in (p for p in box_points(eta.n, eta.box) if p > zero):",
+     "for alpha in (p for p in box_points(eta.n, eta.box) if p < zero):",
+     "equivalent: every EtaTable is odd by construction, and so is the fit "
+     "a*x^3 + b*x, so both halves agree with it or neither does"),
     ("h2_stops_one_rank_early", "src/solvir/cocycle.py",
      "if ech.rank >= len(ks) - len(known):",
      "if ech.rank >= len(ks) - len(known) - 1:",
