@@ -371,21 +371,14 @@ def bracket_is_skew(ka, kb) -> bool:
     """Whether the table's [E(ka), E(kb)] is the termwise negative of
     [E(kb), E(ka)]; reads the module's _basis_bracket_terms at call time.
 
-    Scalars are canonical and negation keeps forms and denominator, so the
-    orientations are compared pair by pair, in table order, on keys, forms,
-    denominator and negated int coefficients, building nothing."""
+    The orientations are compared pair by pair, in table order, on keys and
+    by Scalar.negates, building nothing."""
     fwd, rev = _basis_bracket_terms(ka, kb), _basis_bracket_terms(kb, ka)
     if len(fwd) != len(rev):
         return False
     for (key, a), (rkey, b) in zip(fwd, rev):
-        p, q = a.num, b.num
-        if (key != rkey or a.forms != b.forms or p.d != q.d
-                or len(p.t) != len(q.t)):
+        if key != rkey or not a.negates(b):
             return False
-        get = q.t.get
-        for m, c in p.t.items():
-            if get(m) != -c:
-                return False
     return True
 
 

@@ -475,8 +475,8 @@ def h2_rank_experiment(n: int, box: int, degree_bound: int = 10) -> H2Report:
     for alpha, beta, kappa in triples:
         per_mon = {}
         for j, theta in enumerate(cochains):
-            # no denominator form arises, so num is the whole residual
-            for mon, coef in cocycle_residual(theta, alpha, beta, kappa).num.terms():
+            # Scalar.terms refuses a residual with a denominator form
+            for mon, coef in cocycle_residual(theta, alpha, beta, kappa).terms():
                 per_mon.setdefault(mon, [0] * len(ks))[j] += coef
         for row in per_mon.values():
             ech.add_row(row)

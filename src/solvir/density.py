@@ -130,25 +130,9 @@ REDUCIBLE_CODIM_ONE = "reducible_codim_one"
 Classification = namedtuple("Classification", "case witness")
 
 
-def _lattice_point(p: DensityParams):
-    """gamma with a = mu.gamma, or None when a is not in Gamma_mu."""
-    a = p.a
-    # the closing test rejects a denominator too; exiting early keeps gamma integral
-    if a.forms or a.num.d != 1:
-        return None
-    gamma = [0] * p.n
-    for mon, coef in a.num.terms():
-        # a term c*mu_i: one indeterminate, of exponent 1, among mu_1..mu_n
-        if len(mon) != 1 or mon[0][1] != 1 or not 1 <= mon[0][0] <= p.n:
-            return None
-        gamma[mon[0][0] - 1] = coef
-    gamma = tuple(gamma)
-    return gamma if Scalar.mu_form(gamma) == a else None
-
-
 def classify_density(p: DensityParams) -> Classification:
     """Irreducibility trichotomy of T_mu(a, b)."""
-    gamma = _lattice_point(p)
+    gamma = p.a.form_point(p.n)
     b = p.b.as_rational()
     if gamma is None or b not in (0, 1):
         return Classification(IRREDUCIBLE, None)

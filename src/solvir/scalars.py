@@ -584,6 +584,38 @@ class Scalar:
         # without forms, self equals its numerator, constants included
         return hash((self.num, self.forms)) if self.forms else hash(self.num)
 
+    def negates(self, other: "Scalar") -> bool:
+        """Whether self == -other.  Negation keeps the canonical forms and
+        denominator, so they and the negated int coefficients are compared."""
+        p, q = self.num, other.num
+        if self.forms != other.forms or p.d != q.d or len(p.t) != len(q.t):
+            return False
+        get = q.t.get
+        for m, c in p.t.items():
+            if get(m) != -c:
+                return False
+        return True
+
+    def terms(self):
+        """The numerator's (monomial, coefficient) pairs, as Polynomial.terms
+        gives them; ValueError when a denominator form is left."""
+        if self.forms:
+            raise ValueError(f"{self} has a denominator form")
+        return self.num.terms()
+
+    def form_point(self, n: int):
+        """The integral gamma in Z^n with self == mu.gamma, or None: the
+        inverse of mu_form, read off the packed monomials."""
+        # {packed mu_i: i - 1}; no scalar holds a mu_i past MAX_RANK
+        index = {_var_mon(i): i - 1 for i in range(1, min(n, MAX_RANK) + 1)}
+        num = self.num
+        if self.forms or num.d != 1 or not index.keys() >= num.t.keys():
+            return None
+        gamma = [0] * n
+        for m, c in num.t.items():
+            gamma[index[m]] = c
+        return tuple(gamma)
+
     def as_rational(self):
         """Fraction value when the scalar is a rational constant, else None."""
         if self.forms:

@@ -2,8 +2,9 @@
 
 No import is unused, in the sources or the tests, and no module reaches into
 the representation that scalars owns: the only underscore names imported
-from scalars are the grammar internals algebra drives to read elements, and
-only linalg uses Polynomial.  Only algebra imports eta0.  A cold `import
+from scalars are the grammar internals algebra drives to read elements, only
+linalg uses Polynomial, and no module but scalars reads an attribute named
+num, forms, t or d.  Only algebra imports eta0.  A cold `import
 solvir` or `import solvir.cli` loads no layer and stays off the heavy stdlib
 modules, and each CLI command loads only the layers it runs.
 """
@@ -23,6 +24,8 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "solvir"
 MODULES = sorted(SRC.glob("*.py"))
 SCALARS_INTERNALS = {"algebra": {"_parse_point", "_signed_terms", "_TokenStream"}}
+# the fields of Scalar (num, forms) and of Polynomial (t, d)
+REPRESENTATION = {"num", "forms", "t", "d"}
 
 
 def _imports(tree):
@@ -70,6 +73,16 @@ def test_polynomial_stays_in_scalars_and_linalg():
             users.append(path.stem)
     assert users == ["linalg"]
     assert solvir._MODULE_OF["Polynomial"] == "scalars"
+
+
+def test_only_scalars_reads_the_representation():
+    """Scalar and Polynomial methods are the one way into a scalar: no other
+    module reads num, forms, t or d, so a change of representation touches
+    scalars alone."""
+    readers = [path.stem for path in MODULES if path.stem != "scalars" and any(
+        isinstance(node, ast.Attribute) and node.attr in REPRESENTATION
+        for node in ast.walk(ast.parse(path.read_text())))]
+    assert readers == []
 
 
 def test_eta0_stays_in_algebra():

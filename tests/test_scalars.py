@@ -168,6 +168,26 @@ def test_product_by_the_unit_is_the_other_factor():
         assert one * s == s and s * one == s and one * one == ONE
 
 
+S = (mu((1, 2)) + rat(1, 3)).div_form((0, 1))  # a form, and denominator 3
+
+
+@pytest.mark.parametrize("x, y, expected", [
+    (S, -S, True),
+    (S, S, False),
+    (rat(1, 2), rat(-1), False),  # int terms {0: 1} and {0: -1}, d 2 and 1
+    (ONE.div_form((1, 0)), -ONE.div_form((0, 1)), False),
+], ids=["negated", "itself", "half-against-minus-one", "forms-differ"])
+def test_negates_is_equality_with_the_negative(x, y, expected):
+    assert x.negates(y) is expected
+    assert (x == -y) is expected
+
+
+def test_terms_refuse_a_denominator_form():
+    assert mu((1, 0)).terms() == mu_poly((1, 0)).terms()
+    with pytest.raises(ValueError, match="denominator form"):
+        ONE.div_form((1, 0)).terms()
+
+
 def test_divide_then_multiply_roundtrip():
     rng = random.Random(7)
     for _ in range(40):

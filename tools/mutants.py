@@ -62,11 +62,6 @@ MUTANTS = [
      "DensityParams(p.n, -p.a, ONE - p.b)",
      "DensityParams(p.n, p.a, ONE - p.b)",
      "the dual is matched against T(a, 1-b)"),
-    ("lattice_point_no_denominator_test", "src/solvir/density.py",
-     "if a.forms or a.num.d != 1:",
-     "if a.forms:",
-     "equivalent: mu_form(gamma) has denominator 1, so the closing "
-     "mu_form(gamma) == a rejects every a with a denominator"),
     # verma
     ("straighten_central_flipped", "src/solvir/verma.py",
      "_acc(out, (rest, base), bracket * c)",
@@ -172,6 +167,14 @@ MUTANTS = [
      "((piv, row[j]), (neg, top[j]))).exact_div(prev)",
      "((piv, row[j]), (neg, top[j]))).exact_div(piv)",
      "Bareiss divides by the current pivot, not the previous one"),
+    ("lattice_point_no_denominator_test", "src/solvir/scalars.py",
+     "if self.forms or num.d != 1 or not",
+     "if self.forms or not",
+     "a = mu_1/2 reads as the lattice point (1, 0)"),
+    ("negates_ignores_denominator", "src/solvir/scalars.py",
+     "if self.forms != other.forms or p.d != q.d or len(p.t) != len(q.t):",
+     "if self.forms != other.forms or len(p.t) != len(q.t):",
+     "1/2 reads as the negative of -1"),
     ("common_denominator_once_per_form", "src/solvir/scalars.py",
      "for alpha in (lcm - own).elements():",
      "for alpha in (lcm - own):",
